@@ -17,9 +17,13 @@ preserves the discrete mean) and no advection term at the two boundary nodes,
 where the Neumann condition makes beta*u_x vanish anyway.  Constants are
 exact steady states of the homogeneous flow in every mode.
 
-Tridiagonal systems are solved with scipy's banded LU; the per-step matrices
-are cached on the Propagator so repeated application (Picard sweeps, power
-iteration) costs one banded solve per layer.
+The n layers are decoupled, so the step matrices of all layers are stacked
+into one tridiagonal of size n*m: the first row of each layer has no
+sub-diagonal entry and its last row no super-diagonal entry, so the seams
+carry exact zeros.  build_propagator factors that stacked implicit matrix once
+with LAPACK's tridiagonal LU (dgttrf); every later application (Picard sweeps,
+power iteration) is one explicit product vectorised over layers and one
+dgttrs call, and the adjoint reuses the same factors with trans="T".
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import Grid, TemperatureField
 from .model import LayerParams, coefficient_fields
@@ -68,37 +72,30 @@ def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
 
 
 def _tri_mul(tri: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a tridiagonal stored as rows (sub, main, sup) of shape (3, m)."""
-    sub, main, sup = tri
+    """Apply stacked tridiagonals, rows (sub, main, sup) of shape (n, 3, m), to (n, m)."""
+    sub, main, sup = tri[:, 0], tri[:, 1], tri[:, 2]
     out = main * v
-    out[:-1] += sup[:-1] * v[1:]
-    out[1:] += sub[1:] * v[:-1]
+    out[:, :-1] += sup[:, :-1] * v[:, 1:]
+    out[:, 1:] += sub[:, 1:] * v[:, :-1]
     return out
 
 
-def _banded(tri: np.ndarray) -> np.ndarray:
-    """Repack (sub, main, sup) rows into scipy solve_banded layout."""
-    sub, main, sup = tri
-    ab = np.zeros((3, main.size))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = main
-    ab[2, :-1] = sub[1:]
-    return ab
-
-
-def _tri_transpose(tri: np.ndarray) -> np.ndarray:
-    """Transpose row-indexed bands: entry (i, i+1) moves to (i+1, i)."""
-    sub, main, sup = tri
-    tsub = np.zeros_like(sub)
-    tsup = np.zeros_like(sup)
-    tsub[1:] = sup[:-1]
-    tsup[:-1] = sub[1:]
-    return np.stack([tsub, main, tsup])
+def _tri_mul_transpose(tri: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the transposes of stacked tridiagonals (n, 3, m) to (n, m)."""
+    sub, main, sup = tri[:, 0], tri[:, 1], tri[:, 2]
+    out = main * v
+    out[:, :-1] += sub[:, 1:] * v[:, 1:]
+    out[:, 1:] += sup[:, :-1] * v[:, :-1]
+    return out
 
 
 @dataclass
 class Propagator:
-    """One theta-scheme step of the homogeneous evolution on [t_from, t_to]."""
+    """One theta-scheme step of the homogeneous evolution on [t_from, t_to].
+
+    Holds the explicit bands of I - (1-theta)*dt*L_h per layer and the dgttrf
+    factors of I + theta*dt*L_h for all layers stacked into one tridiagonal.
+    """
 
     grid: Grid
     t_from: float
@@ -106,43 +103,28 @@ class Propagator:
     theta: float
     scheme: str
     identity: bool
-    imp: np.ndarray | None = None  # (n, 3, m) rows sub/main/sup of I + theta*dt*L
-    exp: np.ndarray | None = None  # (n, 3, m) rows of I - (1-theta)*dt*L
-    imp_ab: np.ndarray | None = None  # cached banded layout per layer
+    exp: np.ndarray | None = None  # (n, 3, m) rows sub/main/sup of I - (1-theta)*dt*L
+    lu: tuple | None = None  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
 
     @property
     def n(self) -> int:
-        return 1 if self.identity else self.imp.shape[0]
+        return 1 if self.identity else self.exp.shape[0]
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         if self.identity:
             return np.array(values, dtype=float, copy=True)
-        out = np.empty_like(values, dtype=float)
-        for i in range(values.shape[0]):
-            out[i] = self.apply_layer(i, values[i])
-        return out
+        rhs = _tri_mul(self.exp, values)
+        # dgttrs reports only illegal arguments, which the factor shapes rule out
+        x, _ = dgttrs(*self.lu, rhs.ravel(), overwrite_b=True)
+        return x.reshape(rhs.shape)
 
     def apply_transpose_values(self, values: np.ndarray) -> np.ndarray:
         """Adjoint application, used by the operator-norm power iteration."""
         if self.identity:
             return np.array(values, dtype=float, copy=True)
-        out = np.empty_like(values, dtype=float)
-        for i in range(values.shape[0]):
-            out[i] = self.apply_layer_transpose(i, values[i])
-        return out
-
-    def apply_layer(self, i: int, v: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return np.array(v, dtype=float, copy=True)
-        rhs = _tri_mul(self.exp[i], np.asarray(v, dtype=float))
-        return solve_banded((1, 1), self.imp_ab[i], rhs, check_finite=False)
-
-    def apply_layer_transpose(self, i: int, v: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return np.array(v, dtype=float, copy=True)
-        z = solve_banded((1, 1), _banded(_tri_transpose(self.imp[i])),
-                         np.asarray(v, dtype=float), check_finite=False)
-        return _tri_mul(_tri_transpose(self.exp[i]), z)
+        z = np.array(values, dtype=float)
+        x, _ = dgttrs(*self.lu, z.ravel(), trans="T", overwrite_b=True)
+        return _tri_mul_transpose(self.exp, x.reshape(z.shape))
 
 
 def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
@@ -161,21 +143,28 @@ def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
     alpha, beta = coefficient_fields(p, y_mid)
     sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
 
-    imp = np.stack([theta * dt * sub, 1.0 + theta * dt * main, theta * dt * sup], axis=1)
-    w = (1.0 - theta) * dt
-    exp = np.stack([-w * sub, 1.0 - w * main, -w * sup], axis=1)
-
+    w_imp = theta * dt
+    d = 1.0 + w_imp * main
+    dl = w_imp * sub
+    du = w_imp * sup
     if scheme == "central":
-        margin = imp[:, 1] - np.abs(imp[:, 0]) - np.abs(imp[:, 2])
+        margin = d - np.abs(dl) - np.abs(du)
         if margin.min() <= 0.0:
             raise ValueError(
                 "forced-central implicit matrix lost diagonal dominance; "
                 "reduce dt or use scheme='auto'/'upwind'"
             )
+    # sub[:, 0] and sup[:, -1] are zero, so the stacked bands do not couple layers
+    *lu, info = dgttrf(dl.ravel()[1:], d.ravel(), du.ravel()[:-1],
+                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    if info != 0:
+        # unreachable for a diagonally dominant matrix, so not a config error
+        raise RuntimeError(f"dgttrf failed on the implicit step matrix (info {info})")
 
-    imp_ab = np.stack([_banded(imp[i]) for i in range(imp.shape[0])])
+    w_exp = (1.0 - theta) * dt
+    exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
     return Propagator(grid, float(t_from), float(t_to), float(theta), scheme,
-                      identity=False, imp=imp, exp=exp, imp_ab=imp_ab)
+                      identity=False, exp=exp, lu=tuple(lu))
 
 
 def _grid_of(fuel, p: LayerParams) -> Grid:
@@ -249,7 +238,4 @@ def assemble_generator(p: LayerParams, fuel, t: float, scheme: str = "auto") -> 
 
 def generator_apply(tri: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply stacked per-layer tridiagonals (n, 3, m) to values (n, m)."""
-    out = np.empty_like(values, dtype=float)
-    for i in range(values.shape[0]):
-        out[i] = _tri_mul(tri[i], np.asarray(values[i], dtype=float))
-    return out
+    return _tri_mul(tri, np.asarray(values, dtype=float))

@@ -209,27 +209,39 @@ def bound_mu(p: LayerParams, fuel: GriddedFuel, rho: float,
     return kap * rho + max(f0_first, f0_last)
 
 
-def _layer_operator_norm(prop, i: int, iters: int, tol: float) -> float:
-    """Largest singular value of one layer's step matrix by power iteration.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, with the BLAS dot that np.linalg.norm uses on one row."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
-    Starts from the constant vector: the conservative stencil preserves
-    constants exactly, so it sits in the dominant singular subspace and the
-    estimate climbs monotonically from 1.  A random start stalls against the
-    near-identity cluster of singular values.
+
+def _layer_operator_norms(prop, iters: int, tol: float) -> np.ndarray:
+    """Largest singular value of each layer's step matrix by power iteration.
+
+    All layers iterate together through the stacked apply and its adjoint;
+    each layer has its own start vector and stopping test, and a settled
+    layer keeps its estimate while the others go on.  Each starts from the
+    constant vector: the conservative stencil preserves constants exactly, so
+    it sits in the dominant singular subspace and the estimate climbs
+    monotonically from 1.  A random start stalls against the near-identity
+    cluster of singular values.
     """
-    m = prop.grid.m
-    v = np.full(m, 1.0 / math.sqrt(m))
-    est_prev = math.inf
+    n, m = prop.n, prop.grid.m
+    v = np.full((n, m), 1.0 / math.sqrt(m))
+    est_prev = np.full(n, math.inf)
+    norms = np.zeros(n)
+    unsettled = np.ones(n, dtype=bool)
     for _ in range(iters):
-        w = prop.apply_layer(i, v)
-        est = float(np.linalg.norm(w))
-        z = prop.apply_layer_transpose(i, w)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0
-        v = z / nz
-        if abs(est - est_prev) <= tol * max(1.0, est):
-            return est
+        w = prop.apply_values(v)
+        est = _row_norms(w)
+        z = prop.apply_transpose_values(w)
+        nz = _row_norms(z)
+        moving = unsettled & (nz != 0.0)  # a vanishing adjoint image leaves norm 0
+        settled = moving & (np.abs(est - est_prev) <= tol * np.maximum(1.0, est))
+        norms[settled] = est[settled]
+        unsettled = moving & ~settled
+        if not unsettled.any():
+            return norms
+        v[unsettled] = z[unsettled] / nz[unsettled, None]
         est_prev = est
     raise PowerIterationError(
         f"operator-norm power iteration did not settle in {iters} iterations"
@@ -248,8 +260,7 @@ def growth_beta(factory, probe_times, dt: float, *, power_iters: int = 30,
     worst = 0.0
     for t in probe_times:
         prop = factory(float(t), float(t) + dt)
-        for i in range(prop.imp.shape[0]):
-            nrm = _layer_operator_norm(prop, i, power_iters, power_tol)
+        for nrm in _layer_operator_norms(prop, power_iters, power_tol):
             if nrm > 0.0:
                 worst = max(worst, math.log(nrm) / dt)
     return max(0.0, worst)

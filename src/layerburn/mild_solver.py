@@ -42,6 +42,8 @@ from .hypothesis import (
     HypothesisReport,
     audit_problem,
     bound_mu,
+    continuation_epsilon,
+    continuation_radius,
     lipschitz_kappa,
 )
 from .model import FuelField, Problem, TabulatedFuel, fuel_step, source_f
@@ -223,19 +225,17 @@ def _continuation_eps(p, fuel: GriddedFuel, t0: float, phi_norm: float,
                       beta: float, T: float) -> float:
     """Certified continuation window at t0 for a state of the given norm.
 
-    Uses the radius R(t0) = 2*max(phi_norm, 1)*e^{beta (t0+1)}; the unit floor
-    keeps a vanishing state from collapsing the window to zero while still
-    bounding the contraction factor by 1/2.
+    continuation_epsilon with kappa on the ball of radius R(t0) and mu taken
+    as sup_t ||f(t, 0)|| over the next unit of time.  A zero state norm is
+    replaced by 1, which keeps a vanishing state from collapsing the window
+    to zero while still bounding the contraction factor by 1/2.
     """
     span = (t0, min(t0 + 1.0, T))
     ref = phi_norm if phi_norm > 0.0 else 1.0
-    R = 2.0 * ref * math.exp(beta * (t0 + 1.0))
+    R = continuation_radius(t0, ref, beta)
     kap = lipschitz_kappa(p, fuel, R, span)
-    mu0 = bound_mu(p, fuel, 0.0, span)  # sup_t ||f(t, 0)||
-    den = kap * R + mu0
-    if den == 0.0:
-        return 1.0
-    return min(1.0, ref / den)
+    mu0 = bound_mu(p, fuel, 0.0, span)
+    return continuation_epsilon(t0, ref, kap, mu0, beta)
 
 
 # ---------------------------------------------------------------------------

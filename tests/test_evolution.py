@@ -3,6 +3,7 @@ scheme switching, and the conservative boundary closure."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import constant_problem, random_field
 from layerburn.evolution import (
@@ -156,18 +157,21 @@ def test_strong_continuity_in_dt():
 
 def test_scheme_switch_threshold():
     # cell Peclet |beta| dx / alpha <= 2 keeps the central stencil; beyond it
-    # the auto scheme must match the upwind rows node by node
+    # the auto scheme must match the upwind rows node by node, both in the
+    # generator and in the explicit bands of the step operator built from it
     grid = make_grid(0.0, 1.0, 51)
     p = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
     p.c[0, :25] = 150.0  # cell Peclet 3 in the first half of layer 1
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * 2), grid)
-    auto = build_propagator(p, fuel, 0.0, 1e-3, scheme="auto")
-    up = build_propagator(p, fuel, 0.0, 1e-3, scheme="upwind")
-    prob_central = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
-    cen = build_propagator(prob_central, fuel, 0.0, 1e-3, scheme="central")
-    np.testing.assert_array_equal(auto.imp[0][:, 2:24], up.imp[0][:, 2:24])
-    np.testing.assert_array_equal(auto.imp[0][:, 26:-1], cen.imp[0][:, 26:-1])
-    np.testing.assert_array_equal(auto.imp[1][:, 1:-1], cen.imp[1][:, 1:-1])
+    p_central = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
+    for bands in (
+        lambda q, scheme: assemble_generator(q, fuel, 0.0, scheme),
+        lambda q, scheme: build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme).exp,
+    ):
+        auto, up, cen = bands(p, "auto"), bands(p, "upwind"), bands(p_central, "central")
+        np.testing.assert_array_equal(auto[0][:, 2:24], up[0][:, 2:24])
+        np.testing.assert_array_equal(auto[0][:, 26:-1], cen[0][:, 26:-1])
+        np.testing.assert_array_equal(auto[1][:, 1:-1], cen[1][:, 1:-1])
 
 
 def test_forced_central_guards_diagonal_dominance():
@@ -179,16 +183,110 @@ def test_forced_central_guards_diagonal_dominance():
 
 
 def test_transpose_is_the_adjoint():
-    # <P u, v> == <u, P^T v> for the variable-coefficient stencil
-    p, fuel, grid = _setup(m=101, a=1.2, b=0.3, c=0.9, lam=0.7, fuel_val=0.5)
-    prop = build_propagator(p, fuel, 0.0, 0.01)
+    # <P u, v> == <u, P^T v> layer by layer for the variable-coefficient stencil
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        u = rng.standard_normal(grid.m)
-        v = rng.standard_normal(grid.m)
-        lhs = float(np.dot(prop.apply_layer(0, u), v))
-        rhs = float(np.dot(u, prop.apply_layer_transpose(0, v)))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+    for n in (2, 4):
+        p, fuel, grid = _setup(m=101, n=n, a=1.2, b=0.3, c=0.9, lam=0.7, fuel_val=0.5)
+        prop = build_propagator(p, fuel, 0.0, 0.01)
+        for _ in range(10):
+            u = rng.standard_normal((n, grid.m))
+            v = rng.standard_normal((n, grid.m))
+            lhs = np.sum(prop.apply_values(u) * v, axis=1)
+            rhs = np.sum(u * prop.apply_transpose_values(v), axis=1)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def _variable_kernel_case(n=4, m=64, theta=0.5):
+    """Step operator on n layers with coefficients that vary by node and layer."""
+    grid = make_grid(-10.0, 10.0, m)
+    x = grid.x
+    layer = np.arange(1, n + 1)[:, None]
+    p = LayerParams.constants(grid, n, a=1.0, b=0.3, c=0.5, lam=1.0)
+    p.a[:] = 1.0 + 0.3 * np.cos(0.7 * x + layer)
+    p.lam[:] = 0.6 + 0.2 * layer + 0.1 * np.sin(x)
+    p.c[:] = 0.5 + 0.4 * np.sin(0.3 * layer * x)
+    fuel = GriddedFuel(PrescribedFuel([GaussianDecayFuel(0.5 * k, 2.0, 0.9)
+                                       for k in range(n)]), grid)
+    t0, t1 = 0.1, 0.15
+    prop = build_propagator(p, fuel, t0, t1, theta)
+    gen = assemble_generator(p, fuel, 0.5 * (t0 + t1))  # frozen at the midpoint
+    return prop, gen, theta * (t1 - t0), (1.0 - theta) * (t1 - t0)
+
+
+def _dense(sub, main, sup):
+    return np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+
+
+def test_stacked_kernel_matches_dense_per_layer_solve():
+    prop, gen, w_imp, w_exp = _variable_kernel_case()
+    n, m = gen.shape[0], gen.shape[2]
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((n, m))
+    fwd = prop.apply_values(v)
+    adj = prop.apply_transpose_values(v)
+    for i in range(n):
+        L = _dense(*gen[i])
+        A = np.eye(m) + w_imp * L
+        B = np.eye(m) - w_exp * L
+        # relative to the layer's norm: entries near zero carry the rounding
+        # of the whole row, so an entrywise relative bound is not meaningful
+        for got, ref in ((fwd[i], np.linalg.solve(A, B @ v[i])),
+                         (adj[i], B.T @ np.linalg.solve(A.T, v[i]))):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_stacked_kernel_equals_per_layer_banded_reference():
+    # one banded LU per layer, as the kernel did before the layers were stacked
+    prop, gen, w_imp, w_exp = _variable_kernel_case()
+    n, m = gen.shape[0], gen.shape[2]
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((n, m))
+
+    def tri_mul(sub, main, sup, u):
+        out = main * u
+        out[:-1] += sup[:-1] * u[1:]
+        out[1:] += sub[1:] * u[:-1]
+        return out
+
+    def banded(sub, main, sup):
+        ab = np.zeros((3, m))
+        ab[0, 1:] = sup[:-1]
+        ab[1] = main
+        ab[2, :-1] = sub[1:]
+        return ab
+
+    def transpose(sub, main, sup):
+        return np.r_[0.0, sup[:-1]], main, np.r_[sub[1:], 0.0]
+
+    fwd = prop.apply_values(v)
+    adj = prop.apply_transpose_values(v)
+    for i in range(n):
+        sub, main, sup = gen[i]
+        imp = (w_imp * sub, 1.0 + w_imp * main, w_imp * sup)
+        exp = (-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup)
+        ref = solve_banded((1, 1), banded(*imp), tri_mul(*exp, v[i]))
+        assert np.array_equal(fwd[i], ref)
+        # the adjoint solves with the transposed LU factors, not a fresh LU of
+        # the transposed matrix, so it agrees to rounding rather than bitwise
+        z = solve_banded((1, 1), banded(*transpose(*imp)), v[i])
+        ref_t = tri_mul(*transpose(*exp), z)
+        assert np.linalg.norm(adj[i] - ref_t) <= 1e-13 * np.linalg.norm(ref_t)
+
+
+def test_stacked_layers_are_decoupled_at_the_seams():
+    prop, gen, _, _ = _variable_kernel_case()
+    n, m = gen.shape[0], gen.shape[2]
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((n, m))
+    for apply in (prop.apply_values, prop.apply_transpose_values):
+        base = apply(v)
+        for i in range(n):
+            moved = v.copy()
+            moved[i] += rng.standard_normal(m)
+            out = apply(moved)
+            others = np.arange(n) != i
+            assert np.array_equal(out[others], base[others])
+            assert not np.array_equal(out[i], base[i])
 
 
 def test_apply_requires_matching_grid():

@@ -12,7 +12,7 @@ from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
 from layerburn.hypothesis import (
     PowerIterationError,
-    _layer_operator_norm,
+    _layer_operator_norms,
     audit_problem,
     bound_mu,
     check_H1,
@@ -222,8 +222,9 @@ def test_beta_zero_for_pure_diffusion():
     assert 0.0 <= beta <= 1e-9  # one-ulp solve roundoff at most
     # the step operator itself is an L2 contraction
     prop = factory(0.0, 0.001)
-    for i in range(2):
-        assert _layer_operator_norm(prop, i, 30, 1e-8) <= 1.0 + 1e-10
+    norms = _layer_operator_norms(prop, 30, 1e-8)
+    assert norms.shape == (2,)
+    assert np.all(norms <= 1.0 + 1e-10)
 
 
 def test_beta_stable_under_probe_halving():

@@ -10,7 +10,13 @@ from conftest import constant_problem
 from layerburn.evolution import GriddedFuel, build_propagator, propagate
 from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
-from layerburn.hypothesis import audit_problem
+from layerburn.hypothesis import (
+    audit_problem,
+    bound_mu,
+    continuation_epsilon,
+    continuation_radius,
+    lipschitz_kappa,
+)
 from layerburn.mild_solver import (
     AuditError,
     BlowUpError,
@@ -149,6 +155,28 @@ def test_windows_tile_the_horizon():
         assert w.t_end - w.t_start <= res.report.T_prime * (1.0 + 1e-9)
     np.testing.assert_allclose(res.trajectory.times,
                                0.002 * np.arange(res.trajectory.times.size))
+
+
+def test_continuation_windows_follow_continuation_epsilon():
+    # each window is continuation_epsilon at its start time for the state
+    # there, with kappa on the radius-R(t0) ball and mu = sup ||f(t, 0)||;
+    # T is raised past the first window so no window is cut by the horizon
+    prob, _ = reactive_two_layer(m=201)
+    T = 2.0
+    res = solve_global(prob, T, SolverConfig())
+    p, fuel, beta = prob.params, GriddedFuel(prob.fuel, prob.grid), res.report.beta
+    times = res.trajectory.times
+    assert len(res.windows) >= 2
+    for win in res.windows:
+        t0 = win.t_start
+        state = res.trajectory.values[int(np.flatnonzero(times == t0)[0])]
+        phi_norm = float(np.max(layer_l2(state, prob.grid.dx)))
+        span = (t0, min(t0 + 1.0, T))
+        kappa = lipschitz_kappa(p, fuel, continuation_radius(t0, phi_norm, beta), span)
+        mu0 = bound_mu(p, fuel, 0.0, span)
+        eps = continuation_epsilon(t0, phi_norm, kappa, mu0, beta)
+        assert eps < 1.0
+        assert win.t_end == t0 + min(eps, T - t0)
 
 
 def test_solve_is_deterministic():
