@@ -20,8 +20,13 @@ Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 admissibility audit failure, 3 solver divergence or blow-up, 4 I/O failure.
 Every run writes a JSON manifest (config echo, package version, resolved
 solver settings) next to its outputs; CSV numbers carry 17 significant digits
-so files round-trip bit-exactly.  Set LAYERBURN_OUTDIR to redirect relative
-output paths.
+('%.17g') so files round-trip bit-exactly.  Set LAYERBURN_OUTDIR to redirect
+relative output paths.
+
+A trajectory is one `<prefix>_snap_NNNNN.csv` per stored time, a header then
+one row per grid node with columns x,u_1..u_n and, when a fuel table is
+written, y_1..y_n; plus `<prefix>_index.csv` with columns
+time,filename,norm_1..norm_n, one row per snapshot (per-layer L2 norms).
 """
 
 from __future__ import annotations
@@ -446,36 +451,32 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
     """One snapshot CSV per stored time plus an index CSV; returns paths written."""
     prefix = Path(prefix)
     n = traj.n if traj.times.size else 0
+    header = ["x"] + [f"u_{i + 1}" for i in range(n)]
+    tables = [traj.values]
     if fuel_table is not None:
         fuel_table = np.asarray(fuel_table, dtype=float)
         if fuel_table.shape != traj.values.shape:
             raise ValueError("fuel table must align with the trajectory values")
-    paths = []
-    index_rows = []
-    for k, t in enumerate(traj.times):
-        name = f"{prefix.name}_snap_{k:05d}.csv"
-        path = prefix.parent / name
-        cols = [traj.grid.x] + [traj.values[k, i] for i in range(n)]
-        header = ["x"] + [f"u_{i + 1}" for i in range(n)]
-        if fuel_table is not None:
-            cols += [fuel_table[k, i] for i in range(n)]
-            header += [f"y_{i + 1}" for i in range(n)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for j in range(traj.grid.m):
-                fh.write(",".join(_fmt(col[j]) for col in cols) + "\n")
-        norms = layer_l2(traj.values[k], traj.grid.dx)
-        index_rows.append((t, name, norms))
-        paths.append(str(path))
+        header += [f"y_{i + 1}" for i in range(n)]
+        tables.append(fuel_table)
+    # '%.17g' % v runs the same CPython routine as _fmt(v), so one '%' over a
+    # whole snapshot writes the bytes a value-by-value _fmt loop would.
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    template = ",".join(header) + "\n" + row * traj.grid.m
+    names = [f"{prefix.name}_snap_{k:05d}.csv" for k in range(traj.times.size)]
+    for k, name in enumerate(names):
+        cols = np.concatenate([traj.grid.x[None]] + [table[k] for table in tables])
+        with open(prefix.parent / name, "w") as fh:
+            fh.write(template % tuple(cols.T.ravel().tolist()))
 
     index_path = prefix.parent / f"{prefix.name}_index.csv"
+    norms = layer_l2(traj.values, traj.grid.dx)
     with open(index_path, "w") as fh:
         head = ["time", "filename"] + [f"norm_{i + 1}" for i in range(n)]
         fh.write(",".join(head) + "\n")
-        for t, name, norms in index_rows:
-            fh.write(",".join([_fmt(t), name] + [_fmt(v) for v in norms]) + "\n")
-    paths.append(str(index_path))
-    return paths
+        for t, name, layer_norms in zip(traj.times.tolist(), names, norms.tolist()):
+            fh.write(",".join([_fmt(t), name] + [_fmt(v) for v in layer_norms]) + "\n")
+    return [str(prefix.parent / name) for name in names] + [str(index_path)]
 
 
 def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
@@ -483,34 +484,23 @@ def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
     prefix = Path(prefix)
     index_path = prefix.parent / f"{prefix.name}_index.csv"
     with open(index_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    times = []
-    filenames = []
-    for row in lines[1:]:
-        parts = row.split(",")
-        times.append(float(parts[0]))
-        filenames.append(parts[1])
-
-    values = []
-    fuels = []
-    grid = None
-    has_fuel = False
-    for name in filenames:
-        with open(prefix.parent / name) as fh:
-            rows = [ln.strip() for ln in fh if ln.strip()]
-        header = rows[0].split(",")
-        n = sum(1 for h in header if h.startswith("u_"))
-        has_fuel = any(h.startswith("y_") for h in header)
-        data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-        if grid is None:
-            grid = make_grid(data[0, 0], data[-1, 0], data.shape[0])
-        values.append(data[:, 1 : 1 + n].T)
-        if has_fuel:
-            fuels.append(data[:, 1 + n : 1 + 2 * n].T)
-    if grid is None:
+        rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
+    if not rows:
         raise ValueError(f"{index_path}: empty trajectory with no snapshots")
-    traj = SolutionTrajectory(np.array(times), np.stack(values), grid)
-    return traj, (np.stack(fuels) if has_fuel else None)
+    for k, row in enumerate(rows):
+        with open(prefix.parent / row[1]) as fh:
+            header = fh.readline().strip().split(",")
+            cols = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
+        if k == 0:  # the first snapshot fixes the grid and the layout
+            n = sum(1 for h in header if h.startswith("u_"))
+            grid = make_grid(cols[0, 0], cols[0, -1], cols.shape[1])
+            values = np.empty((len(rows), n, grid.m))
+            fuel = np.empty_like(values) if any(h.startswith("y_") for h in header) else None
+        values[k] = cols[1 : 1 + n]
+        if fuel is not None:
+            fuel[k] = cols[1 + n : 1 + 2 * n]
+    times = np.array([float(row[0]) for row in rows])
+    return SolutionTrajectory(times, values, grid), fuel
 
 
 def write_report(report: HypothesisReport, path) -> str:
@@ -533,14 +523,8 @@ def front_track(traj: SolutionTrajectory, u_e: float,
                 threshold: float | None = None) -> tuple[float, np.ndarray]:
     """Leftmost crossing x per layer and time; NaN where nothing crosses."""
     thr = front_threshold_default(traj, u_e) if threshold is None else float(threshold)
-    k, n = traj.times.size, traj.n
-    pos = np.full((k, n), math.nan)
-    for kk in range(k):
-        for i in range(n):
-            hits = np.nonzero(traj.values[kk, i] >= thr)[0]
-            if hits.size:
-                pos[kk, i] = traj.grid.x[hits[0]]
-    return thr, pos
+    hits = traj.values >= thr
+    return thr, np.where(hits.any(-1), traj.grid.x[hits.argmax(-1)], math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from layerburn.grid import SolutionTrajectory, make_grid
+from layerburn.grid import SolutionTrajectory, layer_l2, make_grid
 from layerburn.hypothesis import audit_problem
 from layerburn.io_cli import (
     ConfigError,
@@ -227,6 +227,92 @@ def test_trajectory_round_trip_with_fuel(tmp_path):
         write_trajectory(traj, tmp_path / "bad", table[:, :, :5])
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 9.999999999999999e-5, 1e-4,
+               1e16, 1e17, -1e300, 0.1, 1 / 3]
+
+
+def _edge_trajectory():
+    """Snapshot 0 holds every edge value; snapshot 1 has finite layer norms."""
+    m = len(EDGE_VALUES)
+    grid = make_grid(-1.0, 1 / 3, m)
+    edge = np.array(EDGE_VALUES)
+    values = np.stack([[edge, edge[::-1]],
+                       [np.arange(m) / 3, np.linspace(-1e-5, 1e16, m)]])
+    return SolutionTrajectory(np.array([0.0, 0.1]), values, grid)
+
+
+def _csv_text(header, cols):
+    """The pinned layout, one format(v, ".17g") per value."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(c[j]), ".17g") for c in cols)
+              for j in range(len(cols[0]))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_fuel", [False, True])
+def test_trajectory_bytes_are_pinned(tmp_path, with_fuel):
+    traj = _edge_trajectory()
+    table = np.stack([traj.values[0, ::-1], np.full((2, traj.grid.m), 0.25)])
+    with np.errstate(over="ignore"):  # -1e300 squared: snapshot 0 norm is inf
+        paths = write_trajectory(traj, tmp_path / "pin", table if with_fuel else None)
+        norms = [layer_l2(traj.values[k], traj.grid.dx) for k in range(2)]
+    names = ["pin_snap_00000.csv", "pin_snap_00001.csv", "pin_index.csv"]
+    assert paths == [str(tmp_path / name) for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    header = ["x", "u_1", "u_2"] + (["y_1", "y_2"] if with_fuel else [])
+    for k in range(2):
+        cols = [traj.grid.x, *traj.values[k]] + (list(table[k]) if with_fuel else [])
+        assert (tmp_path / names[k]).read_text() == _csv_text(header, cols)
+    index = [["time", "filename", "norm_1", "norm_2"]] + [
+        [format(t, ".17g"), names[k]] + [format(v, ".17g") for v in norms[k]]
+        for k, t in enumerate([0.0, 0.1])]
+    text = (tmp_path / "pin_index.csv").read_text()
+    assert text == "".join(",".join(row) + "\n" for row in index)
+    assert text.splitlines()[1].endswith(",inf,inf")
+    back, fuel = read_trajectory(tmp_path / "pin")
+    assert back.values.tobytes() == traj.values.tobytes()  # keeps the sign of -0.0
+    assert (fuel is not None) == with_fuel
+
+
+def test_trajectory_round_trip_smallest_grid(tmp_path):
+    grid = make_grid(-2.5e-310, 1e17, 3)
+    values = np.array(EDGE_VALUES).reshape(2, 2, 3)
+    traj = SolutionTrajectory(np.array([1 / 3, 1.0]), values, grid)
+    table = values[:, ::-1, ::-1]
+    with np.errstate(over="ignore"):
+        write_trajectory(traj, tmp_path / "tiny", table)
+    back, fuel = read_trajectory(tmp_path / "tiny")
+    assert back.grid == grid
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.values.tobytes() == values.tobytes()
+    assert fuel.tobytes() == table.tobytes()
+
+
+def test_read_trajectory_accepts_crlf_and_trailing_blank_lines(tmp_path):
+    traj = _toy_trajectory()
+    table = np.random.default_rng(9).uniform(0.0, 1.0, traj.values.shape)
+    for path in write_trajectory(traj, tmp_path / "toy", table):
+        text = open(path, newline="").read()
+        with open(path, "w", newline="") as fh:
+            fh.write(text.replace("\n", "\r\n") + "\r\n\r\n\n")
+    assert b"\r\n" in (tmp_path / "toy_snap_00001.csv").read_bytes()
+    back, fuel = read_trajectory(tmp_path / "toy")
+    np.testing.assert_array_equal(back.times, traj.times)
+    np.testing.assert_array_equal(back.values, traj.values)
+    np.testing.assert_array_equal(fuel, table)
+    assert back.grid == traj.grid
+
+
+def test_read_empty_trajectory_raises(tmp_path):
+    grid = make_grid(0.0, 1.0, 5)
+    empty = SolutionTrajectory(np.zeros(0), np.zeros((0, 2, 5)), grid)
+    assert write_trajectory(empty, tmp_path / "none") == [str(tmp_path / "none_index.csv")]
+    assert (tmp_path / "none_index.csv").read_text() == "time,filename\n"
+    with pytest.raises(ValueError, match="empty trajectory"):
+        read_trajectory(tmp_path / "none")
+
+
 def test_report_file_contains_the_audit(tmp_path):
     prob = parse_config(BASE_CFG).problem()
     report = audit_problem(prob, 0.2)
@@ -252,6 +338,9 @@ def test_front_track_finds_leftmost_crossing():
     assert pos[0, 0] == pytest.approx(0.7)
     assert pos[1, 0] == pytest.approx(0.4)
     assert math.isnan(pos[0, 1]) and math.isnan(pos[1, 1])
+    vals[:, 1, 9] = 0.5           # equal to the threshold counts as a crossing
+    _, pos = front_track(SolutionTrajectory(np.array([0.0, 1.0]), vals, grid), 0.0, 0.5)
+    assert pos[0, 1] == pos[1, 1] == grid.x[9]
 
 
 def test_front_threshold_default_is_half_excess():
