@@ -27,7 +27,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import GriddedFuel, assemble_generator, build_propagator, generator_apply
+from .evolution import (
+    GriddedFuel,
+    assemble_generator,
+    build_propagators,
+    fuel_samples,
+    generator_apply,
+    steps_per_block,
+)
 from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric
 from .mild_solver import (
     AuditError,
@@ -118,36 +125,32 @@ def _difference_terms(base_problem: Problem, pert_problem: Problem,
     acc_p = np.zeros_like(hb)
     acc_b = np.zeros_like(hb)
 
-    u0 = base_traj.values[0]
-    f_prev = source_f(pb, fb.sample(grid, float(times[0])), u0)
-    fj_prev = source_f(pj, fj.sample(grid, float(times[0])), u0)
-
     d0 = float(np.max(layer_l2(e0, dx)))
     d1 = 0.0
     d3 = 0.0
     d4 = 0.0
-    for k in range(K):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        half = 0.5 * (t1 - t0)
-        prop_b = build_propagator(pb, fb, t0, t1, cfg.theta, cfg.scheme)
-        prop_j = build_propagator(pj, fj, t0, t1, cfg.theta, cfg.scheme)
-        u_next = base_traj.values[k + 1]
-        f_next = source_f(pb, fb.sample(grid, t1), u_next)
-        fj_next = source_f(pj, fj.sample(grid, t1), u_next)
+    block = steps_per_block(hb.size)
+    for a in range(0, K, block):
+        seg = times[a : a + block + 1]
+        props_b = build_propagators(pb, fb, seg, cfg.theta, cfg.scheme)
+        props_j = build_propagators(pj, fj, seg, cfg.theta, cfg.scheme)
+        u_seg = base_traj.values[a : a + block + 1]
+        f = source_f(pb, fuel_samples(fb, seg), u_seg)
+        f_j = source_f(pj, fuel_samples(fj, seg), u_seg)
+        half = 0.5 * np.diff(seg)
+        for k, (prop_b, prop_j) in enumerate(zip(props_b, props_j)):
+            e0 = prop_j.apply_values(e0)
+            hb = prop_b.apply_values(hb)
+            hp = prop_j.apply_values(hp)
+            acc3 = prop_j.apply_values(acc3 + half[k] * (f_j[k] - f[k])) \
+                + half[k] * (f_j[k + 1] - f[k + 1])
+            acc_p = prop_j.apply_values(acc_p + half[k] * f[k]) + half[k] * f[k + 1]
+            acc_b = prop_b.apply_values(acc_b + half[k] * f[k]) + half[k] * f[k + 1]
 
-        e0 = prop_j.apply_values(e0)
-        hb = prop_b.apply_values(hb)
-        hp = prop_j.apply_values(hp)
-        acc3 = prop_j.apply_values(acc3 + half * (fj_prev - f_prev)) \
-            + half * (fj_next - f_next)
-        acc_p = prop_j.apply_values(acc_p + half * f_prev) + half * f_next
-        acc_b = prop_b.apply_values(acc_b + half * f_prev) + half * f_next
-
-        d0 = max(d0, float(np.max(layer_l2(e0, dx))))
-        d1 = max(d1, float(np.max(layer_l2(hp - hb, dx))))
-        d3 = max(d3, float(np.max(layer_l2(acc3, dx))))
-        d4 = max(d4, float(np.max(layer_l2(acc_p - acc_b, dx))))
-        f_prev, fj_prev = f_next, fj_next
+            d0 = max(d0, float(np.max(layer_l2(e0, dx))))
+            d1 = max(d1, float(np.max(layer_l2(hp - hb, dx))))
+            d3 = max(d3, float(np.max(layer_l2(acc3, dx))))
+            d4 = max(d4, float(np.max(layer_l2(acc_p - acc_b, dx))))
     total = d0 + d1 + d3 + d4
     return {"d0": d0, "d1": d1, "d3": d3, "d4": d4, "total": total}
 
@@ -291,6 +294,7 @@ def operator_convergence_probe(problem: Problem, T: float, spec: PerturbationSpe
     probe_times = (0.0, 0.5 * T, T)
     fb = GriddedFuel(problem.fuel, grid)
 
+    props_b = build_propagators(p, fb, times, cfg.theta, cfg.scheme)
     gen_sups: list[float] = []
     prop_sups: list[float] = []
     for s in spec.levels:
@@ -303,15 +307,14 @@ def operator_convergence_probe(problem: Problem, T: float, spec: PerturbationSpe
             for psi in fields:
                 diff = generator_apply(tri_j, psi) - generator_apply(tri_b, psi)
                 worst_gen = max(worst_gen, float(np.max(layer_l2(diff, grid.dx))))
+        props_j = build_propagators(pert.params, fj, times, cfg.theta, cfg.scheme)
         worst_prop = 0.0
         for psi in fields:
             vb = psi.copy()
             vj = psi.copy()
-            for k in range(total):
-                t0, t1 = float(times[k]), float(times[k + 1])
-                vb = build_propagator(p, fb, t0, t1, cfg.theta, cfg.scheme).apply_values(vb)
-                vj = build_propagator(pert.params, fj, t0, t1, cfg.theta,
-                                      cfg.scheme).apply_values(vj)
+            for prop_b, prop_j in zip(props_b, props_j):
+                vb = prop_b.apply_values(vb)
+                vj = prop_j.apply_values(vj)
                 worst_prop = max(worst_prop, float(np.max(layer_l2(vj - vb, grid.dx))))
         gen_sups.append(worst_gen)
         prop_sups.append(worst_prop)

@@ -20,10 +20,16 @@ exact steady states of the homogeneous flow in every mode.
 The n layers are decoupled, so the step matrices of all layers are stacked
 into one tridiagonal of size n*m: the first row of each layer has no
 sub-diagonal entry and its last row no super-diagonal entry, so the seams
-carry exact zeros.  build_propagator factors that stacked implicit matrix once
-with LAPACK's tridiagonal LU (dgttrf); every later application (Picard sweeps,
+carry exact zeros.  Each step's stacked implicit matrix is factored once with
+LAPACK's tridiagonal LU (dgttrf); every later application (Picard sweeps,
 power iteration) is one explicit product vectorised over layers and one
 dgttrs call, and the adjoint reuses the same factors with trans="T".
+
+build_propagators assembles all steps of a time lattice: fuel samples,
+coefficients, stencils and bands are computed over blocks of time steps at
+once, shape (steps, n, m), and only the dgttrf call stays per step.  The
+arithmetic is elementwise, so each operator is bitwise the one a single-step
+build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
 """
 
 from __future__ import annotations
@@ -36,9 +42,15 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .grid import Grid, TemperatureField
 from .model import LayerParams, coefficient_fields
 
+# Values per array in one batched block of time steps (40 steps at n*m = 802),
+# used for assembly here and for source evaluation along a lattice.  Blocks
+# keep their (steps, n, m) temporaries in L2: an unblocked pass over a long
+# lattice measured slower, at m = 1024 even slower than a per-step loop.
+BLOCK_NODES = 1 << 15
+
 
 def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
-    """Tridiagonals (sub, main, sup) of L_h for stacked layers, shape (n, m)."""
+    """Tridiagonals (sub, main, sup) of L_h for stacked layers, shape (..., n, m)."""
     sub = np.zeros_like(alpha)
     main = np.zeros_like(alpha)
     sup = np.zeros_like(alpha)
@@ -127,44 +139,70 @@ class Propagator:
         return _tri_mul_transpose(self.exp, x.reshape(z.shape))
 
 
+def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
+                      scheme: str = "auto") -> list[Propagator]:
+    """Step operators for every interval [times[k], times[k+1]] of a lattice.
+
+    Assembly runs over blocks of steps_per_block steps; each step then gets its
+    own dgttrf call, and its Propagator keeps views of the block's arrays.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    times = np.asarray(times, dtype=float)
+    dts = np.diff(times)
+    if np.any(dts < 0.0):
+        raise ValueError("t_to must not precede t_from")
+    grid = _grid_of(fuel, p)
+    mids = 0.5 * (times[:-1] + times[1:])
+    props: list[Propagator] = []
+    block = steps_per_block(p.n * grid.m)
+    for a in range(0, dts.size, block):
+        dt = dts[a : a + block, None, None]
+        alpha, beta = coefficient_fields(p, fuel_samples(fuel, mids[a : a + block]))
+        sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
+
+        w_imp = theta * dt
+        d = 1.0 + w_imp * main
+        dl = w_imp * sub
+        du = w_imp * sup
+        if scheme == "central":
+            margin = d - np.abs(dl) - np.abs(du)
+            if margin.min() <= 0.0:
+                raise ValueError(
+                    "forced-central implicit matrix lost diagonal dominance; "
+                    "reduce dt or use scheme='auto'/'upwind'"
+                )
+        w_exp = (1.0 - theta) * dt
+        exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=2)
+        for j in range(dt.shape[0]):
+            # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
+            *lu, info = dgttrf(dl[j].ravel()[1:], d[j].ravel(), du[j].ravel()[:-1],
+                               overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+            if info != 0:
+                # unreachable for a diagonally dominant matrix, so not a config error
+                raise RuntimeError(f"dgttrf failed on the implicit step matrix (info {info})")
+            props.append(Propagator(grid, float(times[a + j]), float(times[a + j + 1]),
+                                    float(theta), scheme, identity=False, exp=exp[j],
+                                    lu=tuple(lu)))
+    return props
+
+
 def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
                      theta: float = 0.5, scheme: str = "auto") -> Propagator:
     """Assemble the step operator for [t_from, t_to]; t_from == t_to is identity."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if t_to < t_from:
-        raise ValueError("t_to must not precede t_from")
-    grid = _grid_of(fuel, p)
-    if t_to == t_from:
-        return Propagator(grid, t_from, t_to, theta, scheme, identity=True)
+    if t_to == t_from and 0.0 <= theta <= 1.0:  # a bad theta raises below
+        return Propagator(_grid_of(fuel, p), t_from, t_to, theta, scheme, identity=True)
+    return build_propagators(p, fuel, [t_from, t_to], theta, scheme)[0]
 
-    dt = t_to - t_from
-    y_mid = fuel.sample(grid, 0.5 * (t_from + t_to))
-    alpha, beta = coefficient_fields(p, y_mid)
-    sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
 
-    w_imp = theta * dt
-    d = 1.0 + w_imp * main
-    dl = w_imp * sub
-    du = w_imp * sup
-    if scheme == "central":
-        margin = d - np.abs(dl) - np.abs(du)
-        if margin.min() <= 0.0:
-            raise ValueError(
-                "forced-central implicit matrix lost diagonal dominance; "
-                "reduce dt or use scheme='auto'/'upwind'"
-            )
-    # sub[:, 0] and sup[:, -1] are zero, so the stacked bands do not couple layers
-    *lu, info = dgttrf(dl.ravel()[1:], d.ravel(), du.ravel()[:-1],
-                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-    if info != 0:
-        # unreachable for a diagonally dominant matrix, so not a config error
-        raise RuntimeError(f"dgttrf failed on the implicit step matrix (info {info})")
+def steps_per_block(nodes: int) -> int:
+    """Time steps per batched block for fields of `nodes` values per step."""
+    return max(1, BLOCK_NODES // nodes)
 
-    w_exp = (1.0 - theta) * dt
-    exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
-    return Propagator(grid, float(t_from), float(t_to), float(theta), scheme,
-                      identity=False, exp=exp, lu=tuple(lu))
+
+def fuel_samples(fuel, times) -> np.ndarray:
+    """Fuel fields at each of `times`, stacked to shape (len(times), n, m)."""
+    return np.stack([fuel.sample(fuel.grid, float(t)) for t in times])
 
 
 def _grid_of(fuel, p: LayerParams) -> Grid:
@@ -220,11 +258,12 @@ def propagate(p: LayerParams, fuel, t_from: float, t_to: float, n_steps: int,
     if t_to == t_from:
         return field.copy()
     dt_sub = (t_to - t_from) / n_steps
+    times = t_from + dt_sub * np.arange(n_steps + 1)
     values = field.values
-    for k in range(n_steps):
-        prop = build_propagator(p, fuel, t_from + k * dt_sub, t_from + (k + 1) * dt_sub,
-                                theta, scheme)
-        values = prop.apply_values(values)
+    block = steps_per_block(values.size)
+    for a in range(0, n_steps, block):
+        for prop in build_propagators(p, fuel, times[a : a + block + 1], theta, scheme):
+            values = prop.apply_values(values)
     return TemperatureField(values, field.grid)
 
 

@@ -3,7 +3,9 @@
 The continuum problem lives on the whole real line.  Computations truncate to
 [x_min, x_max] and assume the interesting data is negligible inside a guard
 band of GUARD_BAND_NODES nodes at each artificial boundary; `guard_band_ratio`
-quantifies a violation and the solvers warn on it.
+quantifies a violation.  The audit's H3 check applies it to the ambient
+exchange profiles qhat1/qhat2 only: no solver checks the trajectory or the
+fuel table, and `warn_on_guard_band` has no caller (ROADMAP open item 2).
 
 Norms: the discrete L2 norm of one layer is the rectangle rule
 sqrt(dx * sum(psi**2)) with weight dx at every node.  The norm of an n-layer

@@ -23,6 +23,11 @@ the a-priori growth bound afterwards (a warning rather than a failure in
 adaptive mode); runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
+A window's step operators come from one batched build_propagators call, and
+each sweep evaluates f with one source_f call per block of time steps; the
+recursion stays one step at a time, so the iterates are bitwise those of a
+per-step loop.
+
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures, repeat until neither field
 moves.
@@ -36,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import GriddedFuel, build_propagator
+from .evolution import GriddedFuel, build_propagators, fuel_samples, steps_per_block
 from .grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from .hypothesis import (
     HypothesisReport,
@@ -159,15 +164,12 @@ class CoupledResult:
 def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarray,
                   cfg: SolverConfig) -> tuple[np.ndarray, int, list[float], list[float]]:
     """Fixed point on one window; times are absolute lattice nodes."""
-    grid = fuel.grid
-    dx = grid.dx
+    dx = fuel.grid.dx
     K = times.size - 1
-    props = [
-        build_propagator(p, fuel, float(times[k]), float(times[k + 1]),
-                         cfg.theta, cfg.scheme)
-        for k in range(K)
-    ]
-    ys = np.stack([fuel.sample(grid, float(t)) for t in times])
+    props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
+    ys = fuel_samples(fuel, times)
+    half = 0.5 * np.diff(times)
+    block = steps_per_block(phi_values.size)
 
     hom = np.empty((K + 1,) + phi_values.shape)
     hom[0] = phi_values
@@ -180,14 +182,16 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
         u = np.repeat(phi_values[None], K + 1, axis=0)
 
     def sweep(cur: np.ndarray) -> np.ndarray:
-        f = np.stack([source_f(p, ys[k], cur[k]) for k in range(K + 1)])
+        f = np.empty_like(cur)
+        for a in range(0, K + 1, block):
+            f[a : a + block] = source_f(p, ys[a : a + block], cur[a : a + block])
         out = np.empty_like(cur)
         out[0] = phi_values
         acc = np.zeros_like(phi_values)
         for k in range(K):
-            half = 0.5 * (times[k + 1] - times[k])
-            acc = props[k].apply_values(acc + half * f[k]) + half * f[k + 1]
-            out[k + 1] = hom[k + 1] + acc
+            acc = props[k].apply_values(acc + half[k] * f[k]) + half[k] * f[k + 1]
+            out[k + 1] = acc
+        out[1:] += hom[1:]
         return out
 
     gaps: list[float] = []

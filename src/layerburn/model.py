@@ -325,7 +325,8 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
 
     Layer 1 exchanges with layer 2 and the lower ambient (qhat1); interior
     layers exchange with both neighbours; layer n exchanges with layer n-1
-    and the upper ambient (qhat2).
+    and the upper ambient (qhat2).  y and u are (n, m), or (..., n, m) for a
+    stack of time slices, each evaluated exactly as on its own.
     """
     yv = y.values if isinstance(y, FuelField) else np.asarray(y, dtype=float)
     uv = u.values if isinstance(u, TemperatureField) else np.asarray(u, dtype=float)
@@ -335,12 +336,14 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
     g = arrhenius_g(uv, p.E)
     out = -p.c_x * uv + (p.K * p.b * uv + p.d) * yv * g
-    out[0] += p.q[0] * (uv[1] - uv[0]) - p.qhat1 * (uv[0] - p.u_e)
+    first, last = uv[..., 0, :], uv[..., -1, :]
+    out[..., 0, :] += p.q[0] * (uv[..., 1, :] - first) - p.qhat1 * (first - p.u_e)
     if n > 2:
-        out[1:-1] += -p.q[: n - 2] * (uv[1:-1] - uv[:-2]) + p.q[1 : n - 1] * (
-            uv[2:] - uv[1:-1]
+        mid = uv[..., 1:-1, :]
+        out[..., 1:-1, :] += -p.q[: n - 2] * (mid - uv[..., :-2, :]) + p.q[1 : n - 1] * (
+            uv[..., 2:, :] - mid
         )
-    out[-1] += -p.q[n - 2] * (uv[-1] - uv[-2]) - p.qhat2 * (uv[-1] - p.u_e)
+    out[..., -1, :] += -p.q[n - 2] * (last - uv[..., -2, :]) - p.qhat2 * (last - p.u_e)
     return out / den
 
 

@@ -11,8 +11,10 @@ from layerburn.evolution import (
     apply,
     assemble_generator,
     build_propagator,
+    build_propagators,
     generator_apply,
     propagate,
+    steps_per_block,
 )
 from layerburn.grid import TemperatureField, l2_norm, make_grid
 from layerburn.model import (
@@ -20,6 +22,7 @@ from layerburn.model import (
     GaussianDecayFuel,
     LayerParams,
     PrescribedFuel,
+    TabulatedFuel,
 )
 
 
@@ -196,15 +199,21 @@ def test_transpose_is_the_adjoint():
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def _variable_kernel_case(n=4, m=64, theta=0.5):
-    """Step operator on n layers with coefficients that vary by node and layer."""
-    grid = make_grid(-10.0, 10.0, m)
+def _variable_params(grid, n):
+    """n layers whose coefficients vary by node and layer."""
     x = grid.x
     layer = np.arange(1, n + 1)[:, None]
     p = LayerParams.constants(grid, n, a=1.0, b=0.3, c=0.5, lam=1.0)
     p.a[:] = 1.0 + 0.3 * np.cos(0.7 * x + layer)
     p.lam[:] = 0.6 + 0.2 * layer + 0.1 * np.sin(x)
     p.c[:] = 0.5 + 0.4 * np.sin(0.3 * layer * x)
+    return p
+
+
+def _variable_kernel_case(n=4, m=64, theta=0.5):
+    """Step operator on n layers with coefficients that vary by node and layer."""
+    grid = make_grid(-10.0, 10.0, m)
+    p = _variable_params(grid, n)
     fuel = GriddedFuel(PrescribedFuel([GaussianDecayFuel(0.5 * k, 2.0, 0.9)
                                        for k in range(n)]), grid)
     t0, t1 = 0.1, 0.15
@@ -287,6 +296,54 @@ def test_stacked_layers_are_decoupled_at_the_seams():
             others = np.arange(n) != i
             assert np.array_equal(out[others], base[others])
             assert not np.array_equal(out[i], base[i])
+
+
+def test_batched_build_equals_per_step_builds():
+    # a non-uniform lattice over three blocks, tabulated fuel interpolated
+    # between its own nodes, and upwinded nodes next to central ones
+    n, m, theta = 4, 256, 0.7
+    grid = make_grid(-10.0, 10.0, m)
+    p = _variable_params(grid, n)
+    p.c[:, : m // 4] *= 40.0  # cell Peclet above 2 there
+    table_times = np.linspace(0.0, 0.3, 7)
+    layer = np.arange(n)[None, :, None]
+    table = 0.5 + 0.4 * np.sin(grid.x[None, None] + 3.0 * table_times[:, None, None] + layer)
+    fuel = GriddedFuel(TabulatedFuel(table_times, table), grid)
+    rng = np.random.default_rng(9)
+    K = 2 * steps_per_block(n * m) + 5
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 4e-3, K))])
+    props = build_propagators(p, fuel, times, theta)
+    assert len(props) == K
+    v = rng.standard_normal((n, m))
+    for k, prop in enumerate(props):
+        one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
+        assert (prop.t_from, prop.t_to) == (one.t_from, one.t_to)
+        assert np.array_equal(prop.exp, one.exp)
+        assert len(prop.lu) == len(one.lu) == 5
+        for got, ref in zip(prop.lu, one.lu):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(prop.apply_values(v), one.apply_values(v))
+        assert np.array_equal(prop.apply_transpose_values(v), one.apply_transpose_values(v))
+
+
+def test_batched_build_guards_every_step():
+    grid = make_grid(0.0, 1.0, 51)
+    p = LayerParams.constants(grid, 2, a=1.0, c=200.0, lam=0.01)
+    fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * 2), grid)
+    small = 1e-4 * np.arange(3 * steps_per_block(2 * grid.m))
+    props = build_propagators(p, fuel, small, scheme="central")
+    assert len(props) == small.size - 1
+    # a single long step after the short ones loses dominance on its own
+    times = np.concatenate([small, small[-1] + 0.5 + small[:3]])
+    with pytest.raises(ValueError, match="diagonal dominance"):
+        build_propagator(p, fuel, float(small[-1]), float(times[small.size]),
+                         scheme="central")
+    with pytest.raises(ValueError, match="diagonal dominance"):
+        build_propagators(p, fuel, times, scheme="central")
+    with pytest.raises(ValueError, match="t_to must not precede t_from"):
+        build_propagators(p, fuel, small[::-1])
+    with pytest.raises(ValueError, match="theta"):
+        build_propagators(p, fuel, small, theta=-0.1)
 
 
 def test_apply_requires_matching_grid():

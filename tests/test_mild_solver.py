@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_problem
-from layerburn.evolution import GriddedFuel, build_propagator, propagate
+from layerburn.evolution import GriddedFuel, build_propagator, propagate, steps_per_block
 from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
@@ -47,6 +47,28 @@ def _phi_map(p, fuel, times, phi_values, traj_values, cfg):
         out[k + 1] = hom + acc
         f_prev = f_next
     return out
+
+
+def test_batched_window_equals_unbatched_sweeps():
+    # one 250-step window spans several assembly and source blocks; iterating
+    # the per-step map from the homogeneous seed must give the solver's values
+    prob, T = reactive_two_layer(m=201)
+    cfg = SolverConfig(dt=0.002)
+    res = solve_global(prob, T, cfg)
+    first = res.windows[0]
+    traj = res.trajectory
+    k1 = int(np.searchsorted(traj.times, first.t_end)) + 1
+    times = traj.times[:k1]
+    assert times.size - 1 > 2 * steps_per_block(prob.phi.values.size)
+    fuel = GriddedFuel(prob.fuel, prob.grid)
+    u = np.empty((times.size,) + prob.phi.values.shape)
+    u[0] = prob.phi.values
+    for k in range(times.size - 1):
+        u[k + 1] = build_propagator(prob.params, fuel, float(times[k]), float(times[k + 1]),
+                                    cfg.theta, cfg.scheme).apply_values(u[k])
+    for _ in range(first.iterations):
+        u = _phi_map(prob.params, fuel, times, prob.phi.values, u, cfg)
+    assert np.array_equal(u, traj.values[:k1])
 
 
 def test_source_free_solve_is_homogeneous_evolution():

@@ -201,6 +201,29 @@ def test_source_interior_layer_two_sided_coupling():
     np.testing.assert_allclose(f[1], 0.5 * (1.0 - 4.0) + 0.5 * (2.0 - 4.0))
 
 
+def test_source_on_stacked_time_slices_matches_each_slice():
+    # a (K, n, m) stack evaluates bit for bit as K separate (n, m) calls,
+    # including the interior-layer branch (n = 3), u <= 0 and -0.0
+    g = make_grid(-2.0, 2.0, 17)
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        p = LayerParams.constants(g, n, a=1.0, b=0.4, c=0.3, d=0.8, K=0.2,
+                                  q=0.15, qhat1=0.1, qhat2=0.05, u_e=0.2, E=0.9)
+        for name in ("a", "b", "c_x", "d", "K", "q", "qhat1", "qhat2"):
+            arr = getattr(p, name)
+            arr *= rng.uniform(0.5, 1.5, arr.shape)
+        y = rng.uniform(0.0, 1.0, (6, n, g.m))
+        u = rng.standard_normal((6, n, g.m))
+        u[1] = -0.0
+        u[2, :, ::3] = 0.0
+        u[3, 0, :5] = -0.0
+        stacked = source_f(p, y, u)
+        ref = np.stack([source_f(p, y[k], u[k]) for k in range(6)])
+        assert stacked.shape == (6, n, g.m)
+        assert np.array_equal(stacked, ref)
+        assert np.array_equal(np.signbit(stacked), np.signbit(ref))
+
+
 def test_source_lipschitz_on_ball():
     # property backing the fixed-point argument: f is kappa-Lipschitz on the
     # ball, with kappa computed from coefficient sups and the g bounds
