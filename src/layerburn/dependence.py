@@ -18,6 +18,13 @@ solutions of the perturbed problem.  The displacement obeys the Gronwall
 closure delta_j <= (d0+d1+d3+d4) * (1 + T*c*e^{cT}) with c = 1 + e^{beta T};
 halving s halves the data terms, so successive deltas should halve too until
 they sink below the solver-noise floor.
+
+The base-problem parts of those terms (the source f(s, u(s)) along the base
+solution, U(t,0) phi and the base Duhamel sum) do not depend on the level, so
+a study computes them once along the base lattice as (K+1, n, m) arrays; each
+level then builds only its perturbed operators and marches four recursions
+with them.  The arithmetic per node is unchanged, so the terms are bitwise
+those of recomputing the base parts for every level.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .evolution import (
     GriddedFuel,
     assemble_generator,
     build_propagators,
-    fuel_samples,
     generator_apply,
     steps_per_block,
 )
@@ -106,51 +112,88 @@ def build_perturbed(problem: Problem, directions: dict, s: float) -> Problem:
 # data-difference terms along the base solution
 
 
+def _base_terms(base_problem: Problem, base_traj: SolutionTrajectory,
+                cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base-problem terms shared by every level, each (K+1, n, m) on the lattice.
+
+    Returns the source f(t_k, u(t_k)) along the base solution, the homogeneous
+    evolution U(t_k, 0) phi and the base Duhamel sum int_0^{t_k} U(t_k, s) f ds.
+    """
+    grid = base_problem.grid
+    pb = base_problem.params
+    fb = GriddedFuel(base_problem.fuel, grid)
+    times = base_traj.times
+    K = times.size - 1
+    f = np.empty_like(base_traj.values)
+    hom = np.empty_like(f)
+    duhamel = np.empty_like(f)
+    hom[0] = base_problem.phi.values
+    duhamel[0] = 0.0
+    block = steps_per_block(hom[0].size)
+    for a in range(0, K + 1, block):
+        f[a : a + block] = source_f(pb, fb.sample(grid, times[a : a + block]),
+                                    base_traj.values[a : a + block])
+    half = 0.5 * np.diff(times)[:, None, None]
+    for a in range(0, K, block):
+        b = min(a + block, K)
+        h = half[a:b]
+        left = h * f[a:b]
+        right = h * f[a + 1 : b + 1]
+        props = build_propagators(pb, fb, times[a : b + 1], cfg.theta, cfg.scheme)
+        for j, prop in enumerate(props):
+            hom[a + j + 1] = prop.apply_values(hom[a + j])
+            duhamel[a + j + 1] = prop.apply_values(duhamel[a + j] + left[j]) + right[j]
+    return f, hom, duhamel
+
+
 def _difference_terms(base_problem: Problem, pert_problem: Problem,
-                      base_traj: SolutionTrajectory, cfg: SolverConfig) -> dict:
-    """d0, d1, d3, d4 accumulated on the base trajectory's time lattice."""
+                      base_traj: SolutionTrajectory, cfg: SolverConfig,
+                      base_terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict:
+    """d0, d1, d3, d4 accumulated on the base trajectory's time lattice.
+
+    base_terms is what _base_terms returns for the same base problem and
+    trajectory; only the perturbed operators and sums are computed here.
+    """
     grid = base_problem.grid
     dx = grid.dx
-    pb, pj = base_problem.params, pert_problem.params
-    fb = GriddedFuel(base_problem.fuel, grid)
+    pj = pert_problem.params
     fj = GriddedFuel(pert_problem.fuel, grid)
+    f, hb, acc_b = base_terms
     times = base_traj.times
     K = times.size - 1
 
     dphi = pert_problem.phi.values - base_problem.phi.values
     e0 = dphi.copy()
-    hb = base_problem.phi.values.copy()
-    hp = hb.copy()
-    acc3 = np.zeros_like(hb)
-    acc_p = np.zeros_like(hb)
-    acc_b = np.zeros_like(hb)
+    hp = hb[0].copy()
+    acc3 = np.zeros_like(hp)
+    acc_p = np.zeros_like(hp)
 
     d0 = float(np.max(layer_l2(e0, dx)))
     d1 = 0.0
     d3 = 0.0
     d4 = 0.0
-    block = steps_per_block(hb.size)
+    half = 0.5 * np.diff(times)[:, None, None]
+    block = steps_per_block(hp.size)
     for a in range(0, K, block):
         seg = times[a : a + block + 1]
-        props_b = build_propagators(pb, fb, seg, cfg.theta, cfg.scheme)
         props_j = build_propagators(pj, fj, seg, cfg.theta, cfg.scheme)
-        u_seg = base_traj.values[a : a + block + 1]
-        f = source_f(pb, fuel_samples(fb, seg), u_seg)
-        f_j = source_f(pj, fuel_samples(fj, seg), u_seg)
-        half = 0.5 * np.diff(seg)
-        for k, (prop_b, prop_j) in enumerate(zip(props_b, props_j)):
+        f_seg = f[a : a + block + 1]
+        df = source_f(pj, fj.sample(grid, seg), base_traj.values[a : a + block + 1]) - f_seg
+        # trapezoid terms (dt/2) g_k and (dt/2) g_{k+1} of the block's steps, g = f_j - f and f
+        h = half[a : a + block]
+        left3, right3 = h * df[:-1], h * df[1:]
+        left_p, right_p = h * f_seg[:-1], h * f_seg[1:]
+        for j, prop_j in enumerate(props_j):
+            k = a + j
             e0 = prop_j.apply_values(e0)
-            hb = prop_b.apply_values(hb)
             hp = prop_j.apply_values(hp)
-            acc3 = prop_j.apply_values(acc3 + half[k] * (f_j[k] - f[k])) \
-                + half[k] * (f_j[k + 1] - f[k + 1])
-            acc_p = prop_j.apply_values(acc_p + half[k] * f[k]) + half[k] * f[k + 1]
-            acc_b = prop_b.apply_values(acc_b + half[k] * f[k]) + half[k] * f[k + 1]
+            acc3 = prop_j.apply_values(acc3 + left3[j]) + right3[j]
+            acc_p = prop_j.apply_values(acc_p + left_p[j]) + right_p[j]
 
             d0 = max(d0, float(np.max(layer_l2(e0, dx))))
-            d1 = max(d1, float(np.max(layer_l2(hp - hb, dx))))
+            d1 = max(d1, float(np.max(layer_l2(hp - hb[k + 1], dx))))
             d3 = max(d3, float(np.max(layer_l2(acc3, dx))))
-            d4 = max(d4, float(np.max(layer_l2(acc_p - acc_b, dx))))
+            d4 = max(d4, float(np.max(layer_l2(acc_p - acc_b[k + 1], dx))))
     total = d0 + d1 + d3 + d4
     return {"d0": d0, "d1": d1, "d3": d3, "d4": d4, "total": total}
 
@@ -216,6 +259,7 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
     factor = gronwall_factor(beta, T)
     noise_floor = 100.0 * cfg.picard_tol * (1.0 + base.trajectory.sup_norm())
 
+    base_terms = _base_terms(problem, base.trajectory, cfg)
     out: list[LevelResult] = []
     for s in spec.levels:
         pert = build_perturbed(problem, spec.directions, float(s))
@@ -226,7 +270,7 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
                                    skipped=f"{type(err).__name__}: {err}"))
             continue
         delta = sup_metric(res.trajectory, base.trajectory)
-        terms = _difference_terms(problem, pert, base.trajectory, cfg)
+        terms = _difference_terms(problem, pert, base.trajectory, cfg, base_terms)
         bound = terms["total"] * factor
         out.append(LevelResult(
             float(s), delta, terms, bound,

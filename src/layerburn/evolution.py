@@ -20,16 +20,22 @@ exact steady states of the homogeneous flow in every mode.
 The n layers are decoupled, so the step matrices of all layers are stacked
 into one tridiagonal of size n*m: the first row of each layer has no
 sub-diagonal entry and its last row no super-diagonal entry, so the seams
-carry exact zeros.  Each step's stacked implicit matrix is factored once with
-LAPACK's tridiagonal LU (dgttrf); every later application (Picard sweeps,
-power iteration) is one explicit product vectorised over layers and one
-dgttrs call, and the adjoint reuses the same factors with trans="T".
+carry zeros.  Each step keeps its explicit bands as one contiguous (3, n*m)
+array and its stacked implicit matrix factored once with LAPACK's
+tridiagonal LU (dgttrf).  Every later application (Picard sweeps, power
+iteration) is one explicit product over the raveled layers, made of three
+band products on contiguous slices, and one dgttrs call; the adjoint reads
+the same bands and reuses the same factors with trans="T".  A seam entry only
+ever adds a zero product to a neighbouring layer's row, so each layer's
+result is the per-layer product, up to the sign of an exact zero at a seam.
 
-build_propagators assembles all steps of a time lattice: fuel samples,
-coefficients, stencils and bands are computed over blocks of time steps at
-once, shape (steps, n, m), and only the dgttrf call stays per step.  The
-arithmetic is elementwise, so each operator is bitwise the one a single-step
-build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
+build_propagators assembles all steps of a time lattice: fuel samples (one
+sample call per block), coefficients, stencils and bands are computed over
+blocks of time steps at once, shape (steps, n, m), and only the dgttrf call
+stays per step.  The arithmetic is elementwise, so each operator is bitwise
+the one a single-step build_propagator gives.  Blocks hold about BLOCK_NODES
+values per array.  generator_bands assembles L_h the same way for a stack of
+fuel samples, which the method-of-lines oracle uses per block of nodes.
 """
 
 from __future__ import annotations
@@ -92,21 +98,13 @@ def _tri_mul(tri: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tri_mul_transpose(tri: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the transposes of stacked tridiagonals (n, 3, m) to (n, m)."""
-    sub, main, sup = tri[:, 0], tri[:, 1], tri[:, 2]
-    out = main * v
-    out[:, :-1] += sub[:, 1:] * v[:, 1:]
-    out[:, 1:] += sup[:, :-1] * v[:, :-1]
-    return out
-
-
 @dataclass
 class Propagator:
     """One theta-scheme step of the homogeneous evolution on [t_from, t_to].
 
-    Holds the explicit bands of I - (1-theta)*dt*L_h per layer and the dgttrf
-    factors of I + theta*dt*L_h for all layers stacked into one tridiagonal.
+    Holds the explicit bands of I - (1-theta)*dt*L_h and the dgttrf factors
+    of I + theta*dt*L_h, both for all layers stacked into one tridiagonal of
+    size n*m.
     """
 
     grid: Grid
@@ -115,20 +113,26 @@ class Propagator:
     theta: float
     scheme: str
     identity: bool
-    exp: np.ndarray | None = None  # (n, 3, m) rows sub/main/sup of I - (1-theta)*dt*L
+    # (3, n*m) rows sub/main/sup of the stacked I - (1-theta)*dt*L; layer i is
+    # columns i*m to (i+1)*m, and the seam entries sub[i*m], sup[i*m - 1] are zero
+    exp: np.ndarray | None = None
     lu: tuple | None = None  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
 
     @property
     def n(self) -> int:
-        return 1 if self.identity else self.exp.shape[0]
+        return 1 if self.identity else self.exp.shape[1] // self.grid.m
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         if self.identity:
             return np.array(values, dtype=float, copy=True)
-        rhs = _tri_mul(self.exp, values)
+        v = values.ravel()
+        sub, main, sup = self.exp
+        rhs = main * v
+        rhs[:-1] += sup[:-1] * v[1:]
+        rhs[1:] += sub[1:] * v[:-1]
         # dgttrs reports only illegal arguments, which the factor shapes rule out
-        x, _ = dgttrs(*self.lu, rhs.ravel(), overwrite_b=True)
-        return x.reshape(rhs.shape)
+        x, _ = dgttrs(*self.lu, rhs, overwrite_b=True)
+        return x.reshape(values.shape)
 
     def apply_transpose_values(self, values: np.ndarray) -> np.ndarray:
         """Adjoint application, used by the operator-norm power iteration."""
@@ -136,7 +140,11 @@ class Propagator:
             return np.array(values, dtype=float, copy=True)
         z = np.array(values, dtype=float)
         x, _ = dgttrs(*self.lu, z.ravel(), trans="T", overwrite_b=True)
-        return _tri_mul_transpose(self.exp, x.reshape(z.shape))
+        sub, main, sup = self.exp
+        out = main * x
+        out[:-1] += sub[1:] * x[1:]
+        out[1:] += sup[:-1] * x[:-1]
+        return out.reshape(z.shape)
 
 
 def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
@@ -155,10 +163,11 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
     grid = _grid_of(fuel, p)
     mids = 0.5 * (times[:-1] + times[1:])
     props: list[Propagator] = []
-    block = steps_per_block(p.n * grid.m)
+    nodes = p.n * grid.m
+    block = steps_per_block(nodes)
     for a in range(0, dts.size, block):
         dt = dts[a : a + block, None, None]
-        alpha, beta = coefficient_fields(p, fuel_samples(fuel, mids[a : a + block]))
+        alpha, beta = coefficient_fields(p, fuel.sample(grid, mids[a : a + block]))
         sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
 
         w_imp = theta * dt
@@ -173,7 +182,8 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                     "reduce dt or use scheme='auto'/'upwind'"
                 )
         w_exp = (1.0 - theta) * dt
-        exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=2)
+        exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
+        exp = exp.reshape(dt.shape[0], 3, nodes)
         for j in range(dt.shape[0]):
             # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
             *lu, info = dgttrf(dl[j].ravel()[1:], d[j].ravel(), du[j].ravel()[:-1],
@@ -198,11 +208,6 @@ def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
 def steps_per_block(nodes: int) -> int:
     """Time steps per batched block for fields of `nodes` values per step."""
     return max(1, BLOCK_NODES // nodes)
-
-
-def fuel_samples(fuel, times) -> np.ndarray:
-    """Fuel fields at each of `times`, stacked to shape (len(times), n, m)."""
-    return np.stack([fuel.sample(fuel.grid, float(t)) for t in times])
 
 
 def _grid_of(fuel, p: LayerParams) -> Grid:
@@ -231,7 +236,7 @@ class GriddedFuel:
     def n(self) -> int:
         return self.spec.n
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
+    def sample(self, grid: Grid, t) -> np.ndarray:
         return self.spec.sample(grid, t)
 
     def envelope(self, grid: Grid, t0: float, t1: float):
@@ -270,9 +275,14 @@ def propagate(p: LayerParams, fuel, t_from: float, t_to: float, n_steps: int,
 def assemble_generator(p: LayerParams, fuel, t: float, scheme: str = "auto") -> np.ndarray:
     """Tridiagonals of L_h(t), shape (n, 3, m); shared with the MOL oracle."""
     grid = _grid_of(fuel, p)
-    alpha, beta = coefficient_fields(p, fuel.sample(grid, t))
-    sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
-    return np.stack([sub, main, sup], axis=1)
+    return generator_bands(p, fuel.sample(grid, t), grid.dx, scheme)
+
+
+def generator_bands(p: LayerParams, y: np.ndarray, dx: float,
+                    scheme: str = "auto") -> np.ndarray:
+    """Tridiagonals of L_h for fuel fields y of shape (..., n, m): (..., n, 3, m)."""
+    alpha, beta = coefficient_fields(p, y)
+    return np.stack(_stencil(alpha, beta, dx, scheme), axis=-2)
 
 
 def generator_apply(tri: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ def check_H2(fuel: GriddedFuel, T: float, n_probe: int = 33) -> CheckResult:
     violations: list[str] = []
     grid = fuel.grid
     ts = np.linspace(0.0, T, n_probe) if T > 0 else np.array([0.0])
-    Y = np.stack([fuel.sample(grid, float(t)) for t in ts])
+    Y = fuel.sample(grid, ts)
     k3 = float(Y.max())
     ymin = float(Y.min())
     bounds = {"k3": max(k3, 0.0), "y_min": ymin}
@@ -215,15 +215,19 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_operator_norms(prop, iters: int, tol: float) -> np.ndarray:
-    """Largest singular value of each layer's step matrix by power iteration.
+    """Power-iteration estimate of each layer's largest singular value.
 
     All layers iterate together through the stacked apply and its adjoint;
     each layer has its own start vector and stopping test, and a settled
     layer keeps its estimate while the others go on.  Each starts from the
-    constant vector: the conservative stencil preserves constants exactly, so
-    it sits in the dominant singular subspace and the estimate climbs
-    monotonically from 1.  A random start stalls against the near-identity
-    cluster of singular values.
+    constant vector, which the conservative stencil preserves exactly, so the
+    first estimate ||U v|| is about 1.  A layer stops as soon as its estimate
+    moves by at most tol (relative, once above 1) from one iteration to the
+    next.  That bounds the step between iterates, not the distance to the
+    top singular value: the estimate creeps up by less than tol per iteration
+    and stops far below it.  Through growth_beta this gives beta 6.8e-3 on
+    the ignition fixture against 0.90 from a dense SVD (ROADMAP Baseline;
+    the estimator is ROADMAP open item 2).
     """
     n, m = prop.n, prop.grid.m
     v = np.full((n, m), 1.0 / math.sqrt(m))

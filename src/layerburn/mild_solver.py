@@ -23,10 +23,11 @@ the a-priori growth bound afterwards (a warning rather than a failure in
 adaptive mode); runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
-A window's step operators come from one batched build_propagators call, and
-each sweep evaluates f with one source_f call per block of time steps; the
-recursion stays one step at a time, so the iterates are bitwise those of a
-per-step loop.
+A window's step operators come from one batched build_propagators call and
+its fuel from one sample call.  Each sweep evaluates f with one source_f call
+per block of time steps and forms the trapezoid terms (dt/2) f_k and
+(dt/2) f_{k+1} for the same block of steps at once; the recursion stays one
+step at a time, so the iterates are bitwise those of a per-step loop.
 
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures, repeat until neither field
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import GriddedFuel, build_propagators, fuel_samples, steps_per_block
+from .evolution import GriddedFuel, build_propagators, steps_per_block
 from .grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from .hypothesis import (
     HypothesisReport,
@@ -167,8 +168,8 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     dx = fuel.grid.dx
     K = times.size - 1
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
-    ys = fuel_samples(fuel, times)
-    half = 0.5 * np.diff(times)
+    ys = fuel.sample(fuel.grid, times)
+    half = 0.5 * np.diff(times)[:, None, None]
     block = steps_per_block(phi_values.size)
 
     hom = np.empty((K + 1,) + phi_values.shape)
@@ -188,9 +189,15 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
         out = np.empty_like(cur)
         out[0] = phi_values
         acc = np.zeros_like(phi_values)
-        for k in range(K):
-            acc = props[k].apply_values(acc + half[k] * f[k]) + half[k] * f[k + 1]
-            out[k + 1] = acc
+        for a in range(0, K, block):
+            # the trapezoid terms (dt/2) f_k and (dt/2) f_{k+1} of a block of steps
+            b = min(a + block, K)
+            h = half[a:b]
+            left = h * f[a:b]
+            right = h * f[a + 1 : b + 1]
+            for j, prop in enumerate(props[a:b]):
+                acc = prop.apply_values(acc + left[j]) + right[j]
+                out[a + j + 1] = acc
         out[1:] += hom[1:]
         return out
 

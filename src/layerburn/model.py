@@ -13,6 +13,8 @@ t) or tabulated on a time lattice when produced by the coupled solver.  Every
 fuel object can report rigorous per-node envelopes of its values over a time
 interval; the quantitative audit builds its sup-norm constants from these, so
 the resulting bounds hold for every t in the span, not just probe times.
+Every fuel's sample takes one time, giving (n, m), or a 1-D array of k times,
+giving (k, n, m) in one call with each slice bitwise the scalar sample.
 """
 
 from __future__ import annotations
@@ -160,8 +162,8 @@ class FuelField:
 class ConstantFuel:
     level: float
 
-    def profile(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.full_like(x, self.level, dtype=float)
+    def profile(self, x: np.ndarray, t) -> np.ndarray:
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), self.level, dtype=float)
 
     def time_envelope(self, x, t0, t1):
         lo = self.profile(x, t0)
@@ -180,7 +182,7 @@ class LogisticFrontFuel:
     speed: float
     width: float
 
-    def profile(self, x: np.ndarray, t: float) -> np.ndarray:
+    def profile(self, x: np.ndarray, t) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(x - self.center - self.speed * t) / self.width))
 
     def time_envelope(self, x, t0, t1):
@@ -196,7 +198,7 @@ class GaussianDecayFuel:
     width: float
     rate: float
 
-    def profile(self, x: np.ndarray, t: float) -> np.ndarray:
+    def profile(self, x: np.ndarray, t) -> np.ndarray:
         return np.exp(-self.rate * t) * np.exp(-(((x - self.center) / self.width) ** 2))
 
     def time_envelope(self, x, t0, t1):
@@ -216,8 +218,14 @@ class PrescribedFuel:
     def n(self) -> int:
         return len(self.families)
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
-        return np.stack([fam.profile(grid.x, t) for fam in self.families])
+    def sample(self, grid: Grid, t) -> np.ndarray:
+        """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
+
+        Each family's profile broadcasts x against a column of times, so every
+        slice is computed elementwise exactly as the scalar sample.
+        """
+        tt = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[:, None]
+        return np.stack([fam.profile(grid.x, tt) for fam in self.families], axis=-2)
 
     def envelope(self, grid: Grid, t0: float, t1: float):
         los, his = [], []
@@ -247,8 +255,28 @@ class TabulatedFuel:
     def n(self) -> int:
         return self.table.shape[1]
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
+    def sample(self, grid: Grid, t) -> np.ndarray:
+        """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
+
+        Times at or before the first node take the first field, at or after
+        the last node the last field; between nodes the weights and products
+        are those of the scalar sample, so every slice is bitwise equal to it.
+        """
         ts = self.times
+        if np.ndim(t) != 0:
+            t = np.asarray(t, dtype=float)
+            out = np.empty(t.shape + self.table.shape[1:])
+            first = t <= ts[0]
+            last = ~first & (t >= ts[-1])
+            out[first] = self.table[0]
+            out[last] = self.table[-1]
+            inner = ~(first | last)
+            if inner.any():
+                ti = t[inner]
+                k = np.searchsorted(ts, ti)
+                w = ((ti - ts[k - 1]) / (ts[k] - ts[k - 1]))[:, None, None]
+                out[inner] = (1.0 - w) * self.table[k - 1] + w * self.table[k]
+            return out
         if t <= ts[0]:
             return self.table[0].copy()
         if t >= ts[-1]:
@@ -280,7 +308,8 @@ class PerturbedFuel:
     def n(self) -> int:
         return self.base.n
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
+    def sample(self, grid: Grid, t) -> np.ndarray:
+        """Base sample plus the offset; at an array of times, shape (k, n, m)."""
         return self.base.sample(grid, t) + self.scale * self.direction
 
     def envelope(self, grid: Grid, t0: float, t1: float):

@@ -15,6 +15,14 @@ asserts.
 The Newton system is ordered node-major (all layers of node j adjacent), so
 the Jacobian is banded with bandwidth n: layer coupling sits on the first
 off-diagonals and the spatial stencil on the n-th.
+
+The implicit trapezoid samples the fuel and assembles L_h over blocks of
+lattice nodes at once, as build_propagators does for the marcher, and builds
+the parts of each step's Jacobian that do not depend on the Newton iterate
+(the capacities a + b*y, the exchange bands, the (dt/2) L_h stencil bands
+and 1 + (dt/2) diag L_h) once per step; a Newton iteration only refreshes the
+reaction diagonal.  All of it is elementwise, so every iterate is bitwise
+that of assembling each node on its own inside every iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .evolution import GriddedFuel, assemble_generator, generator_apply
+from .evolution import (
+    GriddedFuel,
+    assemble_generator,
+    generator_apply,
+    generator_bands,
+    steps_per_block,
+)
 from .grid import SolutionTrajectory, layer_l2
 from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
 
@@ -73,18 +87,16 @@ def _coupling_diag(p) -> np.ndarray:
     return out
 
 
-def _newton_matrix(p, L_tri: np.ndarray, den: np.ndarray, y: np.ndarray,
-                   v: np.ndarray, half_dt: float) -> np.ndarray:
-    """Banded J = I + (dt/2) L - (dt/2) df/du at state v, scipy layout."""
-    n, m = v.shape
-    N = n * m
-    g = arrhenius_g(v, p.E)
-    gp = arrhenius_g_prime(v, p.E)
-    df_diag = (-p.c_x + p.K * p.b * y * g + (p.K * p.b * v + p.d) * y * gp
-               + _coupling_diag(p)) / den
+def _newton_bands(p, L_tri: np.ndarray, den: np.ndarray, half_dt: float):
+    """The iterate-free part of the Newton matrix of one step, scipy layout.
 
+    Returns the banded matrix with every band of J = I + (dt/2) L - (dt/2) df/du
+    but the main diagonal filled in, and 1 + (dt/2) diag L, from which each
+    iteration forms the main diagonal.
+    """
+    n, m = den.shape
+    N = n * m
     ab = np.zeros((2 * n + 1, N))
-    ab[n] = _flat(1.0 + half_dt * L_tri[:, 1] - half_dt * df_diag)
     # spatial stencil: same layer, neighbouring node (offset n)
     ab[0, n:] = half_dt * _flat(L_tri[:, 2])[:-n]
     ab[2 * n, : N - n] = half_dt * _flat(L_tri[:, 0])[n:]
@@ -95,7 +107,7 @@ def _newton_matrix(p, L_tri: np.ndarray, den: np.ndarray, y: np.ndarray,
     cdn = np.zeros((n, m))
     cdn[1:] = p.q / den[1:]
     ab[n + 1, : N - 1] = -half_dt * _flat(cdn)[1:]
-    return ab
+    return ab, 1.0 + half_dt * L_tri[:, 1]
 
 
 def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
@@ -144,33 +156,49 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
 
     # implicit trapezoid with full Newton per step
     half_dt = 0.5 * cfg.dt
-    L_k = assemble_generator(p, fuel, 0.0, cfg.scheme)
-    y_k = fuel.sample(grid, 0.0)
-    for k in range(total):
-        u = values[k]
-        t_next = float(times[k + 1])
-        rhs_k = rhs(float(times[k]), u, L_k, y_k)
-        L_next = assemble_generator(p, fuel, t_next, cfg.scheme)
-        y_next = fuel.sample(grid, t_next)
-        den = p.a + p.b * y_next
+    kb = p.K * p.b
+    neg_cx = -p.c_x
+    coupling = _coupling_diag(p)
+    block = steps_per_block(n * m)
+    for a in range(0, total + 1, block):
+        # fuel and generator for a block of lattice nodes, as build_propagators does
+        ys = fuel.sample(grid, times[a : a + block])
+        Ls = generator_bands(p, ys, grid.dx, cfg.scheme)
+        for j in range(ys.shape[0]):
+            L_next, y_next = Ls[j], ys[j]
+            if a + j == 0:
+                L_k, y_k = L_next, y_next
+                continue
+            k = a + j - 1
+            u = values[k]
+            t_next = float(times[k + 1])
+            rhs_k = rhs(float(times[k]), u, L_k, y_k)
+            den = p.a + p.b * y_next
+            ab, main = _newton_bands(p, L_next, den, half_dt)
+            kby = kb * y_next
 
-        v = u + cfg.dt * rhs_k  # Euler predictor
-        converged = False
-        for _ in range(cfg.newton_max):
-            G = v - u - half_dt * (rhs_k + rhs(t_next, v, L_next, y_next))
-            ab = _newton_matrix(p, L_next, den, y_next, v, half_dt)
-            delta = solve_banded((n, n), ab, -_flat(G), check_finite=False)
-            v = v + _unflat(delta, n, m)
-            if float(np.max(np.abs(delta))) <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
-                converged = True
-                break
-        if not converged:
-            raise NewtonError(
-                f"Newton stalled at t={t_next:.6g} "
-                f"(last update {float(np.max(np.abs(delta))):.3e})"
-            )
-        values[k + 1] = v
-        L_k, y_k = L_next, y_next
+            v = u + cfg.dt * rhs_k  # Euler predictor
+            converged = False
+            for _ in range(cfg.newton_max):
+                G = v - u - half_dt * (rhs_k + rhs(t_next, v, L_next, y_next))
+                # reaction and exchange diagonal of df/du at v
+                g = arrhenius_g(v, p.E)
+                gp = arrhenius_g_prime(v, p.E)
+                df_diag = (neg_cx + kby * g + (kb * v + p.d) * y_next * gp + coupling) / den
+                ab[n] = _flat(main - half_dt * df_diag)
+                delta = solve_banded((n, n), ab, -_flat(G), check_finite=False)
+                v = v + _unflat(delta, n, m)
+                tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(v))))
+                if float(np.max(np.abs(delta))) <= tol:
+                    converged = True
+                    break
+            if not converged:
+                raise NewtonError(
+                    f"Newton stalled at t={t_next:.6g} "
+                    f"(last update {float(np.max(np.abs(delta))):.3e})"
+                )
+            values[k + 1] = v
+            L_k, y_k = L_next, y_next
     return SolutionTrajectory(times, values, grid)
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from layerburn.dependence import (
     PerturbationSpec,
+    _base_terms,
+    _difference_terms,
     build_perturbed,
     dependence_study,
     gronwall_factor,
@@ -15,9 +17,10 @@ from layerburn.dependence import (
     symmetric_response,
 )
 from layerburn.fixtures import dependence_base, homogeneous_drift, reactive_two_layer
+from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
 from layerburn.grid import l2_norm, layer_l2
-from layerburn.mild_solver import SolverConfig
-from layerburn.model import central_gradient, smooth_bump
+from layerburn.mild_solver import SolverConfig, solve_global
+from layerburn.model import central_gradient, smooth_bump, source_f
 
 
 def test_spec_validation():
@@ -182,3 +185,65 @@ def test_gronwall_factor_formula():
     assert gronwall_factor(0.0, 0.5) == pytest.approx(1.0 + 0.5 * 2.0 * math.exp(1.0))
     c = 1.0 + math.exp(0.3 * 0.5)
     assert gronwall_factor(0.3, 0.5) == pytest.approx(1.0 + 0.5 * c * math.exp(0.5 * c))
+
+
+def _difference_terms_per_level(base_problem, pert_problem, base_traj, cfg):
+    """The data terms with the base operators and sums rebuilt for the level,
+    as the study computed them before the base terms were shared."""
+    grid = base_problem.grid
+    dx = grid.dx
+    pb, pj = base_problem.params, pert_problem.params
+    fb = GriddedFuel(base_problem.fuel, grid)
+    fj = GriddedFuel(pert_problem.fuel, grid)
+    times = base_traj.times
+    e0 = pert_problem.phi.values - base_problem.phi.values
+    hb = base_problem.phi.values.copy()
+    hp = hb.copy()
+    acc3 = np.zeros_like(hb)
+    acc_p = np.zeros_like(hb)
+    acc_b = np.zeros_like(hb)
+    d0, d1, d3, d4 = float(np.max(layer_l2(e0, dx))), 0.0, 0.0, 0.0
+    block = steps_per_block(hb.size)
+    for a in range(0, times.size - 1, block):
+        seg = times[a : a + block + 1]
+        props_b = build_propagators(pb, fb, seg, cfg.theta, cfg.scheme)
+        props_j = build_propagators(pj, fj, seg, cfg.theta, cfg.scheme)
+        u_seg = base_traj.values[a : a + block + 1]
+        f = source_f(pb, np.stack([fb.sample(grid, float(t)) for t in seg]), u_seg)
+        f_j = source_f(pj, np.stack([fj.sample(grid, float(t)) for t in seg]), u_seg)
+        half = 0.5 * np.diff(seg)
+        for k, (prop_b, prop_j) in enumerate(zip(props_b, props_j)):
+            e0 = prop_j.apply_values(e0)
+            hb = prop_b.apply_values(hb)
+            hp = prop_j.apply_values(hp)
+            acc3 = prop_j.apply_values(acc3 + half[k] * (f_j[k] - f[k])) \
+                + half[k] * (f_j[k + 1] - f[k + 1])
+            acc_p = prop_j.apply_values(acc_p + half[k] * f[k]) + half[k] * f[k + 1]
+            acc_b = prop_b.apply_values(acc_b + half[k] * f[k]) + half[k] * f[k + 1]
+            d0 = max(d0, float(np.max(layer_l2(e0, dx))))
+            d1 = max(d1, float(np.max(layer_l2(hp - hb, dx))))
+            d3 = max(d3, float(np.max(layer_l2(acc3, dx))))
+            d4 = max(d4, float(np.max(layer_l2(acc_p - acc_b, dx))))
+    return {"d0": d0, "d1": d1, "d3": d3, "d4": d4, "total": d0 + d1 + d3 + d4}
+
+
+def test_shared_base_terms_equal_per_level_recomputation():
+    # base terms computed once along a lattice of several blocks, every data
+    # target (fuel and c included), three levels
+    prob, T, spec = dependence_base(m=201)
+    grid = prob.grid
+    directions = dict(spec.directions)
+    directions["fuel"] = np.stack([0.1 * smooth_bump(grid.x, 0.0, 2.0), np.zeros(grid.m)])
+    directions["c"] = np.stack([np.zeros(grid.m), 0.2 * smooth_bump(grid.x, 1.0, 2.0)])
+    directions["u_e"] = -0.3
+    cfg = SolverConfig(dt=0.004)
+    base = solve_global(prob, T, cfg).trajectory
+    assert base.times.size - 1 > steps_per_block(prob.phi.values.size)
+    base_terms = _base_terms(prob, base, cfg)
+    assert all(arr.shape == base.values.shape for arr in base_terms)
+    for s in (0.5, 0.125, 1.0 / 64.0):
+        pert = build_perturbed(prob, directions, s)
+        got = _difference_terms(prob, pert, base, cfg, base_terms)
+        ref = _difference_terms_per_level(prob, pert, base, cfg)
+        assert got == ref
+        assert all(val > 0.0 for val in got.values())

@@ -4,10 +4,12 @@ scheme switching, and the conservative boundary closure."""
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrs
 
 from conftest import constant_problem, random_field
 from layerburn.evolution import (
     GriddedFuel,
+    Propagator,
     apply,
     assemble_generator,
     build_propagator,
@@ -162,14 +164,20 @@ def test_scheme_switch_threshold():
     # cell Peclet |beta| dx / alpha <= 2 keeps the central stencil; beyond it
     # the auto scheme must match the upwind rows node by node, both in the
     # generator and in the explicit bands of the step operator built from it
+    # (flat (3, n*m) bands, read per layer as (n, 3, m))
     grid = make_grid(0.0, 1.0, 51)
     p = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
     p.c[0, :25] = 150.0  # cell Peclet 3 in the first half of layer 1
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * 2), grid)
     p_central = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
+
+    def exp_per_layer(q, scheme):
+        exp = build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme).exp
+        return exp.reshape(3, 2, grid.m).swapaxes(0, 1)
+
     for bands in (
         lambda q, scheme: assemble_generator(q, fuel, 0.0, scheme),
-        lambda q, scheme: build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme).exp,
+        exp_per_layer,
     ):
         auto, up, cen = bands(p, "auto"), bands(p, "upwind"), bands(p_central, "central")
         np.testing.assert_array_equal(auto[0][:, 2:24], up[0][:, 2:24])
@@ -296,6 +304,74 @@ def test_stacked_layers_are_decoupled_at_the_seams():
             others = np.arange(n) != i
             assert np.array_equal(out[others], base[others])
             assert not np.array_equal(out[i], base[i])
+
+
+def _per_layer_apply(prop, v, transpose=False):
+    """apply_values (or its adjoint) with the explicit product taken per layer."""
+    n, m = v.shape
+    sub, main, sup = prop.exp.reshape(3, n, m)
+    if transpose:
+        z, _ = dgttrs(*prop.lu, v.ravel(), trans="T")
+        z = z.reshape(n, m)
+        out = main * z
+        out[:, :-1] += sub[:, 1:] * z[:, 1:]
+        out[:, 1:] += sup[:, :-1] * z[:, :-1]
+        return out
+    rhs = main * v
+    rhs[:, :-1] += sup[:, :-1] * v[:, 1:]
+    rhs[:, 1:] += sub[:, 1:] * v[:, :-1]
+    x, _ = dgttrs(*prop.lu, rhs.ravel())
+    return x.reshape(n, m)
+
+
+def test_flat_band_apply_equals_per_layer_reference():
+    # the flat bands also multiply across the layer seams, by zero entries;
+    # signed zeros and large values on both sides of every seam must leave
+    # each layer's result as the per-layer product gives it
+    n, m = 3, 64
+    prop, _, _, _ = _variable_kernel_case(n=n, m=m)
+    sub, _, sup = prop.exp
+    seams_lo = np.arange(1, n) * m  # first node of layers 2..n
+    assert np.all(sub[seams_lo] == 0.0) and np.all(sup[seams_lo - 1] == 0.0)
+    rng = np.random.default_rng(8)
+    seam = np.zeros((n, m), dtype=bool)
+    seam[:, [0, 1, -2, -1]] = True
+    fills = [np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, -0.0, 0.0, 0.0]),
+             np.array([1e300, -1e300, 3e299, -7e299]), np.array([-0.0, 5e299, -1e300, 0.0])]
+    for fill in fills:
+        for transpose in (False, True):
+            v = rng.standard_normal((n, m))
+            v[seam] = np.resize(fill, int(seam.sum()))
+            apply = prop.apply_transpose_values if transpose else prop.apply_values
+            got = apply(v)
+            ref = _per_layer_apply(prop, v, transpose)
+            assert got.shape == (n, m)
+            assert np.array_equal(got, ref)
+            # a zero seam product may flip the sign of an exact zero there
+            keep = ~(seam & (ref == 0.0))
+            assert np.array_equal(np.signbit(got[keep]), np.signbit(ref[keep]))
+        # zero layers next to nonzero ones stay exactly zero
+        v = np.zeros((n, m))
+        v[1] = fill[0] + rng.standard_normal(m)
+        for apply in (prop.apply_values, prop.apply_transpose_values):
+            out = apply(v)
+            assert np.all(out[[0, 2]] == 0.0)
+
+
+def test_propagator_layer_count_from_grid():
+    grid = make_grid(-10.0, 10.0, 33)
+    for n in (2, 3, 4):
+        p = LayerParams.constants(grid, n, a=1.0, c=0.5, lam=1.0)
+        fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * n), grid)
+        prop = build_propagator(p, fuel, 0.0, 0.01)
+        assert prop.exp.shape == (3, n * grid.m)
+        assert prop.n == n
+        assert prop.apply_values(np.ones((n, grid.m))).shape == (n, grid.m)
+    # one layer: the bands of the first layer alone
+    one = Propagator(grid, 0.0, 0.01, 0.5, "auto", identity=False,
+                     exp=prop.exp[:, : grid.m].copy())
+    assert one.n == 1
+    assert build_propagator(p, fuel, 0.2, 0.2).n == 1  # identity
 
 
 def test_batched_build_equals_per_step_builds():

@@ -11,6 +11,7 @@ from layerburn.model import (
     GaussianDecayFuel,
     LayerParams,
     LogisticFrontFuel,
+    PerturbedFuel,
     PrescribedFuel,
     TabulatedFuel,
     arrhenius_g,
@@ -347,6 +348,54 @@ def test_tabulated_fuel_interpolates_and_clamps():
     lo, hi = fuel.envelope(g, 0.0, 1.0)
     np.testing.assert_allclose(lo, 0.5)
     np.testing.assert_allclose(hi, 1.0)
+
+
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_array_time_sample_equals_stacked_scalar_samples():
+    # every fuel class: one sample call at k times equals k scalar samples,
+    # values and signs of zeros both
+    g = make_grid(-5.0, 5.0, 41)
+    rng = np.random.default_rng(12)
+    prescribed = PrescribedFuel([
+        LogisticFrontFuel(0.5, -0.7, 1.3),
+        GaussianDecayFuel(-1.0, 2.0, 0.4),
+        ConstantFuel(-0.0),
+        ConstantFuel(1),
+    ])
+    table_times = np.array([0.1, 0.25, 0.3, 0.7])
+    table = rng.uniform(-1.0, 1.0, (4, 3, g.m))
+    # signed zeros on the end nodes next to positive values on their neighbours
+    table[0, 2, :5] = -0.0
+    table[-1, 2, :5] = 0.5
+    table[-1, 0, :5] = -0.0
+    table[-2, 0, :5] = 0.5
+    table[1, 0, :5] = -0.0
+    table[2, 1, :5] = 0.0
+    tabulated = TabulatedFuel(table_times, table)
+    single = TabulatedFuel([0.4], table[:1])
+    direction = rng.standard_normal((4, g.m))
+    # before the first node, on nodes, between nodes, after the last node
+    times = np.array([-1.0, 0.0, 0.1, 0.17, 0.25, 0.26, 0.3, 0.5, 0.7, 0.71, 3.0])
+    fuels = [
+        prescribed,
+        tabulated,
+        single,
+        PerturbedFuel(prescribed, direction, 0.3),
+        PerturbedFuel(tabulated, direction[:3], -0.25),
+    ]
+    for fuel in fuels:
+        ref = np.stack([fuel.sample(g, float(t)) for t in times])
+        _assert_bitwise(fuel.sample(g, times), ref)
+        _assert_bitwise(fuel.sample(g, times[5:6]), ref[5:6])
+    from layerburn.evolution import GriddedFuel
+    gridded = GriddedFuel(tabulated, g)
+    _assert_bitwise(gridded.sample(g, times),
+                    np.stack([tabulated.sample(g, float(t)) for t in times]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,24 @@ other, and the fixed-point marcher."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import constant_problem
+from layerburn.evolution import GriddedFuel, assemble_generator, generator_apply, steps_per_block
 from layerburn.fixtures import drift_exact, homogeneous_drift, reactive_two_layer
-from layerburn.grid import SolutionTrajectory, TemperatureField
+from layerburn.grid import SolutionTrajectory, TemperatureField, make_grid
 from layerburn.mild_solver import SolverConfig, solve_global
-from layerburn.model import Problem
+from layerburn.model import (
+    GaussianDecayFuel,
+    LayerParams,
+    LogisticFrontFuel,
+    PrescribedFuel,
+    Problem,
+    TabulatedFuel,
+    arrhenius_g,
+    arrhenius_g_prime,
+    source_f,
+)
 from layerburn.oracle import (
     NewtonError,
     OracleConfig,
@@ -123,3 +135,121 @@ def test_config_validation():
         OracleConfig(dt=0.0)
     with pytest.raises(ValueError):
         mol_solve(reactive_two_layer(m=101)[0], 0.05, OracleConfig(dt=0.003))
+
+
+def _mol_solve_per_step(problem, T, cfg):
+    """Implicit trapezoid assembled one node at a time, with the whole Newton
+    matrix rebuilt in every iteration: the oracle before it was blocked."""
+    p, grid = problem.params, problem.grid
+    fuel = GriddedFuel(problem.fuel, grid)
+    n, m = problem.phi.values.shape
+    N = n * m
+    total = int(round(T / cfg.dt))
+    times = cfg.dt * np.arange(total + 1)
+
+    def flat(arr):
+        return arr.T.ravel()
+
+    def rhs(v, L_tri, y):
+        return -generator_apply(L_tri, v) + source_f(p, y, v)
+
+    def coupling():
+        out = np.zeros((n, m))
+        out[0] = -p.q[0] - p.qhat1
+        if n > 2:
+            out[1:-1] = -(p.q[: n - 2] + p.q[1 : n - 1])
+        out[-1] = -p.q[n - 2] - p.qhat2
+        return out
+
+    def newton_matrix(L_tri, den, y, v, half_dt):
+        g = arrhenius_g(v, p.E)
+        gp = arrhenius_g_prime(v, p.E)
+        df_diag = (-p.c_x + p.K * p.b * y * g + (p.K * p.b * v + p.d) * y * gp
+                   + coupling()) / den
+        ab = np.zeros((2 * n + 1, N))
+        ab[n] = flat(1.0 + half_dt * L_tri[:, 1] - half_dt * df_diag)
+        ab[0, n:] = half_dt * flat(L_tri[:, 2])[:-n]
+        ab[2 * n, : N - n] = half_dt * flat(L_tri[:, 0])[n:]
+        cup = np.zeros((n, m))
+        cup[:-1] = p.q / den[:-1]
+        ab[n - 1, 1:] = -half_dt * flat(cup)[:-1]
+        cdn = np.zeros((n, m))
+        cdn[1:] = p.q / den[1:]
+        ab[n + 1, : N - 1] = -half_dt * flat(cdn)[1:]
+        return ab
+
+    values = np.empty((total + 1, n, m))
+    values[0] = problem.phi.values
+    half_dt = 0.5 * cfg.dt
+    L_k = assemble_generator(p, fuel, 0.0, cfg.scheme)
+    y_k = fuel.sample(grid, 0.0)
+    for k in range(total):
+        u = values[k]
+        t_next = float(times[k + 1])
+        rhs_k = rhs(u, L_k, y_k)
+        L_next = assemble_generator(p, fuel, t_next, cfg.scheme)
+        y_next = fuel.sample(grid, t_next)
+        den = p.a + p.b * y_next
+        v = u + cfg.dt * rhs_k
+        for _ in range(cfg.newton_max):
+            G = v - u - half_dt * (rhs_k + rhs(v, L_next, y_next))
+            ab = newton_matrix(L_next, den, y_next, v, half_dt)
+            delta = solve_banded((n, n), ab, -flat(G), check_finite=False)
+            v = v + delta.reshape(m, n).T
+            if float(np.max(np.abs(delta))) <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
+                break
+        else:
+            raise NewtonError(f"Newton stalled at t={t_next:.6g} "
+                              f"(last update {float(np.max(np.abs(delta))):.3e})")
+        values[k + 1] = v
+        L_k, y_k = L_next, y_next
+    return SolutionTrajectory(times, values, grid)
+
+
+def _three_layer_problem(m, fuel):
+    """Three reactive layers, so the interior layer's two exchange bands run."""
+    grid = make_grid(-8.0, 8.0, m)
+    x = grid.x
+    layer = np.arange(1, 4)[:, None]
+    p = LayerParams.constants(grid, 3, a=1.0, b=0.4, c=0.6, d=0.5, lam=0.8, K=0.3,
+                              A=0.2, q=0.2, u_e=0.1, E=1.0)
+    p.a[:] = 1.0 + 0.2 * np.cos(0.5 * x + layer)
+    p.c[:] = 0.6 + 0.3 * np.sin(0.4 * layer * x)
+    p.c_x[:] = np.gradient(p.c, grid.dx, axis=-1)
+    p.q[:] = 0.2 + 0.1 * np.cos(x)
+    p.qhat1[:] = 0.3 * np.exp(-x**2)
+    p.qhat2[:] = 0.2 * np.exp(-(x - 1.0) ** 2)
+    phi = np.stack([1.2 * np.exp(-x**2), 0.6 * np.exp(-(x - 1.0) ** 2), -0.2 * np.exp(-x**2)])
+    return Problem(grid, p, fuel(grid), TemperatureField(phi, grid))
+
+
+def test_blocked_implicit_trapezoid_equals_per_step_reference():
+    m, T, dt = 121, 0.4, 0.002
+    steps = int(round(T / dt))
+    assert steps + 1 > 2 * steps_per_block(3 * m)  # at least three node blocks
+
+    def prescribed(grid):
+        return PrescribedFuel([LogisticFrontFuel(-1.0, 2.0, 0.7),
+                               GaussianDecayFuel(0.5, 2.0, 0.9),
+                               LogisticFrontFuel(1.0, -1.5, 1.1)])
+
+    def tabulated(grid):
+        times = np.linspace(0.0, T, 9)  # nodes between lattice nodes and on them
+        phase = grid.x[None, None] + 4.0 * times[:, None, None] + np.arange(3)[None, :, None]
+        return TabulatedFuel(times, 0.5 + 0.4 * np.sin(phase))
+
+    for fuel in (prescribed, tabulated):
+        prob = _three_layer_problem(m, fuel)
+        cfg = OracleConfig(dt=dt)
+        got = mol_solve(prob, T, cfg)
+        ref = _mol_solve_per_step(prob, T, cfg)
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.values, ref.values)
+        assert np.max(np.abs(got.values[-1] - got.values[0])) > 1e-3  # it moved
+
+        stalled = OracleConfig(dt=dt, newton_max=1)
+        with pytest.raises(NewtonError) as blocked:
+            mol_solve(prob, T, stalled)
+        with pytest.raises(NewtonError) as per_step:
+            _mol_solve_per_step(prob, T, stalled)
+        assert str(blocked.value) == str(per_step.value)
