@@ -10,109 +10,11 @@ lives in layerburn.io_cli.
 
 __version__ = "0.1.0"
 
-from .grid import (
-    Grid,
-    SolutionTrajectory,
-    TemperatureField,
-    l2_norm,
-    layer_l2,
-    make_grid,
-    sup_metric,
-)
-from .model import (
-    ConstantFuel,
-    FuelField,
-    GaussianDecayFuel,
-    LayerParams,
-    LogisticFrontFuel,
-    PerturbedFuel,
-    PrescribedFuel,
-    Problem,
-    RawPhysicalParams,
-    TabulatedFuel,
-    arrhenius_g,
-    arrhenius_g_prime,
-    coefficient_fields,
-    fuel_step,
-    g_prime_sup,
-    nondimensionalize,
-    raw_params,
-    smooth_bump,
-    source_f,
-)
-from .evolution import (
-    GriddedFuel,
-    Propagator,
-    apply,
-    assemble_generator,
-    build_propagator,
-    propagate,
-)
-from .hypothesis import (
-    HypothesisReport,
-    audit_problem,
-    bound_mu,
-    check_H1,
-    check_H2,
-    check_H3,
-    continuation_epsilon,
-    continuation_radius,
-    contraction_step,
-    growth_beta,
-    lipschitz_kappa,
-)
-from .mild_solver import (
-    AprioriViolationError,
-    AuditError,
-    BlowUpError,
-    CoupledResult,
-    PicardDivergenceError,
-    SolveResult,
-    SolverConfig,
-    SolverError,
-    solve_coupled,
-    solve_global,
-)
-from .oracle import (
-    NewtonError,
-    OracleConfig,
-    StabilityError,
-    compare,
-    mol_solve,
-    refinement_orders,
-    relative_gap,
-)
-from .dependence import (
-    DependenceStudy,
-    PerturbationSpec,
-    build_perturbed,
-    dependence_study,
-    gronwall_factor,
-    operator_convergence_probe,
-    symmetric_response,
-)
-from . import fixtures
+from .grid import TemperatureField, make_grid
+from .model import ConstantFuel, LayerParams, PrescribedFuel, Problem
+from .mild_solver import SolverConfig, solve_global
 
 __all__ = [
-    "Grid", "SolutionTrajectory", "TemperatureField", "l2_norm", "layer_l2",
-    "make_grid", "sup_metric",
-    "ConstantFuel", "FuelField", "GaussianDecayFuel", "LayerParams",
-    "LogisticFrontFuel", "PerturbedFuel", "PrescribedFuel", "Problem",
-    "RawPhysicalParams", "TabulatedFuel", "arrhenius_g", "arrhenius_g_prime",
-    "coefficient_fields", "fuel_step", "g_prime_sup", "nondimensionalize",
-    "raw_params", "smooth_bump", "source_f",
-    "GriddedFuel", "Propagator", "apply", "assemble_generator",
-    "build_propagator", "propagate",
-    "HypothesisReport", "audit_problem", "bound_mu", "check_H1", "check_H2",
-    "check_H3", "continuation_epsilon", "continuation_radius",
-    "contraction_step", "growth_beta", "lipschitz_kappa",
-    "AprioriViolationError", "AuditError", "BlowUpError", "CoupledResult",
-    "PicardDivergenceError", "SolveResult", "SolverConfig", "SolverError",
-    "solve_coupled", "solve_global",
-    "NewtonError", "OracleConfig", "StabilityError", "compare", "mol_solve",
-    "refinement_orders", "relative_gap",
-    "DependenceStudy", "PerturbationSpec", "build_perturbed",
-    "dependence_study", "gronwall_factor", "operator_convergence_probe",
-    "symmetric_response",
-    "fixtures",
+    "ConstantFuel", "LayerParams", "PrescribedFuel", "Problem", "SolverConfig",
+    "TemperatureField", "make_grid", "solve_global",
 ]

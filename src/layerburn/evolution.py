@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grid import Grid, TemperatureField
+from .grid import Grid
 from .model import LayerParams, coefficient_fields
 
 # Values per array in one batched block of time steps (40 steps at n*m = 802),
@@ -89,22 +89,14 @@ def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
     return sub, main, sup
 
 
-def _tri_mul(tri: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply stacked tridiagonals, rows (sub, main, sup) of shape (n, 3, m), to (n, m)."""
-    sub, main, sup = tri[:, 0], tri[:, 1], tri[:, 2]
-    out = main * v
-    out[:, :-1] += sup[:, :-1] * v[:, 1:]
-    out[:, 1:] += sub[:, 1:] * v[:, :-1]
-    return out
-
-
 @dataclass
 class Propagator:
     """One theta-scheme step of the homogeneous evolution on [t_from, t_to].
 
     Holds the explicit bands of I - (1-theta)*dt*L_h and the dgttrf factors
     of I + theta*dt*L_h, both for all layers stacked into one tridiagonal of
-    size n*m.
+    size n*m.  A zero-length step (dt = 0) has the bands and factors of the
+    identity, so it applies as the identity.
     """
 
     grid: Grid
@@ -112,19 +104,16 @@ class Propagator:
     t_to: float
     theta: float
     scheme: str
-    identity: bool
     # (3, n*m) rows sub/main/sup of the stacked I - (1-theta)*dt*L; layer i is
     # columns i*m to (i+1)*m, and the seam entries sub[i*m], sup[i*m - 1] are zero
-    exp: np.ndarray | None = None
-    lu: tuple | None = None  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
+    exp: np.ndarray
+    lu: tuple  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
 
     @property
     def n(self) -> int:
-        return 1 if self.identity else self.exp.shape[1] // self.grid.m
+        return self.exp.shape[1] // self.grid.m
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return np.array(values, dtype=float, copy=True)
         v = values.ravel()
         sub, main, sup = self.exp
         rhs = main * v
@@ -136,8 +125,6 @@ class Propagator:
 
     def apply_transpose_values(self, values: np.ndarray) -> np.ndarray:
         """Adjoint application, used by the operator-norm power iteration."""
-        if self.identity:
-            return np.array(values, dtype=float, copy=True)
         z = np.array(values, dtype=float)
         x, _ = dgttrs(*self.lu, z.ravel(), trans="T", overwrite_b=True)
         sub, main, sup = self.exp
@@ -160,7 +147,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
     dts = np.diff(times)
     if np.any(dts < 0.0):
         raise ValueError("t_to must not precede t_from")
-    grid = _grid_of(fuel, p)
+    grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
     props: list[Propagator] = []
     nodes = p.n * grid.m
@@ -192,29 +179,19 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                 # unreachable for a diagonally dominant matrix, so not a config error
                 raise RuntimeError(f"dgttrf failed on the implicit step matrix (info {info})")
             props.append(Propagator(grid, float(times[a + j]), float(times[a + j + 1]),
-                                    float(theta), scheme, identity=False, exp=exp[j],
-                                    lu=tuple(lu)))
+                                    float(theta), scheme, exp[j], tuple(lu)))
     return props
 
 
 def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
                      theta: float = 0.5, scheme: str = "auto") -> Propagator:
-    """Assemble the step operator for [t_from, t_to]; t_from == t_to is identity."""
-    if t_to == t_from and 0.0 <= theta <= 1.0:  # a bad theta raises below
-        return Propagator(_grid_of(fuel, p), t_from, t_to, theta, scheme, identity=True)
+    """Assemble the step operator for [t_from, t_to]."""
     return build_propagators(p, fuel, [t_from, t_to], theta, scheme)[0]
 
 
 def steps_per_block(nodes: int) -> int:
     """Time steps per batched block for fields of `nodes` values per step."""
     return max(1, BLOCK_NODES // nodes)
-
-
-def _grid_of(fuel, p: LayerParams) -> Grid:
-    grid = getattr(fuel, "grid", None)
-    if grid is not None:
-        return grid
-    raise TypeError("fuel object must carry a grid (use GriddedFuel)")
 
 
 @dataclass
@@ -243,41 +220,6 @@ class GriddedFuel:
         return self.spec.envelope(grid, t0, t1)
 
 
-def apply(prop: Propagator, field: TemperatureField) -> TemperatureField:
-    if field.grid != prop.grid:
-        raise ValueError("field grid does not match propagator grid")
-    return TemperatureField(prop.apply_values(field.values), field.grid)
-
-
-def propagate(p: LayerParams, fuel, t_from: float, t_to: float, n_steps: int,
-              field: TemperatureField, theta: float = 0.5,
-              scheme: str = "auto") -> TemperatureField:
-    """Compose n_steps equal theta-scheme steps over [t_from, t_to].
-
-    Sub-interval endpoints are computed as t_from + k*dt_sub, so splitting a
-    call at one of those exact endpoints reproduces the composed result
-    bit-for-bit (two-parameter family law on the shared grid).
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if t_to == t_from:
-        return field.copy()
-    dt_sub = (t_to - t_from) / n_steps
-    times = t_from + dt_sub * np.arange(n_steps + 1)
-    values = field.values
-    block = steps_per_block(values.size)
-    for a in range(0, n_steps, block):
-        for prop in build_propagators(p, fuel, times[a : a + block + 1], theta, scheme):
-            values = prop.apply_values(values)
-    return TemperatureField(values, field.grid)
-
-
-def assemble_generator(p: LayerParams, fuel, t: float, scheme: str = "auto") -> np.ndarray:
-    """Tridiagonals of L_h(t), shape (n, 3, m); shared with the MOL oracle."""
-    grid = _grid_of(fuel, p)
-    return generator_bands(p, fuel.sample(grid, t), grid.dx, scheme)
-
-
 def generator_bands(p: LayerParams, y: np.ndarray, dx: float,
                     scheme: str = "auto") -> np.ndarray:
     """Tridiagonals of L_h for fuel fields y of shape (..., n, m): (..., n, 3, m)."""
@@ -287,4 +229,9 @@ def generator_bands(p: LayerParams, y: np.ndarray, dx: float,
 
 def generator_apply(tri: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply stacked per-layer tridiagonals (n, 3, m) to values (n, m)."""
-    return _tri_mul(tri, np.asarray(values, dtype=float))
+    v = np.asarray(values, dtype=float)
+    sub, main, sup = tri[:, 0], tri[:, 1], tri[:, 2]
+    out = main * v
+    out[:, :-1] += sup[:, :-1] * v[:, 1:]
+    out[:, 1:] += sub[:, 1:] * v[:, :-1]
+    return out

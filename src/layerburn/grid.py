@@ -3,9 +3,9 @@
 The continuum problem lives on the whole real line.  Computations truncate to
 [x_min, x_max] and assume the interesting data is negligible inside a guard
 band of GUARD_BAND_NODES nodes at each artificial boundary; `guard_band_ratio`
-quantifies a violation.  The audit's H3 check applies it to the ambient
-exchange profiles qhat1/qhat2 only: no solver checks the trajectory or the
-fuel table, and `warn_on_guard_band` has no caller (ROADMAP open item 2).
+quantifies a violation.  The audit's H3 check is the only guard-band check: it
+holds the ambient exchange profiles qhat1/qhat2 to GUARD_BAND_TOL.  No solver
+checks the trajectory or the fuel table against the guard bands.
 
 Norms: the discrete L2 norm of one layer is the rectangle rule
 sqrt(dx * sum(psi**2)) with weight dx at every node.  The norm of an n-layer
@@ -15,7 +15,6 @@ trajectories on identical time nodes is the sup over time of that norm.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +64,6 @@ class TemperatureField:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "TemperatureField":
-        return TemperatureField(self.values.copy(), self.grid)
-
 
 @dataclass
 class SolutionTrajectory:
@@ -93,25 +89,8 @@ class SolutionTrajectory:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def state(self, k: int) -> TemperatureField:
-        return TemperatureField(self.values[k].copy(), self.grid)
-
     def sup_norm(self) -> float:
         return float(np.max(layer_l2(self.values, self.grid.dx))) if self.times.size else 0.0
-
-    def restrict(self, times: np.ndarray, rtol: float = 1e-9) -> "SolutionTrajectory":
-        """Sub-trajectory at the requested nodes, which must all be present."""
-        times = np.asarray(times, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(self.times)))) if self.times.size else 1.0
-        idx = np.searchsorted(self.times, times)
-        idx = np.clip(idx, 0, self.times.size - 1)
-        left = np.clip(idx - 1, 0, self.times.size - 1)
-        pick = np.where(
-            np.abs(self.times[left] - times) < np.abs(self.times[idx] - times), left, idx
-        )
-        if np.any(np.abs(self.times[pick] - times) > rtol * scale):
-            raise ValueError("requested time nodes are not present in the trajectory")
-        return SolutionTrajectory(self.times[pick].copy(), self.values[pick].copy(), self.grid)
 
 
 def layer_l2(values: np.ndarray, dx: float) -> np.ndarray:
@@ -142,23 +121,12 @@ def sup_metric(u: SolutionTrajectory, v: SolutionTrajectory) -> float:
     return float(np.max(layer_l2(u.values - v.values, u.grid.dx)))
 
 
-def guard_band_ratio(values: np.ndarray, width: int = GUARD_BAND_NODES) -> float:
+def guard_band_ratio(values: np.ndarray) -> float:
     """Max |value| in the boundary guard bands relative to the field sup."""
     v = np.abs(np.asarray(values, dtype=float))
     sup = float(np.max(v)) if v.size else 0.0
     if sup == 0.0:
         return 0.0
-    band = max(float(np.max(v[..., :width])), float(np.max(v[..., -width:])))
+    band = max(float(np.max(v[..., :GUARD_BAND_NODES])),
+               float(np.max(v[..., -GUARD_BAND_NODES:])))
     return band / sup
-
-
-def warn_on_guard_band(values: np.ndarray, what: str, width: int = GUARD_BAND_NODES) -> bool:
-    ratio = guard_band_ratio(values, width)
-    if ratio > GUARD_BAND_TOL:
-        warnings.warn(
-            f"{what}: boundary guard band carries {ratio:.3e} of the field sup "
-            f"(threshold {GUARD_BAND_TOL:.0e}); the truncated-domain answer may be polluted",
-            stacklevel=2,
-        )
-        return True
-    return False

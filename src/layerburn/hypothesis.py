@@ -31,8 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import GriddedFuel, build_propagator
-from .grid import Grid, guard_band_ratio, l2_norm, layer_l2
+from .grid import GUARD_BAND_TOL, Grid, guard_band_ratio, l2_norm, layer_l2
 from .model import LayerParams, Problem, central_gradient, g_prime_sup
+
+
+H2_PROBES = 33  # fuel probe times of the H2 check, evenly spread over [0, T]
+# beta is probed on BETA_PROBES steps of length T/512; each step's power
+# iteration stops at a move below POWER_TOL, or fails after POWER_ITERS.
+BETA_PROBES = 9
+POWER_ITERS = 30
+POWER_TOL = 1e-6
 
 
 class PowerIterationError(RuntimeError):
@@ -90,10 +98,10 @@ def check_H1(p: LayerParams, grid: Grid) -> CheckResult:
     return CheckResult("H1", ok, {"k1": k1, "k2": k2, **sups}, violations)
 
 
-def check_H2(fuel: GriddedFuel, T: float, n_probe: int = 33) -> CheckResult:
+def check_H2(fuel: GriddedFuel, T: float) -> CheckResult:
     violations: list[str] = []
     grid = fuel.grid
-    ts = np.linspace(0.0, T, n_probe) if T > 0 else np.array([0.0])
+    ts = np.linspace(0.0, T, H2_PROBES) if T > 0 else np.array([0.0])
     Y = fuel.sample(grid, ts)
     k3 = float(Y.max())
     ymin = float(Y.min())
@@ -137,7 +145,7 @@ def check_H3(p: LayerParams, grid: Grid) -> CheckResult:
             violations.append(f"{name} contains non-finite samples")
         if vec.min() < 0.0:
             violations.append(f"{name} is negative (min {vec.min():.6g})")
-        if ratio > 1e-8:
+        if ratio > GUARD_BAND_TOL:
             violations.append(
                 f"{name} does not decay in the guard bands (ratio {ratio:.3e}); "
                 "square-integrability proxy fails on the truncated domain"
@@ -227,7 +235,8 @@ def _layer_operator_norms(prop, iters: int, tol: float) -> np.ndarray:
     top singular value: the estimate creeps up by less than tol per iteration
     and stops far below it.  Through growth_beta this gives beta 6.8e-3 on
     the ignition fixture against 0.90 from a dense SVD (ROADMAP Baseline;
-    the estimator is ROADMAP open item 2).
+    the estimator is the subject of the ROADMAP item "Make the certificate
+    honest").
     """
     n, m = prop.n, prop.grid.m
     v = np.full((n, m), 1.0 / math.sqrt(m))
@@ -352,18 +361,17 @@ class HypothesisReport:
 
 
 def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
-                  scheme: str = "auto", rho: float | None = None,
-                  beta_probes: int = 9, dt_probe: float | None = None,
-                  power_iters: int = 30, power_tol: float = 1e-6) -> HypothesisReport:
+                  scheme: str = "auto") -> HypothesisReport:
     """Run (H1)-(H3) and, when they pass, compute the contraction constants.
 
-    beta comes from power iteration on beta_probes one-step operators; a
-    layer stops once its norm estimate moves by less than power_tol (relative
+    kappa and mu are taken on the ball of radius rho = max(1, 2*||phi||).
+    beta comes from power iteration on BETA_PROBES one-step operators; a
+    layer stops once its norm estimate moves by less than POWER_TOL (relative
     above 1) in one iteration.  That test does not bound the error in beta:
-    the estimate creeps up by less than power_tol per iteration and stops far
+    the estimate creeps up by less than POWER_TOL per iteration and stops far
     below the top singular value.  On the ignition fixture the audited beta
     is 6.8e-3 against a true 0.90 from a dense SVD (ROADMAP Baseline); the
-    fix is ROADMAP open item 2.
+    fix is the ROADMAP item "Make the certificate honest".
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -382,21 +390,21 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
         return report
 
     phi_norm = l2_norm(problem.phi)
-    report.rho = float(rho) if rho is not None else max(1.0, 2.0 * phi_norm)
+    report.rho = max(1.0, 2.0 * phi_norm)
     # The power-iteration creep toward the top singular value has amplitude
     # O(dt), so a fine probe step lets the estimate settle within the cap.
-    dt_probe = float(dt_probe) if dt_probe else T / 512.0
-    probe_times = np.linspace(0.0, T - dt_probe, beta_probes)
+    dt_probe = T / 512.0
+    probe_times = np.linspace(0.0, T - dt_probe, BETA_PROBES)
 
     def factory(t0, t1):
         return build_propagator(problem.params, fuel, t0, t1, theta, scheme)
 
     report.beta = growth_beta(factory, probe_times, dt_probe,
-                              power_iters=power_iters, power_tol=power_tol)
+                              power_iters=POWER_ITERS, power_tol=POWER_TOL)
     report.kappa = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
     report.mu = bound_mu(problem.params, fuel, report.rho, (0.0, T))
     report.R = 2.0 * report.rho * math.exp(report.beta * T)
     report.T_prime = contraction_step(report.kappa, report.beta, report.mu,
                                       report.rho, report.R, T)
-    report.notes.append(f"beta probed with {beta_probes} steps of dt={dt_probe:.6g}")
+    report.notes.append(f"beta probed with {BETA_PROBES} steps of dt={dt_probe:.6g}")
     return report

@@ -30,8 +30,8 @@ per block of time steps and forms the trapezoid terms (dt/2) f_k and
 step at a time, so the iterates are bitwise those of a per-step loop.
 
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
-restep the fuel ODE through the new temperatures, repeat until neither field
-moves.
+restep the fuel ODE through the new temperatures (one fuel_step call over the
+whole lattice), repeat until neither field moves.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import GriddedFuel, build_propagators, steps_per_block
-from .grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
+from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric
 from .hypothesis import (
     HypothesisReport,
     audit_problem,
@@ -52,7 +52,11 @@ from .hypothesis import (
     continuation_radius,
     lipschitz_kappa,
 )
-from .model import FuelField, Problem, TabulatedFuel, fuel_step, source_f
+from .model import Problem, TabulatedFuel, fuel_step, source_f
+
+
+# Relative slack of the a-priori check: observed <= bound * (1 + APRIORI_SLACK).
+APRIORI_SLACK = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -90,7 +94,7 @@ class SolverConfig:
     and "contraction" use the two certified window rules; "adaptive" ignores
     the certified constants, starts from the whole remaining span, halves on
     divergence (detected early by gap growth over three consecutive sweeps),
-    and demotes the a-priori check to a warning.
+    and demotes the a-priori check to a warning; the certified modes raise.
     """
 
     theta: float = 0.5
@@ -106,8 +110,6 @@ class SolverConfig:
     max_halvings: int = 10
     coupled_outer_tol: float = 1e-8
     coupled_outer_max: int = 12
-    apriori_slack: float = 1e-8
-    enforce_apriori: bool = True
 
     def __post_init__(self):
         if self.window_mode not in ("continuation", "contraction", "adaptive"):
@@ -254,8 +256,7 @@ def _continuation_eps(p, fuel: GriddedFuel, t0: float, phi_norm: float,
 
 
 def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
-                   report: HypothesisReport, p, fuel: GriddedFuel, T: float,
-                   slack: float) -> dict:
+                   report: HypothesisReport, p, fuel: GriddedFuel, T: float) -> dict:
     """Growth-bound consistency: sup||u|| <= e^{bT}(||phi|| + mu T)e^{k e^{bT} T}."""
     observed = trajectory.sup_norm()
     kappa, mu, rho = report.kappa, report.mu, report.rho
@@ -269,7 +270,7 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
     return {
         "observed": observed,
         "bound": bound,
-        "ok": bool(observed <= bound * (1.0 + slack)),
+        "ok": bool(observed <= bound * (1.0 + APRIORI_SLACK)),
         "kappa": kappa,
         "mu": mu,
         "beta": report.beta,
@@ -365,12 +366,11 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
     trajectory = SolutionTrajectory(
         np.concatenate(all_times), np.concatenate(all_values), problem.grid
     )
-    apriori = _apriori_check(trajectory, phi_norm0, report, p, fuel, T,
-                             cfg.apriori_slack)
+    apriori = _apriori_check(trajectory, phi_norm0, report, p, fuel, T)
     if not apriori["ok"]:
         msg = (f"sup norm {apriori['observed']:.6g} exceeds the growth bound "
                f"{apriori['bound']:.6g}")
-        if cfg.enforce_apriori and cfg.window_mode != "adaptive":
+        if cfg.window_mode != "adaptive":
             raise AprioriViolationError(msg)
         warnings.warn(msg, stacklevel=2)
     return SolveResult(trajectory, windows, report, apriori)
@@ -395,13 +395,12 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
         raise ValueError("T must be positive")
 
     p = problem.params
-    grid = problem.grid
     total = int(round(T / cfg.dt))
     if total < 1 or abs(total * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("T must be a whole number of dt steps")
     lattice = cfg.dt * np.arange(total + 1)
 
-    y0 = problem.fuel.sample(grid, 0.0)
+    y0 = problem.fuel.sample(problem.grid, 0.0)
     table = np.repeat(y0[None], total + 1, axis=0)
 
     prev_traj = None
@@ -414,13 +413,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
         if not np.array_equal(traj.times, lattice):
             raise SolverError("temperature lattice drifted off the fuel lattice")
 
-        new_table = np.empty_like(table)
-        new_table[0] = y0
-        uv = traj.values
-        for k in range(total):
-            mid = TemperatureField(0.5 * (uv[k] + uv[k + 1]), grid)
-            yk = FuelField(new_table[k], mode="coupled")
-            new_table[k + 1] = fuel_step(yk, mid, p, cfg.dt).values
+        new_table = fuel_step(y0, traj.values, p, cfg.dt)
         dy = float(np.max(np.abs(new_table - table)))
         table = new_table
         y_gaps.append(dy)

@@ -14,13 +14,15 @@ fuel object can report rigorous per-node envelopes of its values over a time
 interval; the quantitative audit builds its sup-norm constants from these, so
 the resulting bounds hold for every t in the span, not just probe times.
 Every fuel's sample takes one time, giving (n, m), or a 1-D array of k times,
-giving (k, n, m) in one call with each slice bitwise the scalar sample.
+giving (k, n, m) in one call with each slice bitwise the scalar sample.  In
+coupled runs the fuel obeys dy/dt = -A*y*g(u); fuel_step integrates it exactly
+along a temperature trajectory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -145,19 +147,6 @@ def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
 # fuel fields
 
 
-@dataclass
-class FuelField:
-    """Fuel concentrations at one instant, shape (n, m); mode tags provenance."""
-
-    values: np.ndarray
-    mode: str = "prescribed"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("fuel field must be (n, m)")
-
-
 @dataclass(frozen=True)
 class ConstantFuel:
     level: float
@@ -259,31 +248,25 @@ class TabulatedFuel:
         """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
 
         Times at or before the first node take the first field, at or after
-        the last node the last field; between nodes the weights and products
-        are those of the scalar sample, so every slice is bitwise equal to it.
+        the last node the last field; in between, the linear interpolant of the
+        two bracketing nodes.  A single time is the one-time case of an array.
         """
+        if np.ndim(t) == 0:
+            return self.sample(grid, np.array([t]))[0]
         ts = self.times
-        if np.ndim(t) != 0:
-            t = np.asarray(t, dtype=float)
-            out = np.empty(t.shape + self.table.shape[1:])
-            first = t <= ts[0]
-            last = ~first & (t >= ts[-1])
-            out[first] = self.table[0]
-            out[last] = self.table[-1]
-            inner = ~(first | last)
-            if inner.any():
-                ti = t[inner]
-                k = np.searchsorted(ts, ti)
-                w = ((ti - ts[k - 1]) / (ts[k] - ts[k - 1]))[:, None, None]
-                out[inner] = (1.0 - w) * self.table[k - 1] + w * self.table[k]
-            return out
-        if t <= ts[0]:
-            return self.table[0].copy()
-        if t >= ts[-1]:
-            return self.table[-1].copy()
-        k = int(np.searchsorted(ts, t))
-        w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
-        return (1.0 - w) * self.table[k - 1] + w * self.table[k]
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + self.table.shape[1:])
+        first = t <= ts[0]
+        last = ~first & (t >= ts[-1])
+        out[first] = self.table[0]
+        out[last] = self.table[-1]
+        inner = ~(first | last)
+        if inner.any():
+            ti = t[inner]
+            k = np.searchsorted(ts, ti)
+            w = ((ti - ts[k - 1]) / (ts[k] - ts[k - 1]))[:, None, None]
+            out[inner] = (1.0 - w) * self.table[k - 1] + w * self.table[k]
+        return out
 
     def envelope(self, grid: Grid, t0: float, t1: float):
         lo_k = max(0, int(np.searchsorted(self.times, t0, side="right")) - 1)
@@ -318,22 +301,17 @@ class PerturbedFuel:
         return lo + shift, hi + shift
 
 
-def fuel_prescribed(spec: PrescribedFuel, grid: Grid, t: float) -> FuelField:
-    """Sample a prescribed-family fuel; rejects values outside [0, 1]."""
-    values = spec.sample(grid, t)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ValueError(
-            f"prescribed fuel leaves [0, 1]: range [{values.min():.3g}, {values.max():.3g}]"
-        )
-    return FuelField(values, mode="prescribed")
+def fuel_step(y0: np.ndarray, u: np.ndarray, p: LayerParams, dt: float) -> np.ndarray:
+    """Fuel table along a temperature trajectory u of shape (k+1, n, m).
 
-
-def fuel_step(y: FuelField, u: TemperatureField, p: LayerParams, dt: float) -> FuelField:
-    """Exact exponential step of dy/dt = -A*y*g(u) with u frozen over the step."""
+    Each step of dy/dt = -A*y*g(u) is taken exactly with u frozen at the
+    step's midpoint temperature (u_j + u_{j+1})/2, so y_{j+1} = y_j *
+    exp(-A*g*dt); the running product starts from y0 and has shape (k+1, n, m).
+    """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    g = arrhenius_g(u.values, p.E)
-    return FuelField(y.values * np.exp(-p.A * g * dt), mode=y.mode)
+    g = arrhenius_g(0.5 * (u[:-1] + u[1:]), p.E)
+    return np.cumprod(np.concatenate([y0[None], np.exp(-p.A * g * dt)]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +320,7 @@ def fuel_step(y: FuelField, u: TemperatureField, p: LayerParams, dt: float) -> F
 
 def coefficient_fields(p: LayerParams, y) -> tuple[np.ndarray, np.ndarray]:
     """Diffusion and advection coefficients alpha = lam/(a+b*y), beta = c/(a+b*y)."""
-    yv = y.values if isinstance(y, FuelField) else np.asarray(y, dtype=float)
-    den = p.a + p.b * yv
+    den = p.a + p.b * y
     if den.min() <= 0.0:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
     return p.lam / den, p.c / den
@@ -357,8 +334,8 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
     and the upper ambient (qhat2).  y and u are (n, m), or (..., n, m) for a
     stack of time slices, each evaluated exactly as on its own.
     """
-    yv = y.values if isinstance(y, FuelField) else np.asarray(y, dtype=float)
-    uv = u.values if isinstance(u, TemperatureField) else np.asarray(u, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    uv = np.asarray(u, dtype=float)
     n = p.n
     den = p.a + p.b * yv
     if den.min() <= 0.0:
@@ -398,121 +375,3 @@ def smooth_bump(x: np.ndarray, center: float, radius: float) -> np.ndarray:
     inside = np.abs(xi) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
     return out
-
-
-# ---------------------------------------------------------------------------
-# dimensional reduction
-
-
-@dataclass
-class RawPhysicalParams:
-    """Dimensional inputs; x-dependent quantities are (n, m) arrays on the grid.
-
-    Scalars per layer are (n,) arrays.  Q couples adjacent layers ((n-1, m)),
-    Qhat1/Qhat2 couple the outer layers to the ambient ((m,)).  m_o feeds the
-    eliminated oxygen balance and is retained for interface completeness only.
-    frozen_Yp holds the per-layer constant (Y_i p_i)**alpha_order.
-    """
-
-    porosity: np.ndarray
-    rho_r: np.ndarray
-    c_r: np.ndarray
-    c_g: np.ndarray
-    c_c: np.ndarray
-    rho_g: np.ndarray
-    eta0: np.ndarray
-    Q_h: np.ndarray
-    A_c: np.ndarray
-    lam_r: np.ndarray
-    lam_c: np.ndarray
-    lam_g: np.ndarray
-    l_frac: np.ndarray
-    K_s: np.ndarray
-    m_o: np.ndarray
-    Q: np.ndarray
-    Qhat1: np.ndarray
-    Qhat2: np.ndarray
-    v: np.ndarray
-    T_e: float
-    x_star: float
-    t_star: float
-    T_star: float
-    p_star: float
-    rho_g_star: float
-    alpha_order: float
-    E_hat: float
-    R_gas: float
-    frozen_Yp: np.ndarray
-
-
-def raw_params(grid: Grid, n: int, **fields) -> RawPhysicalParams:
-    """Build RawPhysicalParams, broadcasting scalars to the required shapes."""
-    m = grid.m
-    shapes = {
-        "porosity": (n, m), "rho_r": (n, m), "c_r": (n, m), "c_g": (n, m),
-        "c_c": (n, m), "rho_g": (n, m), "eta0": (n, m), "Q_h": (n, m),
-        "A_c": (n,), "lam_r": (n, m), "lam_c": (n, m), "lam_g": (n, m),
-        "l_frac": (n,), "K_s": (n, m), "m_o": (n,), "Q": (n - 1, m),
-        "Qhat1": (m,), "Qhat2": (m,), "v": (n,), "frozen_Yp": (n,),
-    }
-    scalars = ("T_e", "x_star", "t_star", "T_star", "p_star", "rho_g_star",
-               "alpha_order", "E_hat", "R_gas")
-    kwargs = {}
-    for name, shape in shapes.items():
-        kwargs[name] = np.broadcast_to(np.asarray(fields.pop(name), dtype=float), shape).copy()
-    for name in scalars:
-        kwargs[name] = float(fields.pop(name))
-    if fields:
-        raise TypeError(f"unknown raw parameter(s): {sorted(fields)}")
-    return RawPhysicalParams(**kwargs)
-
-
-def nondimensionalize(raw: RawPhysicalParams, grid: Grid) -> LayerParams:
-    """Reduce dimensional inputs to the solver's coefficient fields.
-
-    The normalizing capacity is the across-layer mean of rho_r*c_r (pointwise
-    in x when those are x-dependent).  Scales x*, t*, T*, p*, rho_g* must be
-    positive; porosity must lie in (0, 1) and the char fraction l in [0, 1].
-    """
-    for name in ("x_star", "t_star", "T_star", "p_star", "rho_g_star", "R_gas"):
-        if getattr(raw, name) <= 0:
-            raise ValueError(f"scale {name} must be positive")
-    if raw.E_hat <= 0:
-        raise ValueError("activation energy must be positive")
-    if raw.porosity.min() <= 0 or raw.porosity.max() >= 1:
-        raise ValueError("porosity must lie strictly inside (0, 1)")
-    if raw.l_frac.min() < 0 or raw.l_frac.max() > 1:
-        raise ValueError("char fraction l must lie in [0, 1]")
-
-    mean_rc = np.mean(raw.rho_r * raw.c_r, axis=0)  # (m,)
-    if mean_rc.min() <= 0:
-        raise ValueError("mean solid capacity must be positive")
-
-    gas_cap = raw.rho_g_star * raw.rho_g * raw.c_g
-    a = (raw.porosity * gas_cap + (1.0 - raw.porosity) * raw.rho_r * raw.c_r) / mean_rc
-    b = raw.eta0 * raw.c_c / mean_rc
-    c_hat = gas_cap / mean_rc
-    v_nd = raw.t_star * raw.v / raw.x_star  # (n,)
-    c = c_hat * v_nd[:, None]
-
-    l = raw.l_frac[:, None]
-    lam_s = (1.0 - raw.porosity) * ((1.0 - l) * raw.lam_r + l * raw.lam_c) \
-        + raw.porosity * raw.lam_g
-    lam = raw.t_star * lam_s / (raw.x_star**2 * mean_rc)
-
-    A_hat = raw.t_star * raw.A_c * raw.p_star**raw.alpha_order  # (n,)
-    d_hat = A_hat[:, None] * raw.eta0 * raw.Q_h / (raw.T_star * mean_rc)
-    frozen = raw.frozen_Yp[:, None]
-    d = frozen * d_hat
-    A = frozen * A_hat[:, None] * np.ones_like(d_hat)
-
-    K = raw.t_star * raw.p_star * raw.K_s / raw.x_star**2
-    q = raw.t_star * raw.Q / mean_rc
-    qhat1 = raw.t_star * raw.Qhat1 / mean_rc
-    qhat2 = raw.t_star * raw.Qhat2 / mean_rc
-
-    return LayerParams(
-        a=a, b=b, c=c, c_x=central_gradient(c, grid.dx), d=d, lam=lam, K=K, A=A,
-        q=q, qhat1=qhat1, qhat2=qhat2,
-        u_e=raw.T_e / raw.T_star, E=raw.E_hat / (raw.R_gas * raw.T_star),
-    )

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .evolution import (
-    GriddedFuel,
-    assemble_generator,
-    generator_apply,
-    generator_bands,
-    steps_per_block,
-)
+from .evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
 from .grid import SolutionTrajectory, layer_l2
 from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
 
@@ -142,13 +136,12 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             u = values[k]
             tm = t + 0.5 * dt
             te = float(times[k + 1])
-            L0, y0a = assemble_generator(p, fuel, t, cfg.scheme), fuel.sample(grid, t)
-            Lm, ym = assemble_generator(p, fuel, tm, cfg.scheme), fuel.sample(grid, tm)
-            Le, ye = assemble_generator(p, fuel, te, cfg.scheme), fuel.sample(grid, te)
-            k1 = rhs(t, u, L0, y0a)
-            k2 = rhs(tm, u + 0.5 * dt * k1, Lm, ym)
-            k3 = rhs(tm, u + 0.5 * dt * k2, Lm, ym)
-            k4 = rhs(te, u + dt * k3, Le, ye)
+            ys = fuel.sample(grid, np.array([t, tm, te]))
+            L0, Lm, Le = generator_bands(p, ys, grid.dx, cfg.scheme)
+            k1 = rhs(t, u, L0, ys[0])
+            k2 = rhs(tm, u + 0.5 * dt * k1, Lm, ys[1])
+            k3 = rhs(tm, u + 0.5 * dt * k2, Lm, ys[1])
+            k4 = rhs(te, u + dt * k3, Le, ys[2])
             values[k + 1] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(values[k + 1])):
                 raise StabilityError(f"explicit step produced non-finite values at t={te:.6g}")

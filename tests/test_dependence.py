@@ -14,7 +14,6 @@ from layerburn.dependence import (
     dependence_study,
     gronwall_factor,
     operator_convergence_probe,
-    symmetric_response,
 )
 from layerburn.fixtures import dependence_base, homogeneous_drift, reactive_two_layer
 from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
@@ -143,14 +142,6 @@ def test_inadmissible_levels_are_skipped_not_fatal():
     assert len(study.ratios) == 1
 
 
-def test_symmetric_probe_cancels_to_linear_order():
-    prob, T, spec = dependence_base(m=201)
-    resp = symmetric_response(prob, T, spec, 1e-3, SolverConfig(dt=0.004))
-    assert 0.99 <= resp["ratio"] <= 1.01
-    assert resp["even_part"] <= 0.05 * resp["odd_part"]
-    assert resp["delta_plus"] > 0 and resp["delta_minus"] > 0
-
-
 def test_operator_probe_scales_linearly():
     prob, _, _ = dependence_base(m=201)
     x = prob.grid.x
@@ -175,8 +166,6 @@ def test_shared_lattice_is_required():
     prob, T, spec = dependence_base(m=201)
     with pytest.raises(ValueError):
         dependence_study(prob, T, spec, SolverConfig())
-    with pytest.raises(ValueError):
-        symmetric_response(prob, T, spec, 0.1, SolverConfig())
     with pytest.raises(ValueError):
         operator_convergence_probe(prob, T, spec, SolverConfig())
 

@@ -10,12 +10,10 @@ from conftest import constant_problem, random_field
 from layerburn.evolution import (
     GriddedFuel,
     Propagator,
-    apply,
-    assemble_generator,
     build_propagator,
     build_propagators,
     generator_apply,
-    propagate,
+    generator_bands,
     steps_per_block,
 )
 from layerburn.grid import TemperatureField, l2_norm, make_grid
@@ -33,13 +31,29 @@ def _setup(m=201, span=(-10.0, 10.0), fuel_val=1.0, **params):
     return prob.params, GriddedFuel(prob.fuel, prob.grid), prob.grid
 
 
+def _generator(p, fuel, t, scheme="auto"):
+    """Tridiagonals of L_h(t), shape (n, 3, m), from the fuel sampled at t."""
+    return generator_bands(p, fuel.sample(fuel.grid, t), fuel.grid.dx, scheme)
+
+
+def _march(p, fuel, times, values, theta=0.5):
+    """Apply the step operators of a time lattice in turn."""
+    for prop in build_propagators(p, fuel, times, theta):
+        values = prop.apply_values(values)
+    return values
+
+
 def test_zero_length_step_is_identity():
-    p, fuel, grid = _setup()
-    prop = build_propagator(p, fuel, 0.3, 0.3)
-    assert prop.identity
+    # a dt = 0 step has the bands and LU factors of the identity, so it and
+    # its adjoint apply as the identity for every theta and scheme
+    p, fuel, grid = _setup(b=0.2, c=0.4, fuel_val=0.8)
     rng = np.random.default_rng(0)
     v = random_field(grid, 2, rng)
-    np.testing.assert_array_equal(prop.apply_values(v), v)
+    for theta in (0.0, 0.5, 0.7, 1.0):
+        for scheme in ("auto", "upwind"):
+            prop = build_propagators(p, fuel, [0.3, 0.3], theta, scheme)[0]
+            np.testing.assert_array_equal(prop.apply_values(v), v)
+            np.testing.assert_array_equal(prop.apply_transpose_values(v), v)
 
 
 def test_constant_field_is_steady():
@@ -56,12 +70,12 @@ def test_generator_annihilates_constants():
     # pure diffusion: row sums cancel exactly; with advection the two stencil
     # halves round independently, leaving scaled machine epsilon
     p0, fuel, grid = _setup(a=1.0, lam=0.8)
-    tri = assemble_generator(p0, fuel, 0.0)
+    tri = _generator(p0, fuel, 0.0)
     assert np.all(generator_apply(tri, np.ones((2, grid.m))) == 0.0)
 
     p, fuel, grid = _setup(a=1.1, b=0.3, c=1.7, lam=0.8, fuel_val=0.5)
     for scheme in ("auto", "central", "upwind"):
-        tri = assemble_generator(p, fuel, 0.0, scheme)
+        tri = _generator(p, fuel, 0.0, scheme)
         out = generator_apply(tri, np.ones((2, grid.m)))
         scale = float(np.max(np.abs(tri[:, 1])))
         assert np.max(np.abs(out)) <= 1e-14 * scale
@@ -71,7 +85,7 @@ def test_generator_matches_derivatives_on_quadratic():
     # central interior stencil is exact on quadratics: L u = -2 alpha + 2 beta x
     p, fuel, grid = _setup(a=2.0, c=1.0, lam=3.0)
     alpha, beta = 1.5, 0.5
-    tri = assemble_generator(p, fuel, 0.0)
+    tri = _generator(p, fuel, 0.0)
     u = np.tile(grid.x**2, (2, 1))
     out = generator_apply(tri, u)
     expect = -2.0 * alpha + 2.0 * beta * grid.x
@@ -98,9 +112,7 @@ def test_heat_kernel_variance_growth():
     s2 = 0.04
     u0 = np.tile(np.exp(-grid.x**2 / (2.0 * s2)), (2, 1))
     fuel = GriddedFuel(prob.fuel, grid)
-    field = propagate(prob.params, fuel, 0.0, 0.1, 100,
-                      TemperatureField(u0, grid))
-    w = field.values[0]
+    w = _march(prob.params, fuel, 0.001 * np.arange(101), u0)[0]
     var = float(np.sum(grid.x**2 * w) / np.sum(w))
     assert abs(var - (s2 + 0.2)) <= 0.01 * (s2 + 0.2)
 
@@ -123,11 +135,11 @@ def test_split_composition_is_bitwise_exact():
     p = LayerParams.constants(grid, 2, a=1.0, b=0.5, c=0.3, lam=1.0)
     fuel = GriddedFuel(PrescribedFuel([GaussianDecayFuel(0.0, 2.0, 0.9)] * 2), grid)
     rng = np.random.default_rng(3)
-    u0 = TemperatureField(random_field(grid, 2, rng), grid)
-    whole = propagate(p, fuel, 0.0, 0.25, 2, u0)
-    first = propagate(p, fuel, 0.0, 0.125, 1, u0)
-    second = propagate(p, fuel, 0.125, 0.25, 1, first)
-    np.testing.assert_array_equal(whole.values, second.values)
+    u0 = random_field(grid, 2, rng)
+    times = np.array([0.0, 0.125, 0.25])
+    whole = _march(p, fuel, times, u0)
+    second = _march(p, fuel, times[1:], _march(p, fuel, times[:2], u0))
+    np.testing.assert_array_equal(whole, second)
 
 
 def test_time_refinement_order():
@@ -135,11 +147,11 @@ def test_time_refinement_order():
     grid = make_grid(-10.0, 10.0, 201)
     p = LayerParams.constants(grid, 2, a=1.0, b=0.5, c=0.4, lam=1.0)
     fuel = GriddedFuel(PrescribedFuel([GaussianDecayFuel(0.0, 2.0, 0.7)] * 2), grid)
-    u0 = TemperatureField(np.tile(np.exp(-grid.x**2), (2, 1)), grid)
+    u0 = np.tile(np.exp(-grid.x**2), (2, 1))
     T = 0.2
-    outs = [propagate(p, fuel, 0.0, T, n, u0) for n in (8, 16, 32)]
-    g1 = l2_norm(TemperatureField(outs[0].values - outs[1].values, grid))
-    g2 = l2_norm(TemperatureField(outs[1].values - outs[2].values, grid))
+    outs = [_march(p, fuel, T / n * np.arange(n + 1), u0) for n in (8, 16, 32)]
+    g1 = l2_norm(TemperatureField(outs[0] - outs[1], grid))
+    g2 = l2_norm(TemperatureField(outs[1] - outs[2], grid))
     order = np.log2(g1 / g2)
     assert order >= 1.8
 
@@ -176,7 +188,7 @@ def test_scheme_switch_threshold():
         return exp.reshape(3, 2, grid.m).swapaxes(0, 1)
 
     for bands in (
-        lambda q, scheme: assemble_generator(q, fuel, 0.0, scheme),
+        lambda q, scheme: _generator(q, fuel, 0.0, scheme),
         exp_per_layer,
     ):
         auto, up, cen = bands(p, "auto"), bands(p, "upwind"), bands(p_central, "central")
@@ -226,7 +238,7 @@ def _variable_kernel_case(n=4, m=64, theta=0.5):
                                        for k in range(n)]), grid)
     t0, t1 = 0.1, 0.15
     prop = build_propagator(p, fuel, t0, t1, theta)
-    gen = assemble_generator(p, fuel, 0.5 * (t0 + t1))  # frozen at the midpoint
+    gen = _generator(p, fuel, 0.5 * (t0 + t1))  # frozen at the midpoint
     return prop, gen, theta * (t1 - t0), (1.0 - theta) * (t1 - t0)
 
 
@@ -368,10 +380,9 @@ def test_propagator_layer_count_from_grid():
         assert prop.n == n
         assert prop.apply_values(np.ones((n, grid.m))).shape == (n, grid.m)
     # one layer: the bands of the first layer alone
-    one = Propagator(grid, 0.0, 0.01, 0.5, "auto", identity=False,
-                     exp=prop.exp[:, : grid.m].copy())
+    one = Propagator(grid, 0.0, 0.01, 0.5, "auto", prop.exp[:, : grid.m].copy(), None)
     assert one.n == 1
-    assert build_propagator(p, fuel, 0.2, 0.2).n == 1  # identity
+    assert build_propagator(p, fuel, 0.2, 0.2).n == n  # a zero-length step too
 
 
 def test_batched_build_equals_per_step_builds():
@@ -422,19 +433,9 @@ def test_batched_build_guards_every_step():
         build_propagators(p, fuel, small, theta=-0.1)
 
 
-def test_apply_requires_matching_grid():
-    p, fuel, grid = _setup()
-    prop = build_propagator(p, fuel, 0.0, 0.01)
-    other = make_grid(-10.0, 10.0, 301)
-    with pytest.raises(ValueError):
-        apply(prop, TemperatureField(np.zeros((2, 301)), other))
-
-
 def test_propagator_rejects_bad_arguments():
     p, fuel, grid = _setup()
     with pytest.raises(ValueError):
         build_propagator(p, fuel, 0.0, 0.01, theta=1.5)
     with pytest.raises(ValueError):
         build_propagator(p, fuel, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        propagate(p, fuel, 0.0, 0.1, 0, TemperatureField(np.zeros((2, grid.m)), grid))

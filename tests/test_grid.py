@@ -142,18 +142,6 @@ def test_sup_metric_rejects_mismatched_discretizations():
         sup_metric(a, _traj(g, [0.0, 1.0], np.zeros((2, 3, 21))))
 
 
-def test_trajectory_restrict_picks_exact_nodes():
-    g = make_grid(0.0, 1.0, 11)
-    times = 0.125 * np.arange(9)
-    vals = np.arange(9)[:, None, None] * np.ones((9, 2, 11))
-    traj = _traj(g, times, vals)
-    sub = traj.restrict(times[::2])
-    np.testing.assert_array_equal(sub.times, times[::2])
-    np.testing.assert_array_equal(sub.values, vals[::2])
-    with pytest.raises(ValueError):
-        traj.restrict(np.array([0.3]))
-
-
 def test_guard_band_ratio_flags_boundary_mass():
     vals = np.zeros((2, 101))
     vals[0, 50] = 1.0

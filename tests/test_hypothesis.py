@@ -26,7 +26,6 @@ from layerburn.hypothesis import (
 )
 from layerburn.model import (
     ConstantFuel,
-    FuelField,
     LayerParams,
     LogisticFrontFuel,
     PerturbedFuel,
@@ -162,7 +161,7 @@ def test_kappa_bounds_empirical_ratio():
     worst = 0.0
     for _ in range(1000):
         t = rng.uniform(0.0, T)
-        y = FuelField(fuel.sample(grid, t))
+        y = fuel.sample(grid, t)
         v = rng.standard_normal((2, grid.m))
         w = rng.standard_normal((2, grid.m))
         v *= rho * rng.uniform() / max(float(np.max(layer_l2(v, grid.dx))), 1e-30)
@@ -197,13 +196,13 @@ def test_mu_bounds_source_magnitude():
     rng = np.random.default_rng(22)
     for _ in range(1000):
         t = rng.uniform(0.0, T)
-        y = FuelField(fuel.sample(grid, t))
+        y = fuel.sample(grid, t)
         w = rng.standard_normal((2, grid.m))
         w *= rho * rng.uniform() / max(float(np.max(layer_l2(w, grid.dx))), 1e-30)
         mag = float(np.max(layer_l2(source_f(p, y, w), grid.dx)))
         assert mag <= mu
-    zero = float(np.max(layer_l2(source_f(p, FuelField(fuel.sample(grid, 0.0)),
-                                          np.zeros((2, grid.m))), grid.dx)))
+    zero = float(np.max(layer_l2(source_f(p, fuel.sample(grid, 0.0), np.zeros((2, grid.m))),
+                                 grid.dx)))
     assert 0.0 < zero <= mu
 
 

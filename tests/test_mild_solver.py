@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import constant_problem
-from layerburn.evolution import GriddedFuel, build_propagator, propagate, steps_per_block
+from layerburn import mild_solver
+from layerburn.evolution import GriddedFuel, build_propagator, build_propagators, steps_per_block
 from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
@@ -25,7 +26,7 @@ from layerburn.mild_solver import (
     solve_coupled,
     solve_global,
 )
-from layerburn.model import FuelField, source_f
+from layerburn.model import arrhenius_g, fuel_step, source_f
 
 
 def _phi_map(p, fuel, times, phi_values, traj_values, cfg):
@@ -77,10 +78,11 @@ def test_source_free_solve_is_homogeneous_evolution():
     res = solve_global(prob, T, cfg)
     # the integral term vanishes, so every window settles in one sweep
     assert all(w.iterations == 1 for w in res.windows)
-    direct = propagate(prob.params, GriddedFuel(prob.fuel, prob.grid),
-                       0.0, T, int(round(T / 0.005)), prob.phi)
-    gap = l2_norm(TemperatureField(res.trajectory.values[-1] - direct.values,
-                                   prob.grid))
+    direct = prob.phi.values
+    for prop in build_propagators(prob.params, GriddedFuel(prob.fuel, prob.grid),
+                                  res.trajectory.times):
+        direct = prop.apply_values(direct)
+    gap = l2_norm(TemperatureField(res.trajectory.values[-1] - direct, prob.grid))
     assert gap <= 1e-12
 
 
@@ -308,3 +310,37 @@ def test_coupled_ignition_run_consumes_fuel_monotonically():
     assert res.outer_iterations >= 2
     assert all(b < a for a, b in zip(res.u_gaps[1:], res.u_gaps[2:]))
     assert all(b < a for a, b in zip(res.y_gaps, res.y_gaps[1:]))
+
+
+def _restep_per_step(y0, u, p, dt):
+    """The per-step fuel restep that fuel_step replaced, kept as the reference."""
+    table = np.empty_like(u)
+    table[0] = y0
+    for k in range(u.shape[0] - 1):
+        g = arrhenius_g(0.5 * (u[k] + u[k + 1]), p.E)
+        table[k + 1] = table[k] * np.exp(-p.A * g * dt)
+    return table
+
+
+def test_fuel_step_equals_per_step_restep(monkeypatch):
+    # the running product gives the per-step loop's table bit for bit, on
+    # random temperatures (cold, hot, signed zeros) and through every outer
+    # pass of the coupled ignition run, whose results must then be unchanged
+    prob, T = ignition_coupled()
+    p = prob.params
+    y0 = prob.fuel.sample(prob.grid, 0.0)
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal((30, 2, prob.grid.m))
+    u[3] = -0.0
+    u[7, :, ::4] = 0.0
+    assert np.array_equal(fuel_step(y0, u, p, 0.002), _restep_per_step(y0, u, p, 0.002))
+
+    cfg = SolverConfig(dt=0.002)
+    res = solve_coupled(prob, T, cfg)
+    assert np.array_equal(res.fuel.table, _restep_per_step(y0, res.trajectory.values, p, 0.002))
+    monkeypatch.setattr(mild_solver, "fuel_step", _restep_per_step)
+    ref = solve_coupled(prob, T, cfg)
+    assert np.array_equal(res.fuel.table, ref.fuel.table)
+    assert np.array_equal(res.trajectory.values, ref.trajectory.values)
+    assert (res.outer_iterations, res.u_gaps, res.y_gaps) == \
+        (ref.outer_iterations, ref.u_gaps, ref.y_gaps)

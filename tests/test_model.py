@@ -1,13 +1,14 @@
-"""Arrhenius nonlinearity, coefficient fields, the source term, fuel models,
-and the dimensional reduction pipeline."""
+"""Arrhenius nonlinearity, coefficient fields, the source term, and fuel
+models with the coupled-fuel restep."""
 
 import numpy as np
 import pytest
 
+from layerburn.evolution import GriddedFuel
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
+from layerburn.hypothesis import check_H2
 from layerburn.model import (
     ConstantFuel,
-    FuelField,
     GaussianDecayFuel,
     LayerParams,
     LogisticFrontFuel,
@@ -18,11 +19,8 @@ from layerburn.model import (
     arrhenius_g_prime,
     central_gradient,
     coefficient_fields,
-    fuel_prescribed,
     fuel_step,
     g_prime_sup,
-    nondimensionalize,
-    raw_params,
     smooth_bump,
     source_f,
 )
@@ -101,7 +99,7 @@ def test_g_prime_near_singular_temperatures_stay_finite():
 
 
 def _fuel_ones(n, m):
-    return FuelField(np.ones((n, m)))
+    return np.ones((n, m))
 
 
 def test_coefficients_without_fuel_capacity():
@@ -124,8 +122,8 @@ def test_diffusion_decreases_with_fuel():
     g = make_grid(0.0, 1.0, 21)
     p = LayerParams.constants(g, 2, a=1.0, b=0.7, lam=1.3)
     rng = np.random.default_rng(2)
-    y1 = FuelField(rng.uniform(0.0, 0.5, (2, 21)))
-    y2 = FuelField(y1.values + rng.uniform(0.0, 0.5, (2, 21)))
+    y1 = rng.uniform(0.0, 0.5, (2, 21))
+    y2 = y1 + rng.uniform(0.0, 0.5, (2, 21))
     a1, _ = coefficient_fields(p, y1)
     a2, _ = coefficient_fields(p, y2)
     assert np.all(a2 <= a1)
@@ -143,7 +141,7 @@ def test_uniform_parabolicity_bounds():
             K=np.zeros((2, 31)), A=np.zeros((2, 31)), q=np.zeros((1, 31)),
             qhat1=np.zeros(31), qhat2=np.zeros(31), u_e=0.0, E=1.0,
         )
-        y = FuelField(rng.uniform(0.0, 1.0, (2, 31)))
+        y = rng.uniform(0.0, 1.0, (2, 31))
         alpha, _ = coefficient_fields(p, y)
         assert alpha.min() >= k1 / (k2 + k2 * 1.0) - 1e-15
         assert alpha.max() <= k2 / k1 + 1e-15
@@ -152,7 +150,7 @@ def test_uniform_parabolicity_bounds():
 def test_coefficients_reject_vanishing_capacity():
     g = make_grid(0.0, 1.0, 11)
     p = LayerParams.constants(g, 2, a=0.5, b=0.0)
-    y = FuelField(np.ones((2, 11)))
+    y = np.ones((2, 11))
     p.a[...] = 0.0
     with pytest.raises(ValueError):
         coefficient_fields(p, y)
@@ -165,17 +163,17 @@ def test_coefficients_reject_vanishing_capacity():
 def test_source_vanishes_without_data():
     g = make_grid(-1.0, 1.0, 21)
     p = LayerParams.constants(g, 3, a=1.0, d=2.0, K=1.0)
-    y = FuelField(np.zeros((3, 21)))
+    y = np.zeros((3, 21))
     rng = np.random.default_rng(6)
-    u = TemperatureField(rng.standard_normal((3, 21)), g)
+    u = rng.standard_normal((3, 21))
     np.testing.assert_array_equal(source_f(p, y, u), np.zeros((3, 21)))
 
 
 def test_source_vanishes_at_equilibrium():
     g = make_grid(-1.0, 1.0, 21)
     p = LayerParams.constants(g, 3, a=1.0, q=0.4, qhat1=0.2, qhat2=0.1, u_e=0.7)
-    y = FuelField(np.zeros((3, 21)))
-    u = TemperatureField(np.full((3, 21), p.u_e), g)
+    y = np.zeros((3, 21))
+    u = np.full((3, 21), p.u_e)
     np.testing.assert_array_equal(source_f(p, y, u), np.zeros((3, 21)))
 
 
@@ -185,8 +183,8 @@ def test_source_two_layer_hand_case():
     for E in (1.0, 0.7):
         g = make_grid(0.0, 1.0, 11)
         p = LayerParams.constants(g, 2, a=1.0, b=0.0, d=1.0, K=0.0, q=1.0, E=E)
-        y = FuelField(np.ones((2, 11)))
-        u = TemperatureField(np.stack([np.full(11, 2.0 * E), np.zeros(11)]), g)
+        y = np.ones((2, 11))
+        u = np.stack([np.full(11, 2.0 * E), np.zeros(11)])
         f = source_f(p, y, u)
         np.testing.assert_allclose(f[0], np.exp(-0.5) - 2.0 * E, rtol=1e-14)
         np.testing.assert_allclose(f[1], 2.0 * E, rtol=1e-14)
@@ -196,8 +194,8 @@ def test_source_interior_layer_two_sided_coupling():
     # three constant layers: middle layer sees q1*(u1-u2) + q2*(u3-u2)
     g = make_grid(0.0, 1.0, 5)
     p = LayerParams.constants(g, 3, a=1.0, q=0.5)
-    y = FuelField(np.zeros((3, 5)))
-    u = TemperatureField(np.stack([np.full(5, 1.0), np.full(5, 4.0), np.full(5, 2.0)]), g)
+    y = np.zeros((3, 5))
+    u = np.stack([np.full(5, 1.0), np.full(5, 4.0), np.full(5, 2.0)])
     f = source_f(p, y, u)
     np.testing.assert_allclose(f[1], 0.5 * (1.0 - 4.0) + 0.5 * (2.0 - 4.0))
 
@@ -228,7 +226,6 @@ def test_source_on_stacked_time_slices_matches_each_slice():
 def test_source_lipschitz_on_ball():
     # property backing the fixed-point argument: f is kappa-Lipschitz on the
     # ball, with kappa computed from coefficient sups and the g bounds
-    from layerburn.evolution import GriddedFuel
     from layerburn.fixtures import reactive_two_layer
     from layerburn.hypothesis import lipschitz_kappa
 
@@ -237,7 +234,7 @@ def test_source_lipschitz_on_ball():
     fuel = GriddedFuel(problem.fuel, grid)
     rho = 2.0
     kap = lipschitz_kappa(p, fuel, rho, (0.0, T))
-    y = FuelField(fuel.sample(grid, 0.0))
+    y = fuel.sample(grid, 0.0)
     rng = np.random.default_rng(8)
     for _ in range(200):
         v = rng.standard_normal((2, grid.m))
@@ -259,16 +256,16 @@ def test_constant_fuel_is_all_ones():
     g = make_grid(-2.0, 2.0, 17)
     spec = PrescribedFuel([ConstantFuel(1.0), ConstantFuel(1.0)])
     for t in (0.0, 0.3, 12.0):
-        np.testing.assert_array_equal(fuel_prescribed(spec, g, t).values, 1.0)
+        np.testing.assert_array_equal(spec.sample(g, t), 1.0)
 
 
 def test_logistic_front_midpoint():
     g = make_grid(-5.0, 5.0, 101)
     fam = LogisticFrontFuel(0.0, 1.0, 1.0)
     spec = PrescribedFuel([fam, fam])
-    y0 = fuel_prescribed(spec, g, 0.0)
+    y0 = spec.sample(g, 0.0)
     mid = np.argmin(np.abs(g.x))
-    np.testing.assert_allclose(y0.values[:, mid], 0.5, rtol=1e-14)
+    np.testing.assert_allclose(y0[:, mid], 0.5, rtol=1e-14)
     # the half-level point travels with the front speed
     y1 = spec.sample(g, 1.0)
     at_front = np.argmin(np.abs(g.x - 1.0))
@@ -285,11 +282,12 @@ def test_gaussian_decay_peak_factor():
 
 
 def test_prescribed_fuel_rejects_out_of_range():
+    # the audit's H2 check is what refuses prescribed fuel outside [0, 1]
     g = make_grid(-1.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        fuel_prescribed(PrescribedFuel([ConstantFuel(1.5)]), g, 0.0)
-    with pytest.raises(ValueError):
-        fuel_prescribed(PrescribedFuel([ConstantFuel(-0.1)]), g, 0.0)
+    for level, message in ((1.5, "fuel exceeds 1"), (-0.1, "fuel takes negative values")):
+        h2 = check_H2(GriddedFuel(PrescribedFuel([ConstantFuel(level)]), g), 1.0)
+        assert not h2.ok
+        assert any(v.startswith(message) for v in h2.violations)
 
 
 def test_time_envelopes_bracket_samples():
@@ -309,33 +307,37 @@ def test_time_envelopes_bracket_samples():
 def test_fuel_step_inert_below_ignition():
     g = make_grid(-1.0, 1.0, 11)
     p = LayerParams.constants(g, 2, A=3.0)
-    y = FuelField(np.full((2, 11), 0.8))
-    u = TemperatureField(-np.ones((2, 11)), g)
+    y = np.full((2, 11), 0.8)
+    u = -np.ones((2, 2, 11))  # one step between two cold states
     out = fuel_step(y, u, p, 0.5)
-    np.testing.assert_array_equal(out.values, y.values)
+    assert out.shape == (2, 2, 11)
+    np.testing.assert_array_equal(out, np.stack([y, y]))
 
 
 def test_fuel_step_halving_time():
     # A*g(u)*dt = ln 2 halves the fuel: u = E gives g = 1/e, so dt = e*ln 2
     g = make_grid(-1.0, 1.0, 11)
     p = LayerParams.constants(g, 2, A=1.0, E=1.0)
-    y = FuelField(np.full((2, 11), 0.9))
-    u = TemperatureField(np.ones((2, 11)), g)
+    y = np.full((2, 11), 0.9)
+    u = np.ones((2, 2, 11))
     out = fuel_step(y, u, p, np.e * np.log(2.0))
-    np.testing.assert_allclose(out.values, 0.45, rtol=1e-14)
+    np.testing.assert_array_equal(out[0], y)
+    np.testing.assert_allclose(out[1], 0.45, rtol=1e-14)
 
 
 def test_fuel_step_monotone_and_fixed_at_zero():
     g = make_grid(-1.0, 1.0, 31)
     p = LayerParams.constants(g, 2, A=2.0)
     rng = np.random.default_rng(10)
-    y = FuelField(rng.uniform(0.0, 1.0, (2, 31)))
-    y.values[0, :5] = 0.0
-    u = TemperatureField(rng.standard_normal((2, 31)), g)
+    y = rng.uniform(0.0, 1.0, (2, 31))
+    y[0, :5] = 0.0
+    u = rng.standard_normal((6, 2, 31))
     out = fuel_step(y, u, p, 0.3)
-    assert np.all(out.values <= y.values)
-    assert np.all(out.values >= 0.0)
-    np.testing.assert_array_equal(out.values[0, :5], 0.0)
+    assert np.all(np.diff(out, axis=0) <= 0.0)
+    assert np.all(out >= 0.0)
+    np.testing.assert_array_equal(out[:, 0, :5], 0.0)
+    with pytest.raises(ValueError):
+        fuel_step(y, u, p, -0.1)
 
 
 def test_tabulated_fuel_interpolates_and_clamps():
@@ -354,6 +356,34 @@ def _assert_bitwise(got, ref):
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _tabulated_scalar_reference(fuel, t):
+    """TabulatedFuel's scalar interpolation before it became the one-time array case."""
+    ts = fuel.times
+    if t <= ts[0]:
+        return fuel.table[0].copy()
+    if t >= ts[-1]:
+        return fuel.table[-1].copy()
+    k = int(np.searchsorted(ts, t))
+    w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+    return (1.0 - w) * fuel.table[k - 1] + w * fuel.table[k]
+
+
+def test_scalar_tabulated_sample_equals_scalar_reference():
+    # before the first node, on nodes, between nodes, after the last node
+    g = make_grid(-5.0, 5.0, 41)
+    rng = np.random.default_rng(13)
+    table = rng.uniform(-1.0, 1.0, (4, 3, g.m))
+    table[0, 2, :5] = -0.0
+    table[-1, 0, :5] = -0.0
+    table[1, 1, :5] = -0.0
+    fuels = [TabulatedFuel(np.array([0.1, 0.25, 0.3, 0.7]), table),
+             TabulatedFuel([0.4], table[:1])]
+    times = [-1.0, 0.0, 0.1, 0.17, 0.25, 0.26, 0.3, 0.4, 0.5, 0.7, 0.71, 3.0]
+    for fuel in fuels:
+        for t in times:
+            _assert_bitwise(fuel.sample(g, t), _tabulated_scalar_reference(fuel, t))
 
 
 def test_array_time_sample_equals_stacked_scalar_samples():
@@ -392,7 +422,6 @@ def test_array_time_sample_equals_stacked_scalar_samples():
         ref = np.stack([fuel.sample(g, float(t)) for t in times])
         _assert_bitwise(fuel.sample(g, times), ref)
         _assert_bitwise(fuel.sample(g, times[5:6]), ref[5:6])
-    from layerburn.evolution import GriddedFuel
     gridded = GriddedFuel(tabulated, g)
     _assert_bitwise(gridded.sample(g, times),
                     np.stack([tabulated.sample(g, float(t)) for t in times]))
@@ -416,71 +445,3 @@ def test_central_gradient_exact_on_linear():
     grad = central_gradient(vals, g.dx)
     np.testing.assert_allclose(grad[0], 3.0, rtol=1e-12)
     np.testing.assert_allclose(grad[1], -0.5, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# dimensional reduction
-
-
-def _raw_kwargs(n, m, **over):
-    base = dict(
-        porosity=0.4, rho_r=1.0, c_r=1.0, c_g=1.0, c_c=1.0, rho_g=1.0,
-        eta0=0.5, Q_h=2.0, A_c=3.0, lam_r=1.0, lam_c=2.0, lam_g=0.5,
-        l_frac=0.0, K_s=1.0, m_o=0.0, Q=0.1, Qhat1=0.0, Qhat2=0.0, v=1.0,
-        T_e=300.0, x_star=2.0, t_star=4.0, T_star=600.0, p_star=1.0,
-        rho_g_star=1.0, alpha_order=1.0, E_hat=100.0, R_gas=8.314,
-        frozen_Yp=1.0,
-    )
-    base.update(over)
-    return base
-
-
-def test_reduction_identical_layers_are_symmetric():
-    g = make_grid(0.0, 1.0, 9)
-    raw = raw_params(g, 3, **_raw_kwargs(3, 9))
-    p = nondimensionalize(raw, g)
-    np.testing.assert_array_equal(p.a[0], p.a[1])
-    np.testing.assert_array_equal(p.a[1], p.a[2])
-    # capacity fraction scales linearly with the initial fuel mass
-    raw2 = raw_params(g, 3, **_raw_kwargs(3, 9, eta0=1.0))
-    p2 = nondimensionalize(raw2, g)
-    np.testing.assert_allclose(p2.b, 2.0 * p.b, rtol=1e-14)
-
-
-def test_reduction_capacity_mean_normalization():
-    g = make_grid(0.0, 1.0, 9)
-    # layer capacities 1 and 3 average to 2, halving b against the
-    # all-capacity-1 normalization
-    raw_mixed = raw_params(g, 2, **_raw_kwargs(2, 9, rho_r=np.array([[1.0], [3.0]])))
-    raw_unit = raw_params(g, 2, **_raw_kwargs(2, 9))
-    pm = nondimensionalize(raw_mixed, g)
-    pu = nondimensionalize(raw_unit, g)
-    np.testing.assert_allclose(pm.b, 0.5 * pu.b, rtol=1e-14)
-
-
-def test_reduction_conductivity_without_char():
-    g = make_grid(0.0, 1.0, 9)
-    kw = _raw_kwargs(2, 9)
-    raw = raw_params(g, 2, **kw)
-    p = nondimensionalize(raw, g)
-    lam_s = (1.0 - 0.4) * 1.0 + 0.4 * 0.5  # (1-phi)*lam_r + phi*lam_g, l = 0
-    np.testing.assert_allclose(p.lam, 4.0 * lam_s / (2.0**2 * 1.0), rtol=1e-14)
-
-
-def test_reduction_scalar_outputs():
-    g = make_grid(0.0, 1.0, 9)
-    p = nondimensionalize(raw_params(g, 2, **_raw_kwargs(2, 9)), g)
-    np.testing.assert_allclose(p.u_e, 300.0 / 600.0)
-    np.testing.assert_allclose(p.E, 100.0 / (8.314 * 600.0))
-    np.testing.assert_allclose(p.c, 1.0 * (4.0 * 1.0 / 2.0), rtol=1e-14)
-    np.testing.assert_allclose(p.K, 4.0 * 1.0 * 1.0 / 2.0**2, rtol=1e-14)
-
-
-def test_reduction_rejects_bad_scales():
-    g = make_grid(0.0, 1.0, 9)
-    with pytest.raises(ValueError):
-        nondimensionalize(raw_params(g, 2, **_raw_kwargs(2, 9, t_star=-1.0)), g)
-    with pytest.raises(ValueError):
-        nondimensionalize(raw_params(g, 2, **_raw_kwargs(2, 9, porosity=1.2)), g)
-    with pytest.raises(ValueError):
-        nondimensionalize(raw_params(g, 2, **_raw_kwargs(2, 9, l_frac=1.5)), g)

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from conftest import constant_problem
-from layerburn.evolution import GriddedFuel, assemble_generator, generator_apply, steps_per_block
+from layerburn.evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
 from layerburn.fixtures import drift_exact, homogeneous_drift, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, make_grid
 from layerburn.mild_solver import SolverConfig, solve_global
@@ -181,14 +181,14 @@ def _mol_solve_per_step(problem, T, cfg):
     values = np.empty((total + 1, n, m))
     values[0] = problem.phi.values
     half_dt = 0.5 * cfg.dt
-    L_k = assemble_generator(p, fuel, 0.0, cfg.scheme)
     y_k = fuel.sample(grid, 0.0)
+    L_k = generator_bands(p, y_k, grid.dx, cfg.scheme)
     for k in range(total):
         u = values[k]
         t_next = float(times[k + 1])
         rhs_k = rhs(u, L_k, y_k)
-        L_next = assemble_generator(p, fuel, t_next, cfg.scheme)
         y_next = fuel.sample(grid, t_next)
+        L_next = generator_bands(p, y_next, grid.dx, cfg.scheme)
         den = p.a + p.b * y_next
         v = u + cfg.dt * rhs_k
         for _ in range(cfg.newton_max):
