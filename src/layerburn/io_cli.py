@@ -49,6 +49,7 @@ from .grid import Grid, SolutionTrajectory, TemperatureField, layer_l2, make_gri
 from .hypothesis import HypothesisReport, PowerIterationError, audit_problem
 from .mild_solver import (
     AuditError,
+    CoupledResult,
     SolveResult,
     SolverConfig,
     SolverError,
@@ -566,7 +567,9 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
     return str(path)
 
 
-def _summary_text(result: SolveResult) -> str:
+def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> str:
+    """The run's summary; result is the (last) temperature solve, and a coupled
+    run adds its pass count and the Picard sweeps of every pass."""
     lines = ["[run summary]"]
     lines.append(f"windows: {len(result.windows)}")
     lines.append(f"max_picard_iterations: {result.max_iterations}")
@@ -579,6 +582,10 @@ def _summary_text(result: SolveResult) -> str:
     for key in ("kappa", "mu", "beta", "T_prime"):
         val = getattr(result.report, key)
         lines.append(f"audit_{key}: {'n/a' if val is None else _fmt(val)}")
+    if coupled is not None:
+        lines.append(f"outer_passes: {coupled.outer_iterations}")
+        lines.append("pass_picard_iterations: "
+                     + ",".join(str(n) for n in coupled.pass_iterations))
     return "\n".join(lines) + "\n"
 
 
@@ -590,6 +597,7 @@ def _cmd_simulate(args, config: ProblemConfig, config_path: str) -> int:
     prefix = _resolve_prefix(args.out, config_path, "simulate")
     problem = config.problem()
     fuel_table = None
+    coupled = None
     if config.fuel_mode == "coupled":
         coupled = solve_coupled(problem, config.T, config.solver)
         traj, result = coupled.trajectory, coupled.last_solve
@@ -599,7 +607,7 @@ def _cmd_simulate(args, config: ProblemConfig, config_path: str) -> int:
         traj = result.trajectory
     outputs = write_trajectory(traj, prefix, fuel_table)
     summary_path = prefix.parent / f"{prefix.name}_summary.txt"
-    summary_path.write_text(_summary_text(result))
+    summary_path.write_text(_summary_text(result, coupled))
     outputs.append(str(summary_path))
     outputs.append(write_manifest(prefix, "simulate", config_path, config, outputs))
     print(f"simulate: {traj.times.size} snapshots, "
@@ -621,6 +629,16 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
     return 0 if report.ok else 2
 
 
+def _refine_in_time(values: np.ndarray) -> np.ndarray:
+    """A trajectory on a lattice of step dt, carried to the nested dt/2 lattice:
+    even nodes are the given rows, odd nodes the mean of their two neighbours.
+    """
+    out = np.empty((2 * values.shape[0] - 1,) + values.shape[1:])
+    out[::2] = values
+    out[1::2] = 0.5 * (values[:-1] + values[1:])
+    return out
+
+
 def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     h = config.experiment["oracle_dt"] or config.solver.dt
     if h is None:
@@ -629,16 +647,22 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
     gaps = []
+    guess = None
     for dt in ladder:
         mild_cfg = replace(config.solver, dt=dt)
-        mild = solve_global(problem, config.T, mild_cfg)
+        mild = solve_global(problem, config.T, mild_cfg, guess=guess).trajectory
+        # the next, finer rung starts its Picard sweeps from this one
+        guess = None if dt == h else _refine_in_time(mild.values)
         oracle_cfg = OracleConfig(
             integrator=config.experiment["oracle_integrator"], dt=dt,
             scheme=config.solver.scheme,
             newton_tol=config.experiment["oracle_newton_tol"],
         )
         reference = mol_solve(problem, config.T, oracle_cfg)
-        gaps.append(relative_gap(mild.trajectory, reference))
+        gaps.append(relative_gap(mild, reference))
+        # free this rung's trajectories: the finer rung's solves then hold only
+        # its guess, and the peak memory stays that of a cold ladder
+        del mild, reference
     orders = refinement_orders(gaps)
 
     csv_path = prefix.parent / f"{prefix.name}_oracle.csv"

@@ -29,9 +29,16 @@ per block of time steps and forms the trapezoid terms (dt/2) f_k and
 (dt/2) f_{k+1} for the same block of steps at once; the recursion stays one
 step at a time, so the iterates are bitwise those of a per-step loop.
 
+Each window's first Picard iterate is its seed: by default the one that
+SolverConfig.seed_mode names, or a slice of the trajectory passed to
+solve_global as `guess` (a warm start).  The Duhamel fixed point is unique, so
+the seed only changes how many sweeps a window takes, not where it converges
+(to within picard_tol).
+
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures (one fuel_step call over the
-whole lattice), repeat until neither field moves.
+whole lattice), repeat until neither field moves.  Each pass after the first
+starts from the previous pass's trajectory.
 """
 
 from __future__ import annotations
@@ -89,8 +96,11 @@ class SolverConfig:
 
     dt pins the global step lattice (windows snap to it); when None, each
     window is cut into time_steps_per_window equal steps instead.  seed_mode
-    picks the Picard starting guess: the homogeneous evolution of the window
-    state, or that state held constant in time.  window_mode "continuation"
+    picks the cold-start Picard guess: the homogeneous evolution of the window
+    state, or that state held constant in time.  A trajectory passed to
+    solve_global as `guess` takes its place in every window (the warm start
+    of coupled passes and oracle-ladder rungs), so seed_mode only matters
+    when no guess is given.  window_mode "continuation"
     and "contraction" use the two certified window rules; "adaptive" ignores
     the certified constants, starts from the whole remaining span, halves on
     divergence (detected early by gap growth over three consecutive sweeps),
@@ -158,6 +168,7 @@ class CoupledResult:
     u_gaps: list[float]
     y_gaps: list[float]
     last_solve: SolveResult
+    pass_iterations: list[int]  # total Picard sweeps of each outer pass
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +176,13 @@ class CoupledResult:
 
 
 def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarray,
-                  cfg: SolverConfig) -> tuple[np.ndarray, int, list[float], list[float]]:
-    """Fixed point on one window; times are absolute lattice nodes."""
+                  cfg: SolverConfig, guess: np.ndarray | None
+                  ) -> tuple[np.ndarray, int, list[float], list[float]]:
+    """Fixed point on one window; times are absolute lattice nodes.
+
+    guess, when given, is the first iterate on those nodes (its row 0 is
+    replaced by phi_values); otherwise cfg.seed_mode picks it.
+    """
     dx = fuel.grid.dx
     K = times.size - 1
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
@@ -179,7 +195,10 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     for k in range(K):
         hom[k + 1] = props[k].apply_values(hom[k])
 
-    if cfg.seed_mode == "homogeneous":
+    if guess is not None:
+        u = guess.copy()
+        u[0] = phi_values
+    elif cfg.seed_mode == "homogeneous":
         u = hom.copy()
     else:
         u = np.repeat(phi_values[None], K + 1, axis=0)
@@ -279,8 +298,15 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
 
 
 def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
-                 report: HypothesisReport | None = None) -> SolveResult:
-    """March [0, T] window by window; audit first, a-priori check last."""
+                 report: HypothesisReport | None = None,
+                 guess: np.ndarray | None = None) -> SolveResult:
+    """March [0, T] window by window; audit first, a-priori check last.
+
+    guess is an optional (K+1, n, m) trajectory on the cfg.dt lattice; each
+    window starts its Picard iteration from the guess's rows on its nodes
+    instead of the cfg.seed_mode seed.  A guess that is not on that lattice
+    is a caller bug and raises SolverError.
+    """
     cfg = cfg or SolverConfig()
     if T <= 0:
         raise ValueError("T must be positive")
@@ -299,6 +325,14 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
         if total < 1 or abs(total * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
             raise ValueError("T must be a whole number of dt steps")
         lattice = cfg.dt * np.arange(total + 1)
+    if guess is not None:
+        if lattice is None:
+            raise SolverError("a Picard guess needs cfg.dt to pin its lattice")
+        if guess.shape != (lattice.size,) + problem.phi.values.shape:
+            raise SolverError(
+                f"Picard guess has shape {guess.shape}, the dt lattice needs "
+                f"{(lattice.size,) + problem.phi.values.shape}"
+            )
 
     all_times = [np.array([0.0]) if lattice is None else lattice[:1]]
     all_values = [problem.phi.values[None].copy()]
@@ -339,8 +373,10 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
                 times = lattice[k0 : k0 + n_sub + 1]
             else:
                 times = t0 + (w / n_sub) * np.arange(n_sub + 1)
+            # a guess always lives on the lattice (checked above)
+            seed = None if guess is None else guess[k0 : k0 + times.size]
             try:
-                vals, iters, gaps, ratios = _solve_window(p, fuel, times, state, cfg)
+                vals, iters, gaps, ratios = _solve_window(p, fuel, times, state, cfg, seed)
                 break
             except PicardDivergenceError:
                 if halvings >= cfg.max_halvings:
@@ -386,7 +422,9 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
 
     The fuel table lives on the dt lattice (cfg.dt is required); each step of
     the restep uses the midpoint temperature (u_k + u_{k+1})/2, so the fuel is
-    nonincreasing in time and stays in [0, y0] by construction.
+    nonincreasing in time and stays in [0, y0] by construction.  Pass k >= 2
+    seeds its solve with pass k-1's trajectory, which already lies within the
+    outer gap of its fixed point.
     """
     cfg = cfg or SolverConfig()
     if cfg.dt is None:
@@ -406,9 +444,12 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
     prev_traj = None
     u_gaps: list[float] = []
     y_gaps: list[float] = []
+    pass_iterations: list[int] = []
     for outer in range(1, cfg.coupled_outer_max + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice.copy(), table.copy()))
-        res = solve_global(frozen, T, cfg)
+        guess = None if prev_traj is None else prev_traj.values
+        res = solve_global(frozen, T, cfg, guess=guess)
+        pass_iterations.append(res.total_iterations)
         traj = res.trajectory
         if not np.array_equal(traj.times, lattice):
             raise SolverError("temperature lattice drifted off the fuel lattice")
@@ -425,7 +466,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
         tol = cfg.coupled_outer_tol
         if dy <= tol or du <= tol * (1.0 + traj.sup_norm()):
             return CoupledResult(traj, TabulatedFuel(lattice, table), outer,
-                                 u_gaps, y_gaps, res)
+                                 u_gaps, y_gaps, res, pass_iterations)
     raise PicardDivergenceError(
         f"coupled outer iteration did not settle in {cfg.coupled_outer_max} passes "
         f"(last du {u_gaps[-1]:.3e}, dy {y_gaps[-1]:.3e})"

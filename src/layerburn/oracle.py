@@ -22,7 +22,9 @@ the parts of each step's Jacobian that do not depend on the Newton iterate
 (the capacities a + b*y, the exchange bands, the (dt/2) L_h stencil bands
 and 1 + (dt/2) diag L_h) once per step; a Newton iteration only refreshes the
 reaction diagonal.  All of it is elementwise, so every iterate is bitwise
-that of assembling each node on its own inside every iteration.
+that of assembling each node on its own inside every iteration.  Each Newton
+system goes straight to LAPACK's dgbsv, the routine scipy's solve_banded
+calls for these bandwidths, on the same padded band layout.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
 from .grid import SolutionTrajectory, layer_l2
@@ -82,25 +84,26 @@ def _coupling_diag(p) -> np.ndarray:
 
 
 def _newton_bands(p, L_tri: np.ndarray, den: np.ndarray, half_dt: float):
-    """The iterate-free part of the Newton matrix of one step, scipy layout.
+    """The iterate-free part of the Newton matrix of one step, dgbsv layout.
 
-    Returns the banded matrix with every band of J = I + (dt/2) L - (dt/2) df/du
-    but the main diagonal filled in, and 1 + (dt/2) diag L, from which each
-    iteration forms the main diagonal.
+    Returns the (3n+1, N) banded matrix of J = I + (dt/2) L - (dt/2) df/du
+    with kl = ku = n: n zero rows that dgbsv fills in while factoring, then
+    every band but the main diagonal (row 2n), and 1 + (dt/2) diag L, from
+    which each iteration forms that diagonal.
     """
     n, m = den.shape
     N = n * m
-    ab = np.zeros((2 * n + 1, N))
+    ab = np.zeros((3 * n + 1, N))
     # spatial stencil: same layer, neighbouring node (offset n)
-    ab[0, n:] = half_dt * _flat(L_tri[:, 2])[:-n]
-    ab[2 * n, : N - n] = half_dt * _flat(L_tri[:, 0])[n:]
+    ab[n, n:] = half_dt * _flat(L_tri[:, 2])[:-n]
+    ab[3 * n, : N - n] = half_dt * _flat(L_tri[:, 0])[n:]
     # layer exchange: same node, neighbouring layer (offset 1)
     cup = np.zeros((n, m))
     cup[:-1] = p.q / den[:-1]
-    ab[n - 1, 1:] = -half_dt * _flat(cup)[:-1]
+    ab[2 * n - 1, 1:] = -half_dt * _flat(cup)[:-1]
     cdn = np.zeros((n, m))
     cdn[1:] = p.q / den[1:]
-    ab[n + 1, : N - 1] = -half_dt * _flat(cdn)[1:]
+    ab[2 * n + 1, : N - 1] = -half_dt * _flat(cdn)[1:]
     return ab, 1.0 + half_dt * L_tri[:, 1]
 
 
@@ -152,6 +155,8 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     kb = p.K * p.b
     neg_cx = -p.c_x
     coupling = _coupling_diag(p)
+    # dgbsv factors in place, so each Newton iteration works on a fresh copy
+    work = np.empty((3 * n + 1, n * m), order="F")
     block = steps_per_block(n * m)
     for a in range(0, total + 1, block):
         # fuel and generator for a block of lattice nodes, as build_propagators does
@@ -178,8 +183,12 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
                 g = arrhenius_g(v, p.E)
                 gp = arrhenius_g_prime(v, p.E)
                 df_diag = (neg_cx + kby * g + (kb * v + p.d) * y_next * gp + coupling) / den
-                ab[n] = _flat(main - half_dt * df_diag)
-                delta = solve_banded((n, n), ab, -_flat(G), check_finite=False)
+                ab[2 * n] = _flat(main - half_dt * df_diag)
+                work[...] = ab
+                _, _, delta, info = dgbsv(n, n, work, -_flat(G), overwrite_ab=1, overwrite_b=1)
+                if info != 0:
+                    raise NewtonError(
+                        f"singular Newton matrix at t={t_next:.6g} (dgbsv info {info})")
                 v = v + _unflat(delta, n, m)
                 tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(v))))
                 if float(np.max(np.abs(delta))) <= tol:

@@ -8,11 +8,13 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from layerburn.grid import SolutionTrajectory, layer_l2, make_grid
+from layerburn import io_cli
+from layerburn.grid import SolutionTrajectory, layer_l2, make_grid, sup_metric
 from layerburn.hypothesis import audit_problem
 from layerburn.io_cli import (
     ConfigError,
     FunctionSpec,
+    _refine_in_time,
     cli,
     front_threshold_default,
     front_track,
@@ -22,6 +24,7 @@ from layerburn.io_cli import (
     write_report,
     write_trajectory,
 )
+from layerburn.mild_solver import solve_global
 
 BASE_CFG = dedent("""\
     [grid]
@@ -389,6 +392,22 @@ def test_cli_simulate_coupled_writes_fuel(tmp_path):
     assert fuel.min() >= 0.0 and fuel.max() <= 1.0
 
 
+def test_cli_coupled_summary_lists_every_pass(tmp_path):
+    text = BASE_CFG.replace("[fuel]", "[fuel]\nmode = coupled")
+    cfg = _write(tmp_path, text)
+    assert cli(["simulate", cfg, "--out", str(tmp_path / "coup")]) == 0
+    summary = dict(line.split(": ", 1) for line in
+                   (tmp_path / "coup_summary.txt").read_text().splitlines()[1:])
+    passes = [int(v) for v in summary["pass_picard_iterations"].split(",")]
+    assert len(passes) == int(summary["outer_passes"]) >= 2
+    assert passes[-1] == int(summary["total_picard_iterations"])
+    assert passes[-1] < passes[0]  # later passes start from the pass before
+
+    plain = _write(tmp_path, BASE_CFG, "plain.cfg")
+    assert cli(["simulate", plain, "--out", str(tmp_path / "plain")]) == 0
+    assert "outer_passes" not in (tmp_path / "plain_summary.txt").read_text()
+
+
 def test_cli_check_hypotheses_pass_and_fail(tmp_path, capsys):
     good = _write(tmp_path, BASE_CFG, "good.cfg")
     assert cli(["check-hypotheses", good, "--out", str(tmp_path / "ok")]) == 0
@@ -409,6 +428,37 @@ def test_cli_oracle_compare(tmp_path, capsys):
     assert rows[0] == "dt,relative_gap,observed_order"
     assert len(rows) == 4
     assert "oracle-compare: finest relative gap" in capsys.readouterr().out
+
+
+def test_refine_in_time_is_exact_on_even_nodes():
+    coarse = np.random.default_rng(3).standard_normal((6, 2, 9))
+    fine = _refine_in_time(coarse)
+    assert fine.shape == (11, 2, 9)
+    assert np.array_equal(fine[::2], coarse)
+    assert np.array_equal(fine[1::2], 0.5 * (coarse[:-1] + coarse[1:]))
+
+
+def test_cli_oracle_compare_seeds_each_finer_rung(tmp_path, monkeypatch):
+    # the 2h and h solves start from the rung above carried to their lattice,
+    # and land within 1e-9 of solving the rung from the cold seed
+    calls = []
+
+    def recording(problem, T, cfg, *, guess=None):
+        res = solve_global(problem, T, cfg, guess=guess)
+        calls.append((problem, T, cfg, guess, res))
+        return res
+
+    monkeypatch.setattr(io_cli, "solve_global", recording)
+    cfg = _write(tmp_path, BASE_CFG)
+    assert cli(["oracle-compare", cfg, "--out", str(tmp_path / "orc")]) == 0
+    assert [c[2].dt for c in calls] == pytest.approx([0.04, 0.02, 0.01])
+    assert calls[0][3] is None
+    for above, (problem, T, rung_cfg, guess, warm) in zip(calls, calls[1:]):
+        assert np.array_equal(guess[::2], above[4].trajectory.values)
+        cold = solve_global(problem, T, rung_cfg)
+        assert warm.total_iterations < cold.total_iterations
+        assert sup_metric(warm.trajectory, cold.trajectory) \
+            <= 1e-9 * cold.trajectory.sup_norm()
 
 
 def test_cli_dependence_study(tmp_path, capsys):
@@ -454,6 +504,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "lat.cfg")
     assert cli(["simulate", lattice, "--out", str(tmp_path / "c")]) == 1
     capsys.readouterr()
+
+
+def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):
+    # a Picard guess of the wrong shape is a solver bug, not a config error
+    def off_lattice(problem, T, cfg, *, guess=None):
+        return solve_global(problem, T, cfg, guess=np.zeros((3,) + problem.phi.values.shape))
+
+    monkeypatch.setattr(io_cli, "solve_global", off_lattice)
+    cfg = _write(tmp_path, BASE_CFG)
+    assert cli(["simulate", cfg, "--out", str(tmp_path / "g")]) == 3
+    assert "solver failure: Picard guess has shape" in capsys.readouterr().err
 
 
 def test_cli_outdir_redirects_relative_prefixes(tmp_path, monkeypatch):

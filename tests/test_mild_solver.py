@@ -23,6 +23,7 @@ from layerburn.mild_solver import (
     BlowUpError,
     PicardDivergenceError,
     SolverConfig,
+    SolverError,
     solve_coupled,
     solve_global,
 )
@@ -246,6 +247,50 @@ def test_adaptive_mode_matches_certified_solution():
     assert len(adapt.windows) <= len(cert.windows)
 
 
+# ---------------------------------------------------------------------------
+# warm starts
+
+
+def test_guess_at_the_fixed_point_takes_one_sweep_per_window():
+    # a window's first guess row is replaced by the window state, so spoiling
+    # the row at t = 0 costs no sweep
+    prob, T = reactive_two_layer(m=201)
+    cfg = SolverConfig(dt=0.002, max_window=T / 4.0)
+    cold = solve_global(prob, T, cfg)
+    guess = cold.trajectory.values.copy()
+    guess[0] += 1.0
+    warm = solve_global(prob, T, cfg, report=cold.report, guess=guess)
+    assert len(warm.windows) == len(cold.windows) > 1
+    assert all(w.iterations == 1 for w in warm.windows)
+    bound = cfg.picard_tol * (1.0 + cold.trajectory.sup_norm())
+    assert sup_metric(warm.trajectory, cold.trajectory) <= bound
+
+
+def test_guess_follows_halved_windows():
+    # a poor guess and a short sweep budget force halvings; each halved window
+    # starts from its own slice of the guess, and the fixed point does not move
+    prob, T = reactive_two_layer(m=201)
+    tol = 1e-10
+    ref = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
+    cfg = SolverConfig(dt=0.002, picard_tol=tol, picard_max_iters=5)
+    rough = 1.5 * np.repeat(prob.phi.values[None], ref.trajectory.times.size, axis=0)
+    res = solve_global(prob, T, cfg, report=ref.report, guess=rough)
+    assert sum(w.halvings for w in res.windows) > 0
+    assert sup_metric(res.trajectory, ref.trajectory) <= 10.0 * tol
+
+
+def test_guess_off_the_lattice_is_a_solver_error():
+    prob, T = reactive_two_layer(m=201)
+    report = audit_problem(prob, T)
+    cfg = SolverConfig(dt=0.01)
+    on_lattice = np.zeros((int(round(T / cfg.dt)) + 1,) + prob.phi.values.shape)
+    for bad in (on_lattice[:-1], on_lattice[:, :, :-1], on_lattice[0]):
+        with pytest.raises(SolverError, match="Picard guess has shape"):
+            solve_global(prob, T, cfg, report=report, guess=bad)
+    with pytest.raises(SolverError, match="needs cfg.dt"):
+        solve_global(prob, T, SolverConfig(), report=report, guess=on_lattice)
+
+
 def test_audit_failure_aborts_with_report():
     prob = constant_problem(qhat1=0.2)
     with pytest.raises(AuditError) as err:
@@ -310,6 +355,28 @@ def test_coupled_ignition_run_consumes_fuel_monotonically():
     assert res.outer_iterations >= 2
     assert all(b < a for a, b in zip(res.u_gaps[1:], res.u_gaps[2:]))
     assert all(b < a for a, b in zip(res.y_gaps, res.y_gaps[1:]))
+
+
+def test_coupled_warm_start_matches_cold_passes(monkeypatch):
+    # pass k >= 2 starts from pass k-1: same passes and the same fixed point,
+    # in fewer sweeps than starting every pass from the seed_mode seed
+    prob, T = ignition_coupled(m=201)
+    cfg = SolverConfig(dt=0.004)
+    warm = solve_coupled(prob, T, cfg)
+
+    def cold_solve(problem, T, cfg, *, guess=None):
+        return solve_global(problem, T, cfg)
+
+    monkeypatch.setattr(mild_solver, "solve_global", cold_solve)
+    cold = solve_coupled(prob, T, cfg)
+    assert warm.outer_iterations == cold.outer_iterations >= 2
+    assert len(warm.pass_iterations) == warm.outer_iterations
+    assert warm.pass_iterations[0] == cold.pass_iterations[0]
+    assert warm.pass_iterations[-1] == warm.last_solve.total_iterations
+    assert sum(warm.pass_iterations) < sum(cold.pass_iterations)
+    for got, ref in ((warm.trajectory.values, cold.trajectory.values),
+                     (warm.fuel.table, cold.fuel.table)):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def _restep_per_step(y0, u, p, dt):

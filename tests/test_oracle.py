@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from conftest import constant_problem
+from layerburn import oracle
 from layerburn.evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
 from layerburn.fixtures import drift_exact, homogeneous_drift, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, make_grid
@@ -92,6 +93,17 @@ def test_newton_budget_exhaustion_raises():
     prob, _ = reactive_two_layer(m=101)
     with pytest.raises(NewtonError):
         mol_solve(prob, 0.5, OracleConfig(dt=0.25, newton_max=1))
+
+
+def test_singular_newton_matrix_is_a_newton_error(monkeypatch):
+    # a nonzero dgbsv info is a solver failure (exit 3), not a config error
+    def singular(kl, ku, ab, b, **kw):
+        return ab, None, b, 3
+
+    monkeypatch.setattr(oracle, "dgbsv", singular)
+    prob, _ = reactive_two_layer(m=101)
+    with pytest.raises(NewtonError, match="singular Newton matrix.*info 3"):
+        mol_solve(prob, 0.05, OracleConfig(dt=0.01))
 
 
 def test_explicit_guard_rejects_large_steps():
