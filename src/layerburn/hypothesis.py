@@ -261,8 +261,8 @@ def _layer_operator_norms(prop, iters: int, tol: float) -> np.ndarray:
     )
 
 
-def growth_beta(factory, probe_times, dt: float, *, power_iters: int = 30,
-                power_tol: float = 1e-8) -> float:
+def growth_beta(factory, probe_times, dt: float, *, power_iters: int = POWER_ITERS,
+                power_tol: float = POWER_TOL) -> float:
     """Exponential growth rate estimate from one-step operator norms.
 
     beta = max over probe steps and layers of ln||U_step||_2 / dt, floored at
@@ -399,8 +399,7 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
     def factory(t0, t1):
         return build_propagator(problem.params, fuel, t0, t1, theta, scheme)
 
-    report.beta = growth_beta(factory, probe_times, dt_probe,
-                              power_iters=POWER_ITERS, power_tol=POWER_TOL)
+    report.beta = growth_beta(factory, probe_times, dt_probe)
     report.kappa = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
     report.mu = bound_mu(problem.params, fuel, report.rho, (0.0, T))
     report.R = 2.0 * report.rho * math.exp(report.beta * T)

@@ -27,6 +27,8 @@ A trajectory is one `<prefix>_snap_NNNNN.csv` per stored time, a header then
 one row per grid node with columns x,u_1..u_n and, when a fuel table is
 written, y_1..y_n; plus `<prefix>_index.csv` with columns
 time,filename,norm_1..norm_n, one row per snapshot (per-layer L2 norms).
+Every snapshot carries the same header and grid column; the reader takes the
+grid from the first snapshot and rejects a later one whose header differs.
 """
 
 from __future__ import annotations
@@ -461,12 +463,15 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
         header += [f"y_{i + 1}" for i in range(n)]
         tables.append(fuel_table)
     # '%.17g' % v runs the same CPython routine as _fmt(v), so one '%' over a
-    # whole snapshot writes the bytes a value-by-value _fmt loop would.
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    template = ",".join(header) + "\n" + row * traj.grid.m
+    # whole snapshot writes the bytes a value-by-value _fmt loop would.  The
+    # grid column is the same in every snapshot: it is rendered once here and
+    # baked into the row template, so each snapshot formats its values only.
+    values_fmt = ",%.17g" * (len(header) - 1) + "\n"
+    template = ",".join(header) + "\n" + "".join(
+        "%.17g" % x + values_fmt for x in traj.grid.x.tolist())
     names = [f"{prefix.name}_snap_{k:05d}.csv" for k in range(traj.times.size)]
     for k, name in enumerate(names):
-        cols = np.concatenate([traj.grid.x[None]] + [table[k] for table in tables])
+        cols = np.concatenate([table[k] for table in tables])
         with open(prefix.parent / name, "w") as fh:
             fh.write(template % tuple(cols.T.ravel().tolist()))
 
@@ -489,17 +494,25 @@ def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
     if not rows:
         raise ValueError(f"{index_path}: empty trajectory with no snapshots")
     for k, row in enumerate(rows):
-        with open(prefix.parent / row[1]) as fh:
-            header = fh.readline().strip().split(",")
-            cols = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
+        path = prefix.parent / row[1]
+        with open(path) as fh:
+            line = fh.readline().strip().split(",")
+            if k and line != header:
+                raise ValueError(f"{path}: header {','.join(line)!r} differs from "
+                                 f"the first snapshot's {','.join(header)!r}")
+            # later snapshots repeat the first one's grid column: not parsed
+            cols = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True,
+                              usecols=range(1, len(line)) if k else None)
         if k == 0:  # the first snapshot fixes the grid and the layout
+            header = line
             n = sum(1 for h in header if h.startswith("u_"))
             grid = make_grid(cols[0, 0], cols[0, -1], cols.shape[1])
             values = np.empty((len(rows), n, grid.m))
             fuel = np.empty_like(values) if any(h.startswith("y_") for h in header) else None
-        values[k] = cols[1 : 1 + n]
+            cols = cols[1:]
+        values[k] = cols[:n]
         if fuel is not None:
-            fuel[k] = cols[1 + n : 1 + 2 * n]
+            fuel[k] = cols[n : 2 * n]
     times = np.array([float(row[0]) for row in rows])
     return SolutionTrajectory(times, values, grid), fuel
 
@@ -569,13 +582,13 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
 
 def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> str:
     """The run's summary; result is the (last) temperature solve, and a coupled
-    run adds its pass count and the Picard sweeps of every pass."""
+    run adds its pass count and the Picard sweeps and worst gap ratio of every
+    pass."""
     lines = ["[run summary]"]
     lines.append(f"windows: {len(result.windows)}")
     lines.append(f"max_picard_iterations: {result.max_iterations}")
     lines.append(f"total_picard_iterations: {result.total_iterations}")
-    worst = max((r for w in result.windows for r in w.ratios), default=0.0)
-    lines.append(f"worst_gap_ratio: {_fmt(worst)}")
+    lines.append(f"worst_gap_ratio: {_fmt(result.worst_ratio)}")
     for key in ("observed", "bound", "kappa", "mu", "beta"):
         lines.append(f"apriori_{key}: {_fmt(result.apriori[key])}")
     lines.append(f"apriori_ok: {str(result.apriori['ok']).lower()}")
@@ -586,6 +599,8 @@ def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> 
         lines.append(f"outer_passes: {coupled.outer_iterations}")
         lines.append("pass_picard_iterations: "
                      + ",".join(str(n) for n in coupled.pass_iterations))
+        lines.append("pass_worst_gap_ratio: "
+                     + ",".join(_fmt(r) for r in coupled.pass_worst_ratios))
     return "\n".join(lines) + "\n"
 
 

@@ -159,6 +159,11 @@ class SolveResult:
     def max_iterations(self) -> int:
         return max((w.iterations for w in self.windows), default=0)
 
+    @property
+    def worst_ratio(self) -> float:
+        """Largest observed Picard gap ratio over all windows, 0 if none."""
+        return max((r for w in self.windows for r in w.ratios), default=0.0)
+
 
 @dataclass
 class CoupledResult:
@@ -169,6 +174,7 @@ class CoupledResult:
     y_gaps: list[float]
     last_solve: SolveResult
     pass_iterations: list[int]  # total Picard sweeps of each outer pass
+    pass_worst_ratios: list[float]  # largest gap ratio of each pass, 0 if none
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +451,13 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
     u_gaps: list[float] = []
     y_gaps: list[float] = []
     pass_iterations: list[int] = []
+    pass_worst_ratios: list[float] = []
     for outer in range(1, cfg.coupled_outer_max + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice.copy(), table.copy()))
         guess = None if prev_traj is None else prev_traj.values
         res = solve_global(frozen, T, cfg, guess=guess)
         pass_iterations.append(res.total_iterations)
+        pass_worst_ratios.append(res.worst_ratio)
         traj = res.trajectory
         if not np.array_equal(traj.times, lattice):
             raise SolverError("temperature lattice drifted off the fuel lattice")
@@ -466,7 +474,8 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
         tol = cfg.coupled_outer_tol
         if dy <= tol or du <= tol * (1.0 + traj.sup_norm()):
             return CoupledResult(traj, TabulatedFuel(lattice, table), outer,
-                                 u_gaps, y_gaps, res, pass_iterations)
+                                 u_gaps, y_gaps, res, pass_iterations,
+                                 pass_worst_ratios)
     raise PicardDivergenceError(
         f"coupled outer iteration did not settle in {cfg.coupled_outer_max} passes "
         f"(last du {u_gaps[-1]:.3e}, dy {y_gaps[-1]:.3e})"

@@ -34,15 +34,23 @@ from .grid import Grid, TemperatureField
 # reaction rate factor
 
 
+_TINY = np.finfo(float).tiny  # smallest normal float
+
+
 def arrhenius_g(theta, E: float):
     """exp(-E/theta) for theta > 0, identically 0 for theta <= 0."""
-    if E <= 0:
-        raise ValueError(f"activation parameter must be positive, got E={E}")
+    if not 0.0 < E < math.inf:
+        raise ValueError(f"activation parameter must be positive and finite, got E={E}")
     th = np.asarray(theta, dtype=float)
-    arg = np.full(th.shape, -np.inf)
-    with np.errstate(over="ignore"):
-        np.divide(-E, th, out=arg, where=th > 0.0)
-    out = np.exp(arg)
+    # exp(x) is exactly 0 below x = -745.14 and numpy reaches that 0 through a
+    # slow path, so nodes with E/theta >= 745.5 are set to 0 without calling
+    # it.  The cut E/745.5 is sharp only while it is a normal float; for
+    # smaller E every theta > 0 is computed.
+    cut = E / 745.5
+    live = th > (cut if cut >= _TINY else 0.0)
+    out = np.zeros(th.shape)
+    arg = np.divide(-E, th[live])
+    out[live] = np.exp(arg, out=arg)
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -307,6 +307,19 @@ def test_read_trajectory_accepts_crlf_and_trailing_blank_lines(tmp_path):
     assert back.grid == traj.grid
 
 
+@pytest.mark.parametrize("header", ["x,u_1,u_2", "x,u_1,u_2,y_1", "x,u_2,u_1,y_1,y_2", ""])
+def test_read_trajectory_rejects_a_later_header_that_differs(tmp_path, header):
+    # the first snapshot fixes the layout; a later one must repeat its header
+    traj = _toy_trajectory()
+    table = np.random.default_rng(10).uniform(0.0, 1.0, traj.values.shape)
+    write_trajectory(traj, tmp_path / "toy", table)
+    bad = tmp_path / "toy_snap_00002.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    bad.write_text("".join([header + "\n"] + lines[1:]))
+    with pytest.raises(ValueError, match="toy_snap_00002.csv: header .* differs"):
+        read_trajectory(tmp_path / "toy")
+
+
 def test_read_empty_trajectory_raises(tmp_path):
     grid = make_grid(0.0, 1.0, 5)
     empty = SolutionTrajectory(np.zeros(0), np.zeros((0, 2, 5)), grid)
@@ -402,6 +415,10 @@ def test_cli_coupled_summary_lists_every_pass(tmp_path):
     assert len(passes) == int(summary["outer_passes"]) >= 2
     assert passes[-1] == int(summary["total_picard_iterations"])
     assert passes[-1] < passes[0]  # later passes start from the pass before
+    ratios = [float(v) for v in summary["pass_worst_gap_ratio"].split(",")]
+    assert len(ratios) == len(passes)  # one value per pass
+    assert ratios[-1] == float(summary["worst_gap_ratio"])
+    assert 0.0 < max(ratios) < 0.5  # the first, cold pass records contraction
 
     plain = _write(tmp_path, BASE_CFG, "plain.cfg")
     assert cli(["simulate", plain, "--out", str(tmp_path / "plain")]) == 0

@@ -374,6 +374,9 @@ def test_coupled_warm_start_matches_cold_passes(monkeypatch):
     assert warm.pass_iterations[0] == cold.pass_iterations[0]
     assert warm.pass_iterations[-1] == warm.last_solve.total_iterations
     assert sum(warm.pass_iterations) < sum(cold.pass_iterations)
+    assert len(warm.pass_worst_ratios) == warm.outer_iterations
+    assert warm.pass_worst_ratios[0] == cold.pass_worst_ratios[0] > 0.0
+    assert warm.pass_worst_ratios[-1] == warm.last_solve.worst_ratio
     for got, ref in ((warm.trajectory.values, cold.trajectory.values),
                      (warm.fuel.table, cold.fuel.table)):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))

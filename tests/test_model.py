@@ -59,6 +59,52 @@ def test_g_monotone_bounded_and_continuous_at_zero():
     assert arrhenius_g(1e-6, E) < 1e-300
 
 
+def _g_reference(theta, E):
+    """exp(-E/theta) evaluated at every node, -inf exponent where theta <= 0."""
+    th = np.asarray(theta, dtype=float)
+    arg = np.full(th.shape, -np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(-E, th, out=arg, where=th > 0.0)
+    out = np.exp(arg)
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+SPECIAL_THETAS = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -1.0, -1e300,
+                  1e-300, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("E", [1.0, 0.37, 7.3, 1e-3, 1e5, 1e300, 400 * 5e-324, 2.5e-306])
+def test_g_matches_the_every_node_formula_bitwise(E):
+    # theta within 200 ulps either side of the cut E/745.5, then E/theta
+    # across [740, 750], where exp(-E/theta) leaves 0, then log-uniform theta
+    # over 628 decades, then special values
+    cut = E / 745.5
+    near = [cut]
+    for direction in (np.inf, -np.inf):
+        t = cut
+        for _ in range(200):
+            t = np.nextafter(t, direction)
+            near.append(t)
+    spread = 10.0 ** np.random.default_rng(3).uniform(-320.0, 308.0, 20000)
+    across = E / np.linspace(740.0, 750.0, 2001)
+    theta = np.concatenate([near, across, spread, SPECIAL_THETAS])
+    assert np.any(_g_reference(theta, E) > 0.0)
+    assert arrhenius_g(theta, E).tobytes() == _g_reference(theta, E).tobytes()
+    block = theta[: 3 * 401 * 2].reshape(3, 2, 401)  # a block of time slices
+    assert arrhenius_g(block, E).tobytes() == _g_reference(block, E).tobytes()
+    for t in near[::50] + SPECIAL_THETAS:
+        for scalar in (t, np.float64(t), np.array(t)):
+            got, want = arrhenius_g(scalar, E), _g_reference(scalar, E)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("E", [0.0, -1.0, np.nan, np.inf])
+def test_g_rejects_nonpositive_or_nonfinite_E(E):
+    with pytest.raises(ValueError, match="positive and finite"):
+        arrhenius_g(1.0, E)
+
+
 def test_g_prime_zero_for_nonpositive_temperature():
     assert arrhenius_g_prime(-1.0, 2.0) == 0.0
     assert arrhenius_g_prime(0.0, 2.0) == 0.0
