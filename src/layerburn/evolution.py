@@ -31,11 +31,17 @@ result is the per-layer product, up to the sign of an exact zero at a seam.
 
 build_propagators assembles all steps of a time lattice: fuel samples (one
 sample call per block), coefficients, stencils and bands are computed over
-blocks of time steps at once, shape (steps, n, m), and only the dgttrf call
-stays per step.  The arithmetic is elementwise, so each operator is bitwise
-the one a single-step build_propagator gives.  Blocks hold about BLOCK_NODES
-values per array.  generator_bands assembles L_h the same way for a stack of
-fuel samples, which the method-of-lines oracle uses per block of nodes.
+blocks of time steps at once, shape (steps, n, m), and dgttrf factors one
+step at a time.  A step's operator depends only on its fuel sample and dt,
+so a run of steps that repeat the previous step's sample and dt bit for bit
+is assembled and factored once, at its head, and its Propagators share one
+band array and one set of factors.  A time-dependent fuel makes every step a
+head; a time-invariant one on a lattice dt*k, whose steps round to a few
+distinct dt values, holds a few dozen operators per thousand steps.  The
+arithmetic is elementwise, so each operator is bitwise the one a single-step
+build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
+generator_bands assembles L_h the same way for a stack of fuel samples, which
+the method-of-lines oracle uses per block of nodes.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class Propagator:
     Holds the explicit bands of I - (1-theta)*dt*L_h and the dgttrf factors
     of I + theta*dt*L_h, both for all layers stacked into one tridiagonal of
     size n*m.  A zero-length step (dt = 0) has the bands and factors of the
-    identity, so it applies as the identity.
+    identity, so it applies as the identity.  Neither is written after
+    assembly, so the Propagators of a run of equal steps share them.
     """
 
     grid: Grid
@@ -138,8 +145,9 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                       scheme: str = "auto") -> list[Propagator]:
     """Step operators for every interval [times[k], times[k+1]] of a lattice.
 
-    Assembly runs over blocks of steps_per_block steps; each step then gets its
-    own dgttrf call, and its Propagator keeps views of the block's arrays.
+    Assembly runs over blocks of steps_per_block steps.  Only the head of a
+    run of steps whose fuel sample and dt repeat bit for bit is assembled and
+    factored; the run's Propagators share its arrays, across blocks too.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
@@ -152,34 +160,45 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
     props: list[Propagator] = []
     nodes = p.n * grid.m
     block = steps_per_block(nodes)
+    last_y = last_dt = None
     for a in range(0, dts.size, block):
-        dt = dts[a : a + block, None, None]
-        alpha, beta = coefficient_fields(p, fuel.sample(grid, mids[a : a + block]))
-        sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
-
-        w_imp = theta * dt
-        d = 1.0 + w_imp * main
-        dl = w_imp * sub
-        du = w_imp * sup
-        if scheme == "central":
-            margin = d - np.abs(dl) - np.abs(du)
-            if margin.min() <= 0.0:
-                raise ValueError(
-                    "forced-central implicit matrix lost diagonal dominance; "
-                    "reduce dt or use scheme='auto'/'upwind'"
-                )
-        w_exp = (1.0 - theta) * dt
-        exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
-        exp = exp.reshape(dt.shape[0], 3, nodes)
-        for j in range(dt.shape[0]):
-            # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
-            *lu, info = dgttrf(dl[j].ravel()[1:], d[j].ravel(), du[j].ravel()[:-1],
-                               overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-            if info != 0:
-                # unreachable for a diagonally dominant matrix, so not a config error
-                raise RuntimeError(f"dgttrf failed on the implicit step matrix (info {info})")
+        dt = dts[a : a + block]
+        ys = fuel.sample(grid, mids[a : a + block])
+        same = repeats(ys, last_y) & repeats(dt, last_dt)
+        last_y, last_dt = ys[-1], dt[-1]
+        heads = np.flatnonzero(~same)
+        if heads.size:
+            alpha, beta = coefficient_fields(p, ys[heads])
+            sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
+            w = dt[heads, None, None]
+            w_imp = theta * w
+            d = 1.0 + w_imp * main
+            dl = w_imp * sub
+            du = w_imp * sup
+            if scheme == "central":
+                margin = d - np.abs(dl) - np.abs(du)
+                if margin.min() <= 0.0:
+                    raise ValueError(
+                        "forced-central implicit matrix lost diagonal dominance; "
+                        "reduce dt or use scheme='auto'/'upwind'"
+                    )
+            w_exp = (1.0 - theta) * w
+            exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
+            exp = exp.reshape(heads.size, 3, nodes)
+        h = -1
+        for j in range(dt.size):
+            if not same[j]:
+                h += 1
+                # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
+                *lu, info = dgttrf(dl[h].ravel()[1:], d[h].ravel(), du[h].ravel()[:-1],
+                                   overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+                if info != 0:
+                    # unreachable for a diagonally dominant matrix, so not a config error
+                    raise RuntimeError(
+                        f"dgttrf failed on the implicit step matrix (info {info})")
+                op = exp[h], tuple(lu)
             props.append(Propagator(grid, float(times[a + j]), float(times[a + j + 1]),
-                                    float(theta), scheme, exp[j], tuple(lu)))
+                                    float(theta), scheme, *op))
     return props
 
 
@@ -192,6 +211,21 @@ def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
 def steps_per_block(nodes: int) -> int:
     """Time steps per batched block for fields of `nodes` values per step."""
     return max(1, BLOCK_NODES // nodes)
+
+
+def repeats(rows: np.ndarray, last) -> np.ndarray:
+    """For each row of rows (k, ...), whether its bits equal the row before it.
+
+    Row 0 is compared with last, the row that preceded the block (None for
+    none).  Bit patterns are compared, so -0.0 and +0.0 count as different
+    and only identical inputs repeat.
+    """
+    bits = np.ascontiguousarray(rows, dtype=float).reshape(len(rows), -1).view(np.uint64)
+    same = np.empty(len(rows), dtype=bool)
+    same[0] = last is not None and np.array_equal(
+        bits[0], np.ascontiguousarray(last, dtype=float).reshape(-1).view(np.uint64))
+    same[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    return same
 
 
 @dataclass

@@ -66,6 +66,7 @@ from .model import (
     PrescribedFuel,
     Problem,
     central_gradient,
+    check_activation,
 )
 from .oracle import (
     NewtonError,
@@ -345,8 +346,10 @@ def parse_config(text: str) -> ProblemConfig:
     _check_sign("qhat_2", qhat2, positive=False)
     if u_e < 0:
         raise ConfigError("[layers] u_e must be nonnegative")
-    if E <= 0:
-        raise ConfigError("[layers] E must be positive")
+    try:
+        check_activation(E)
+    except ValueError as err:
+        raise ConfigError(f"[layers] E: {err}") from None
 
     params = LayerParams(
         a=fields["a"], b=fields["b"], c=fields["c"],

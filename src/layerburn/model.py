@@ -37,10 +37,15 @@ from .grid import Grid, TemperatureField
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 
+def check_activation(E: float) -> None:
+    """The activation parameter must be positive and finite (NaN is neither)."""
+    if not 0.0 < E < math.inf:
+        raise ValueError(f"activation parameter E must be positive and finite, got E={E}")
+
+
 def arrhenius_g(theta, E: float):
     """exp(-E/theta) for theta > 0, identically 0 for theta <= 0."""
-    if not 0.0 < E < math.inf:
-        raise ValueError(f"activation parameter must be positive and finite, got E={E}")
+    check_activation(E)
     th = np.asarray(theta, dtype=float)
     # exp(x) is exactly 0 below x = -745.14 and numpy reaches that 0 through a
     # slow path, so nodes with E/theta >= 745.5 are set to 0 without calling
@@ -61,8 +66,7 @@ def arrhenius_g_prime(theta, E: float):
     is formed in log space: near theta = 0 the prefactor overflows while the
     exponential underflows, and multiplying them directly yields NaN.
     """
-    if E <= 0:
-        raise ValueError(f"activation parameter must be positive, got E={E}")
+    check_activation(E)
     th = np.asarray(theta, dtype=float)
     out = np.zeros(th.shape)
     pos = th > 0.0
@@ -115,8 +119,7 @@ class LayerParams:
             raise ValueError(f"q must have shape {(n - 1, m)}")
         if self.qhat1.shape != (m,) or self.qhat2.shape != (m,):
             raise ValueError(f"qhat1/qhat2 must have shape {(m,)}")
-        if self.E <= 0:
-            raise ValueError("E must be positive")
+        check_activation(self.E)
 
     @property
     def n(self) -> int:

@@ -20,9 +20,11 @@ The implicit trapezoid samples the fuel and assembles L_h over blocks of
 lattice nodes at once, as build_propagators does for the marcher, and builds
 the parts of each step's Jacobian that do not depend on the Newton iterate
 (the capacities a + b*y, the exchange bands, the (dt/2) L_h stencil bands
-and 1 + (dt/2) diag L_h) once per step; a Newton iteration only refreshes the
-reaction diagonal.  All of it is elementwise, so every iterate is bitwise
-that of assembling each node on its own inside every iteration.  Each Newton
+and 1 + (dt/2) diag L_h) only when the fuel sample changes bit for bit from
+the previous node's, so a time-invariant fuel builds them once per run; a
+Newton iteration only refreshes the reaction diagonal.  All of it is
+elementwise, so every iterate is bitwise that of assembling each node on its
+own inside every iteration.  Each Newton
 system goes straight to LAPACK's dgbsv, the routine scipy's solve_banded
 calls for these bandwidths, on the same padded band layout.
 """
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
+from .evolution import (GriddedFuel, generator_apply, generator_bands, repeats,
+                        steps_per_block)
 from .grid import SolutionTrajectory, layer_l2
 from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
 
@@ -158,12 +161,19 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     # dgbsv factors in place, so each Newton iteration works on a fresh copy
     work = np.empty((3 * n + 1, n * m), order="F")
     block = steps_per_block(n * m)
+    y_next = None  # fuel sample at the last node of the previous block
     for a in range(0, total + 1, block):
         # fuel and generator for a block of lattice nodes, as build_propagators does
         ys = fuel.sample(grid, times[a : a + block])
         Ls = generator_bands(p, ys, grid.dx, cfg.scheme)
+        same = repeats(ys, y_next)
         for j in range(ys.shape[0]):
             L_next, y_next = Ls[j], ys[j]
+            if not same[j]:
+                # each iteration rewrites only row 2n, so the bands last while y does
+                den = p.a + p.b * y_next
+                ab, main = _newton_bands(p, L_next, den, half_dt)
+                kby = kb * y_next
             if a + j == 0:
                 L_k, y_k = L_next, y_next
                 continue
@@ -171,9 +181,6 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             u = values[k]
             t_next = float(times[k + 1])
             rhs_k = rhs(float(times[k]), u, L_k, y_k)
-            den = p.a + p.b * y_next
-            ab, main = _newton_bands(p, L_next, den, half_dt)
-            kby = kb * y_next
 
             v = u + cfg.dt * rhs_k  # Euler predictor
             converged = False

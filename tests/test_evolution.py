@@ -439,3 +439,121 @@ def test_propagator_rejects_bad_arguments():
         build_propagator(p, fuel, 0.0, 0.01, theta=1.5)
     with pytest.raises(ValueError):
         build_propagator(p, fuel, 0.1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one operator per run of bitwise-equal steps
+
+
+def _bits(a):
+    """Bit pattern of float data, so that -0.0 and +0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _shared(a, b):
+    """Whether each of a's band and factor arrays overlaps b's."""
+    return [np.shares_memory(x, y) for x, y in zip((a.exp, *a.lu), (b.exp, *b.lu))]
+
+
+def _check_runs(p, fuel, times, theta=0.5):
+    """Each operator is bitwise its single-step build, and a step shares the
+    previous step's arrays exactly when its fuel sample and dt repeat that
+    step's bit for bit.  Returns the props and the indices of the run heads."""
+    props = build_propagators(p, fuel, times, theta)
+    assert len(props) == times.size - 1
+    mids = 0.5 * (times[:-1] + times[1:])
+    keys = [(_bits(fuel.sample(fuel.grid, float(t))), _bits(dt))
+            for t, dt in zip(mids, np.diff(times))]
+    heads = [0]
+    for k, prop in enumerate(props):
+        one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
+        assert np.array_equal(prop.exp, one.exp)
+        for got, ref in zip(prop.lu, one.lu):
+            assert np.array_equal(got, ref)
+        if k:
+            repeat = all(np.array_equal(x, y) for x, y in zip(keys[k], keys[k - 1]))
+            assert _shared(prop, props[k - 1]) == [repeat] * 6
+            if not repeat:
+                heads.append(k)
+    return props, heads
+
+
+class _RowFuel:
+    """rows[i] on the i-th interval between edges; every sample is an exact copy."""
+
+    def __init__(self, edges, rows):
+        self.edges = np.asarray(edges, dtype=float)
+        self.rows = np.asarray(rows, dtype=float)
+
+    def sample(self, grid, t):
+        return self.rows[np.searchsorted(self.edges, t)]
+
+
+def test_time_invariant_fuel_shares_one_operator_per_run():
+    n, m = 2, 101
+    grid = make_grid(-5.0, 5.0, m)
+    p = _variable_params(grid, n)
+    # rate 0: a Gaussian in x that does not move in t
+    fuel = GriddedFuel(PrescribedFuel([ConstantFuel(0.8), GaussianDecayFuel(0.5, 2.0, 0.0)]),
+                       grid)
+    block = steps_per_block(n * m)
+    exact = np.arange(2 * block + 7) * 2.0**-9  # every dt the same bits
+    _, heads = _check_runs(p, fuel, exact)
+    assert heads == [0]
+    # dt * k lattices round each dt a little differently: fewer runs, not one
+    _, heads = _check_runs(p, fuel, 1e-3 * np.arange(2 * block + 7))
+    assert 1 < len(heads) < block
+
+
+def test_tabulated_run_crosses_blocks_then_changes():
+    n, m = 3, 96
+    grid = make_grid(-6.0, 6.0, m)
+    p = _variable_params(grid, n)
+    block = steps_per_block(n * m)
+    h = 2.0**-8
+    # samples before the first node are the first row exactly, past the last
+    # node the last row; in between they change at every step
+    start = block + block // 2
+    table_times = np.array([start, start + 20]) * h
+    layer = np.arange(n)[None, :, None]
+    table = 0.5 + 0.3 * np.sin(grid.x[None, None] + layer + np.array([0.0, 1.0])[:, None, None])
+    fuel = GriddedFuel(TabulatedFuel(table_times, table), grid)
+    times = np.arange(3 * block) * h
+    props, heads = _check_runs(p, fuel, times)
+    # one run over the first block boundary, 20 changing steps, one run to the end
+    assert heads == [0] + list(range(start, start + 21))
+    assert all(_shared(props[block - 1], props[block]))
+    assert all(_shared(props[2 * block - 1], props[2 * block]))
+
+
+def test_nonuniform_dt_with_constant_fuel():
+    n, m = 2, 81
+    grid = make_grid(-5.0, 5.0, m)
+    p = _variable_params(grid, n)
+    fuel = GriddedFuel(PrescribedFuel([ConstantFuel(0.6)] * n), grid)
+    block = steps_per_block(n * m)
+    dts = np.repeat([2.0**-9, 2.0**-8, 2.0**-9, 3 * 2.0**-10, 0.0],
+                    [block + 3, 20, 5, 30, 2])
+    rng = np.random.default_rng(4)
+    dts = np.concatenate([dts, rng.uniform(1e-3, 3e-3, 6)])
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    assert np.array_equal(_bits(np.diff(times)[:-6]), _bits(dts[:-6]))  # sums of 2**-10
+    _, heads = _check_runs(p, fuel, times)
+    assert len(heads) == 5 + 6
+
+
+def test_signed_zero_fuel_samples_do_not_share():
+    n, m = 2, 41
+    grid = make_grid(-2.0, 2.0, m)
+    p = _variable_params(grid, n)  # b != 0, so y reaches the capacities
+    row = np.full((n, m), 0.4)
+    row[:, ::3] = 0.0
+    neg = row.copy()
+    neg[:, ::3] = -0.0
+    # +0.0, then -0.0, then +0.0 again; a + b*y is the same for both zeros
+    fuel = GriddedFuel(_RowFuel([0.05, 0.1], [row, neg, row]), grid)
+    times = np.arange(61) * 2.0**-8
+    props, heads = _check_runs(p, fuel, times)
+    assert len(heads) == 3
+    for k in heads[1:]:  # equal operators, built apart
+        assert np.array_equal(props[k].exp, props[k - 1].exp)

@@ -180,6 +180,18 @@ def test_config_errors_are_located(mangle, msg):
         parse_config(mangle(BASE_CFG))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_E_is_a_config_error(value, tmp_path, capsys):
+    text = BASE_CFG.replace("E = 1", f"E = {value}")
+    with pytest.raises(ConfigError, match=r"^\[layers\] E: .*positive and finite"):
+        parse_config(text)
+    # the audit must not certify T' from NaN constants
+    path = _write(tmp_path, text)
+    assert cli(["check-hypotheses", path, "--out", str(tmp_path / "nan")]) == 1
+    assert "[layers] E" in capsys.readouterr().err
+    assert not (tmp_path / "nan_hypotheses.txt").exists()
+
+
 def test_positivity_failures_name_the_field():
     bad = BASE_CFG.replace("E = 1", "E = 1\nlam_1 = constant(0)")
     with pytest.raises(ConfigError, match="lam_1 must be strictly positive"):

@@ -99,10 +99,19 @@ def test_g_matches_the_every_node_formula_bitwise(E):
             assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
-@pytest.mark.parametrize("E", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("E", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_g_rejects_nonpositive_or_nonfinite_E(E):
     with pytest.raises(ValueError, match="positive and finite"):
         arrhenius_g(1.0, E)
+
+
+@pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+def test_g_prime_and_params_reject_nonfinite_E(E):
+    # the rule g applies above, "E positive and finite"
+    with pytest.raises(ValueError, match="positive and finite"):
+        arrhenius_g_prime(1.0, E)
+    with pytest.raises(ValueError, match="positive and finite"):
+        LayerParams.constants(make_grid(0.0, 1.0, 5), 2, E=E)
 
 
 def test_g_prime_zero_for_nonpositive_temperature():

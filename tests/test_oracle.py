@@ -265,3 +265,22 @@ def test_blocked_implicit_trapezoid_equals_per_step_reference():
         with pytest.raises(NewtonError) as per_step:
             _mol_solve_per_step(prob, T, stalled)
         assert str(blocked.value) == str(per_step.value)
+
+
+def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
+    # the reference rebuilds the whole Newton matrix in every iteration; the
+    # oracle builds its iterate-free bands only when y changes bit for bit
+    prob, _ = reactive_two_layer(m=101)  # time-invariant fuel: built once
+    cfg = OracleConfig(dt=2e-3)
+    T = 0.4
+    assert int(round(T / cfg.dt)) + 1 > steps_per_block(2 * 101)  # over a block boundary
+    got = mol_solve(prob, T, cfg)
+    assert np.array_equal(got.values, _mol_solve_per_step(prob, T, cfg).values)
+
+    # constant before the first table node and after the last, changing between
+    grid = prob.grid
+    table = 0.8 - 0.3 * np.exp(-(grid.x[None, None] - np.array([[[-1.0]], [[2.0]]])) ** 2)
+    table = np.repeat(table, 2, axis=1)
+    moving = Problem(grid, prob.params, TabulatedFuel([0.1, 0.25], table), prob.phi)
+    got = mol_solve(moving, T, cfg)
+    assert np.array_equal(got.values, _mol_solve_per_step(moving, T, cfg).values)
