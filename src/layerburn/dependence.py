@@ -22,9 +22,10 @@ they sink below the solver-noise floor.
 The base-problem parts of those terms (the source f(s, u(s)) along the base
 solution, U(t,0) phi and the base Duhamel sum) do not depend on the level, so
 a study computes them once along the base lattice as (K+1, n, m) arrays; each
-level then builds only its perturbed operators and marches four recursions
-with them.  The arithmetic per node is unchanged, so the terms are bitwise
-those of recomputing the base parts for every level.
+level then builds only its perturbed operators and runs the marcher's two
+recursions, evolution.evolve and evolution.duhamel, with them over the whole
+lattice.  The arithmetic per node is unchanged, so the terms are bitwise
+those of recomputing the base parts for every level, step by step.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ import numpy as np
 from .evolution import (
     GriddedFuel,
     build_propagators,
+    duhamel,
+    evolve,
     generator_apply,
     generator_bands,
-    steps_per_block,
+    source_along,
 )
-from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric
+from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric, time_lattice
 from .mild_solver import (
     AuditError,
     BlowUpError,
@@ -50,7 +53,7 @@ from .mild_solver import (
     SolverConfig,
     solve_global,
 )
-from .model import PerturbedFuel, Problem, central_gradient, source_f
+from .model import PerturbedFuel, Problem, central_gradient
 
 _FIELD_TARGETS = ("a", "b", "c", "d", "lam", "K", "A", "q", "qhat1", "qhat2")
 
@@ -119,31 +122,12 @@ def _base_terms(base_problem: Problem, base_traj: SolutionTrajectory,
     Returns the source f(t_k, u(t_k)) along the base solution, the homogeneous
     evolution U(t_k, 0) phi and the base Duhamel sum int_0^{t_k} U(t_k, s) f ds.
     """
-    grid = base_problem.grid
     pb = base_problem.params
-    fb = GriddedFuel(base_problem.fuel, grid)
+    fb = GriddedFuel(base_problem.fuel, base_problem.grid)
     times = base_traj.times
-    K = times.size - 1
-    f = np.empty_like(base_traj.values)
-    hom = np.empty_like(f)
-    duhamel = np.empty_like(f)
-    hom[0] = base_problem.phi.values
-    duhamel[0] = 0.0
-    block = steps_per_block(hom[0].size)
-    for a in range(0, K + 1, block):
-        f[a : a + block] = source_f(pb, fb.sample(grid, times[a : a + block]),
-                                    base_traj.values[a : a + block])
-    half = 0.5 * np.diff(times)[:, None, None]
-    for a in range(0, K, block):
-        b = min(a + block, K)
-        h = half[a:b]
-        left = h * f[a:b]
-        right = h * f[a + 1 : b + 1]
-        props = build_propagators(pb, fb, times[a : b + 1], cfg.theta, cfg.scheme)
-        for j, prop in enumerate(props):
-            hom[a + j + 1] = prop.apply_values(hom[a + j])
-            duhamel[a + j + 1] = prop.apply_values(duhamel[a + j] + left[j]) + right[j]
-    return f, hom, duhamel
+    props = build_propagators(pb, fb, times, cfg.theta, cfg.scheme)
+    f = source_along(pb, fb.sample(times), base_traj.values)
+    return f, evolve(props, base_problem.phi.values), duhamel(props, times, f)
 
 
 def _difference_terms(base_problem: Problem, pert_problem: Problem,
@@ -152,56 +136,28 @@ def _difference_terms(base_problem: Problem, pert_problem: Problem,
     """d0, d1, d3, d4 accumulated on the base trajectory's time lattice.
 
     base_terms is what _base_terms returns for the same base problem and
-    trajectory; only the perturbed operators and sums are computed here.  The
-    four fields of a block of steps are kept and reduced with one layer_l2
-    call each; the norms are per step and layer, so the sups are those of
-    reducing every step on its own.
+    trajectory; only the perturbed operators and sums are computed here, each
+    over the whole lattice and reduced with one layer_l2 call.  The norms are
+    per node and layer, and row 0 of every difference is 0 except
+    phi_j - phi, so the sups are those of reducing every step on its own.
     """
-    grid = base_problem.grid
-    dx = grid.dx
+    dx = base_problem.grid.dx
     pj = pert_problem.params
-    fj = GriddedFuel(pert_problem.fuel, grid)
+    fj = GriddedFuel(pert_problem.fuel, base_problem.grid)
     f, hb, acc_b = base_terms
     times = base_traj.times
-    K = times.size - 1
-
+    props = build_propagators(pj, fj, times, cfg.theta, cfg.scheme)
+    df = source_along(pj, fj.sample(times), base_traj.values) - f
     dphi = pert_problem.phi.values - base_problem.phi.values
-    e0 = dphi.copy()
-    hp = hb[0].copy()
-    acc3 = np.zeros_like(hp)
-    acc_p = np.zeros_like(hp)
-
-    d0 = float(np.max(layer_l2(e0, dx)))
-    d1 = 0.0
-    d3 = 0.0
-    d4 = 0.0
-    half = 0.5 * np.diff(times)[:, None, None]
-    block = steps_per_block(hp.size)
-    # e0, hp, acc3 and acc_p after each step of a block
-    buf = np.empty((4, min(block, K)) + hp.shape)
-    for a in range(0, K, block):
-        seg = times[a : a + block + 1]
-        props_j = build_propagators(pj, fj, seg, cfg.theta, cfg.scheme)
-        f_seg = f[a : a + block + 1]
-        df = source_f(pj, fj.sample(grid, seg), base_traj.values[a : a + block + 1]) - f_seg
-        # trapezoid terms (dt/2) g_k and (dt/2) g_{k+1} of the block's steps, g = f_j - f and f
-        h = half[a : a + block]
-        left3, right3 = h * df[:-1], h * df[1:]
-        left_p, right_p = h * f_seg[:-1], h * f_seg[1:]
-        for j, prop_j in enumerate(props_j):
-            e0 = buf[0, j] = prop_j.apply_values(e0)
-            hp = buf[1, j] = prop_j.apply_values(hp)
-            acc3 = buf[2, j] = prop_j.apply_values(acc3 + left3[j]) + right3[j]
-            acc_p = buf[3, j] = prop_j.apply_values(acc_p + left_p[j]) + right_p[j]
-        steps = len(props_j)
-        b = a + steps
-        e0s, hps, acc3s, acc_ps = buf[:, :steps]
-        d0 = max(d0, float(np.max(layer_l2(e0s, dx))))
-        d1 = max(d1, float(np.max(layer_l2(hps - hb[a + 1 : b + 1], dx))))
-        d3 = max(d3, float(np.max(layer_l2(acc3s, dx))))
-        d4 = max(d4, float(np.max(layer_l2(acc_ps - acc_b[a + 1 : b + 1], dx))))
-    total = d0 + d1 + d3 + d4
-    return {"d0": d0, "d1": d1, "d3": d3, "d4": d4, "total": total}
+    terms = {
+        "d0": layer_l2(evolve(props, dphi), dx),
+        "d1": layer_l2(evolve(props, hb[0]) - hb, dx),
+        "d3": layer_l2(duhamel(props, times, df), dx),
+        "d4": layer_l2(duhamel(props, times, f) - acc_b, dx),
+    }
+    terms = {key: float(np.max(val)) for key, val in terms.items()}
+    terms["total"] = terms["d0"] + terms["d1"] + terms["d3"] + terms["d4"]
+    return terms
 
 
 def gronwall_factor(beta: float, T: float) -> float:
@@ -249,17 +205,14 @@ class DependenceStudy:
 
 
 def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
-                     cfg: SolverConfig | None = None) -> DependenceStudy:
+                     cfg: SolverConfig) -> DependenceStudy:
     """Sweep the perturbation ladder and compare responses against the bound.
 
-    cfg.dt must be set: base and perturbed runs share one time lattice so the
-    displacement sup runs over identical nodes.  Levels whose perturbed
-    problem fails its audit (or whose solve diverges) are recorded as skipped
-    rather than aborting the sweep.
+    Base and perturbed runs share the cfg.dt lattice, so the displacement sup
+    runs over identical nodes.  Levels whose perturbed problem fails its audit
+    (or whose solve diverges) are recorded as skipped rather than aborting the
+    sweep.
     """
-    cfg = cfg or SolverConfig()
-    if cfg.dt is None:
-        raise ValueError("dependence studies need cfg.dt for a shared lattice")
     base = solve_global(problem, T, cfg)
     beta = base.report.beta
     factor = gronwall_factor(beta, T)
@@ -295,52 +248,42 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
 
 
 def operator_convergence_probe(problem: Problem, T: float, spec: PerturbationSpec,
-                               cfg: SolverConfig | None = None, *,
+                               cfg: SolverConfig, *,
                                n_fields: int = 3, seed: int = 0) -> dict:
     """Generator and propagator differences on probe fields, per level.
 
     Returns {"generator": [...], "propagator": [...]}: per level,
     sup ||(L_j - L) psi|| over probe times t = 0, T/2, T and
-    sup_t ||(U_j - U)(t, 0) psi|| over the lattice, for n_fields standard
-    normal fields psi drawn from `seed`.  Both must fall linearly with s; this
-    isolates the operator-convergence half of the dependence story from the
-    source terms.
+    sup_t ||(U_j - U)(t, 0) psi|| over the cfg.dt lattice (T must be a whole
+    number of its steps), for n_fields standard normal fields psi drawn from
+    `seed`.  Both must fall linearly with s; this isolates the
+    operator-convergence half of the dependence story from the source terms.
     """
-    cfg = cfg or SolverConfig()
-    if cfg.dt is None:
-        raise ValueError("operator probes need cfg.dt for a shared lattice")
     grid = problem.grid
     p = problem.params
-    n = p.n
     rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal((n, grid.m)) for _ in range(n_fields)]
-    total = int(round(T / cfg.dt))
-    times = cfg.dt * np.arange(total + 1)
+    fields = [rng.standard_normal((p.n, grid.m)) for _ in range(n_fields)]
+    times = time_lattice(T, cfg.dt)
     probe_times = np.array([0.0, 0.5 * T, T])
     fb = GriddedFuel(problem.fuel, grid)
 
     props_b = build_propagators(p, fb, times, cfg.theta, cfg.scheme)
-    tris_b = generator_bands(p, fb.sample(grid, probe_times), grid.dx, cfg.scheme)
+    tris_b = generator_bands(p, fb.sample(probe_times), grid.dx, cfg.scheme)
+    base = [evolve(props_b, psi) for psi in fields]
     gen_sups: list[float] = []
     prop_sups: list[float] = []
     for s in spec.levels:
         pert = build_perturbed(problem, spec.directions, float(s))
         fj = GriddedFuel(pert.fuel, grid)
-        tris_j = generator_bands(pert.params, fj.sample(grid, probe_times), grid.dx, cfg.scheme)
+        tris_j = generator_bands(pert.params, fj.sample(probe_times), grid.dx, cfg.scheme)
         worst_gen = 0.0
         for tri_b, tri_j in zip(tris_b, tris_j):
             for psi in fields:
                 diff = generator_apply(tri_j, psi) - generator_apply(tri_b, psi)
                 worst_gen = max(worst_gen, float(np.max(layer_l2(diff, grid.dx))))
         props_j = build_propagators(pert.params, fj, times, cfg.theta, cfg.scheme)
-        worst_prop = 0.0
-        for psi in fields:
-            vb = psi.copy()
-            vj = psi.copy()
-            for prop_b, prop_j in zip(props_b, props_j):
-                vb = prop_b.apply_values(vb)
-                vj = prop_j.apply_values(vj)
-                worst_prop = max(worst_prop, float(np.max(layer_l2(vj - vb, grid.dx))))
+        worst_prop = max(float(np.max(layer_l2(evolve(props_j, psi) - vb, grid.dx)))
+                         for psi, vb in zip(fields, base))
         gen_sups.append(worst_gen)
         prop_sups.append(worst_prop)
     return {"generator": gen_sups, "propagator": prop_sups}

@@ -42,6 +42,13 @@ arithmetic is elementwise, so each operator is bitwise the one a single-step
 build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
 the method-of-lines oracle uses per block of nodes.
+
+Along a lattice of Propagators every solver runs the same two recursions:
+evolve gives the homogeneous states U(t_k, t_0) v, and duhamel the
+propagated-trapezoid sums I_{k+1} = U_k [I_k + (dt/2) f_k] + (dt/2) f_{k+1}
+from I_0 = 0.  The Picard sweep, the dependence terms and the operator probe
+all call them; source_along evaluates f along the lattice one block of nodes
+at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import Grid
-from .model import LayerParams, coefficient_fields
+from .model import LayerParams, coefficient_fields, source_f
 
 # Values per array in one batched block of time steps (40 steps at n*m = 802),
 # used for assembly here and for source evaluation along a lattice.  Blocks
@@ -97,7 +104,7 @@ def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
 
 @dataclass
 class Propagator:
-    """One theta-scheme step of the homogeneous evolution on [t_from, t_to].
+    """One theta-scheme step of the homogeneous evolution.
 
     Holds the explicit bands of I - (1-theta)*dt*L_h and the dgttrf factors
     of I + theta*dt*L_h, both for all layers stacked into one tridiagonal of
@@ -107,10 +114,6 @@ class Propagator:
     """
 
     grid: Grid
-    t_from: float
-    t_to: float
-    theta: float
-    scheme: str
     # (3, n*m) rows sub/main/sup of the stacked I - (1-theta)*dt*L; layer i is
     # columns i*m to (i+1)*m, and the seam entries sub[i*m], sup[i*m - 1] are zero
     exp: np.ndarray
@@ -163,7 +166,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
     last_y = last_dt = None
     for a in range(0, dts.size, block):
         dt = dts[a : a + block]
-        ys = fuel.sample(grid, mids[a : a + block])
+        ys = fuel.sample(mids[a : a + block])
         same = repeats(ys, last_y) & repeats(dt, last_dt)
         last_y, last_dt = ys[-1], dt[-1]
         heads = np.flatnonzero(~same)
@@ -197,8 +200,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                     raise RuntimeError(
                         f"dgttrf failed on the implicit step matrix (info {info})")
                 op = exp[h], tuple(lu)
-            props.append(Propagator(grid, float(times[a + j]), float(times[a + j + 1]),
-                                    float(theta), scheme, *op))
+            props.append(Propagator(grid, *op))
     return props
 
 
@@ -228,12 +230,53 @@ def repeats(rows: np.ndarray, last) -> np.ndarray:
     return same
 
 
+def evolve(props: list[Propagator], start: np.ndarray) -> np.ndarray:
+    """Homogeneous states U(t_k, t_0) start at every lattice node, (K+1, n, m)."""
+    out = np.empty((len(props) + 1,) + start.shape)
+    out[0] = start
+    for k, prop in enumerate(props):
+        out[k + 1] = prop.apply_values(out[k])
+    return out
+
+
+def duhamel(props: list[Propagator], times: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Propagated-trapezoid sums of int_{t_0}^{t_k} U(t_k, s) f(s) ds, (K+1, n, m).
+
+    I_0 = 0 and I_{k+1} = U_k [I_k + (dt_k/2) f_k] + (dt_k/2) f_{k+1}, with f
+    the source at the K+1 lattice nodes.  The terms (dt_k/2) f_k and
+    (dt_k/2) f_{k+1} are formed for a block of steps at once; the recursion
+    runs one step at a time.
+    """
+    K = len(props)
+    out = np.empty_like(f)
+    out[0] = 0.0
+    acc = out[0]
+    half = 0.5 * np.diff(times)[:, None, None]
+    block = steps_per_block(f[0].size)
+    for a in range(0, K, block):
+        b = min(a + block, K)
+        left = half[a:b] * f[a:b]
+        right = half[a:b] * f[a + 1 : b + 1]
+        for j, prop in enumerate(props[a:b]):
+            acc = out[a + j + 1] = prop.apply_values(acc + left[j]) + right[j]
+    return out
+
+
+def source_along(p: LayerParams, ys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """source_f at every lattice node from its fuel sample, one call per block."""
+    f = np.empty_like(values)
+    block = steps_per_block(values[0].size)
+    for a in range(0, len(values), block):
+        f[a : a + block] = source_f(p, ys[a : a + block], values[a : a + block])
+    return f
+
+
 @dataclass
 class GriddedFuel:
-    """Pairs a fuel spec with the grid it is sampled on.
+    """A fuel spec bound to the grid it is sampled on.
 
-    Solver internals pass this around so propagator construction does not need
-    a separate grid argument; sample/envelope delegate to the wrapped spec.
+    Solver internals pass this around, so neither propagator construction nor
+    sampling takes a separate grid argument.
     """
 
     spec: object
@@ -247,11 +290,11 @@ class GriddedFuel:
     def n(self) -> int:
         return self.spec.n
 
-    def sample(self, grid: Grid, t) -> np.ndarray:
-        return self.spec.sample(grid, t)
+    def sample(self, t) -> np.ndarray:
+        return self.spec.sample(self.grid, t)
 
-    def envelope(self, grid: Grid, t0: float, t1: float):
-        return self.spec.envelope(grid, t0, t1)
+    def envelope(self, t0: float, t1: float):
+        return self.spec.envelope(self.grid, t0, t1)
 
 
 def generator_bands(p: LayerParams, y: np.ndarray, dx: float,

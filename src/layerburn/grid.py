@@ -93,6 +93,17 @@ class SolutionTrajectory:
         return float(np.max(layer_l2(self.values, self.grid.dx))) if self.times.size else 0.0
 
 
+def time_lattice(T: float, dt: float) -> np.ndarray:
+    """Nodes dt*k, k = 0..T/dt, of the uniform step lattice on [0, T].
+
+    T must be a positive whole number of dt steps (to 1e-9 relative).
+    """
+    total = int(round(T / dt))
+    if total < 1 or abs(total * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError("T must be a whole number of dt steps")
+    return dt * np.arange(total + 1)
+
+
 def layer_l2(values: np.ndarray, dx: float) -> np.ndarray:
     """Per-layer rectangle-rule L2 norms; values may be (n, m) or (k, n, m)."""
     return np.sqrt(dx * np.sum(np.asarray(values, dtype=float) ** 2, axis=-1))

@@ -102,7 +102,7 @@ def check_H2(fuel: GriddedFuel, T: float) -> CheckResult:
     violations: list[str] = []
     grid = fuel.grid
     ts = np.linspace(0.0, T, H2_PROBES) if T > 0 else np.array([0.0])
-    Y = fuel.sample(grid, ts)
+    Y = fuel.sample(ts)
     k3 = float(Y.max())
     ymin = float(Y.min())
     bounds = {"k3": max(k3, 0.0), "y_min": ymin}
@@ -158,7 +158,7 @@ def check_H3(p: LayerParams, grid: Grid) -> CheckResult:
 
 
 def _envelopes(p: LayerParams, fuel: GriddedFuel, t_span: tuple[float, float]):
-    ylo, yhi = fuel.envelope(fuel.grid, float(t_span[0]), float(t_span[1]))
+    ylo, yhi = fuel.envelope(float(t_span[0]), float(t_span[1]))
     den_lo = p.a + p.b * ylo
     den_hi = p.a + p.b * yhi
     if min(den_lo.min(), den_hi.min()) <= 0.0:

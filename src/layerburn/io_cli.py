@@ -2,9 +2,9 @@
 
 Config files are line-oriented `key = value` under `[section]` headers with
 `#` comments.  Sections: [grid] (x_min, x_max, m), [layers] (n plus per-layer
-function specs), [fuel] (mode and per-layer families), [run] (T plus solver
-settings and phi_i), [experiment] (oracle and dependence options).  Spatial
-profiles are function specs
+function specs), [fuel] (mode and per-layer families), [run] (T and the step
+dt, both required, plus solver settings and phi_i), [experiment] (oracle and
+dependence options).  Spatial profiles are function specs
 
     constant(v)
     bump(base, amplitude, center, width)      base + amplitude*exp(-((x-c)/w)^2)
@@ -344,8 +344,8 @@ def parse_config(text: str) -> ProblemConfig:
         _check_sign(f"q_{i}", row, positive=False)
     _check_sign("qhat_1", qhat1, positive=False)
     _check_sign("qhat_2", qhat2, positive=False)
-    if u_e < 0:
-        raise ConfigError("[layers] u_e must be nonnegative")
+    if not 0.0 <= u_e < math.inf:
+        raise ConfigError(f"[layers] u_e must be nonnegative and finite, got {u_e}")
     try:
         check_activation(E)
     except ValueError as err:
@@ -372,16 +372,14 @@ def parse_config(text: str) -> ProblemConfig:
 
     run = _Section("run", tokens["run"], defaults)
     T = run.take_float("T", required=True)
-    if T <= 0:
-        raise ConfigError("[run] T must be positive")
-    dt = run.take_float("dt", default=None)
+    if not 0.0 < T < math.inf:
+        raise ConfigError(f"[run] T must be positive and finite, got {T}")
     phi_rows = [run.take_spec(f"phi_{i}", "constant(0)")(x) for i in range(1, n + 1)]
     phi = TemperatureField(np.stack(phi_rows), grid)
     solver_kwargs = dict(
+        dt=run.take_float("dt", required=True),
         theta=run.take_float("theta", default=0.5),
         scheme=run.take_choice("scheme", ("auto", "central", "upwind"), "auto"),
-        dt=dt,
-        time_steps_per_window=run.take_int("time_steps_per_window", default=16),
         picard_tol=run.take_float("picard_tol", default=1e-10),
         picard_max_iters=run.take_int("picard_max_iters", default=15),
         window_mode=run.take_choice(
@@ -399,8 +397,6 @@ def parse_config(text: str) -> ProblemConfig:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as err:
         raise ConfigError(f"[run]: {err}") from None
-    if fuel_mode == "coupled" and solver.dt is None:
-        raise ConfigError("[run] dt is required when fuel mode is coupled")
 
     exp = _Section("experiment", tokens["experiment"], defaults)
     experiment = {
@@ -659,8 +655,6 @@ def _refine_in_time(values: np.ndarray) -> np.ndarray:
 
 def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     h = config.experiment["oracle_dt"] or config.solver.dt
-    if h is None:
-        raise ConfigError("[experiment] oracle_dt (or [run] dt) is required")
     prefix = _resolve_prefix(args.out, config_path, "oracle_compare")
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
@@ -699,8 +693,6 @@ def _cmd_dependence_study(args, config: ProblemConfig, config_path: str) -> int:
     perturb = config.experiment["perturb"]
     if not perturb:
         raise ConfigError("[experiment] needs at least one perturb_* direction")
-    if config.solver.dt is None:
-        raise ConfigError("[run] dt is required for dependence studies")
     prefix = _resolve_prefix(args.out, config_path, "dependence_study")
     levels = 2.0 ** -np.arange(config.experiment["levels"], dtype=float)
     spec = PerturbationSpec(perturb, levels)

@@ -4,8 +4,8 @@ The solution on a window [t0, t0 + w] is the fixed point of
 
     (Phi u)(t) = U(t, t0) phi + integral_{t0}^{t} U(t, s) f(s, u(s)) ds,
 
-discretized on a uniform step lattice: the integral is accumulated by the
-propagated trapezoid rule
+discretized on the uniform step lattice dt*k of [0, T] (grid.time_lattice):
+the integral is accumulated by the propagated trapezoid rule
 
     I_{k+1} = U_k [ I_k + (dt/2) f(t_k, u_k) ] + (dt/2) f(t_{k+1}, u_{k+1}),
 
@@ -14,20 +14,21 @@ so the converged iterate satisfies the one-step recursion
     u_{k+1} = U_k u_k + (dt/2) (U_k f_k + f_{k+1}),
 
 which is independent of how [0, T] is split into windows.  Global solves
-chain windows chosen by one of two certified rules (the continuation window
-epsilon(t0) or the fixed contraction step T'), both of which bound the Picard
-contraction factor by 1/2; a third, adaptive mode ignores the certified
-constants, starts from the whole remaining span, and halves on observed
+chain windows of whole lattice steps, each starting at a lattice node t0 and
+sized by one of two certified rules (the continuation window epsilon(t0) or
+the fixed contraction step T'), both of which bound the Picard contraction
+factor by 1/2; a third, adaptive mode ignores the certified constants, starts
+from the whole remaining span, and halves its step count on observed
 divergence instead.  Every global solve is audited first and checked against
 the a-priori growth bound afterwards (a warning rather than a failure in
 adaptive mode); runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
 A window's step operators come from one batched build_propagators call and
-its fuel from one sample call.  Each sweep evaluates f with one source_f call
-per block of time steps and forms the trapezoid terms (dt/2) f_k and
-(dt/2) f_{k+1} for the same block of steps at once; the recursion stays one
-step at a time, so the iterates are bitwise those of a per-step loop.
+its fuel from one sample call.  Each sweep evaluates f along the window with
+evolution.source_along and accumulates the integral with evolution.duhamel,
+the recursion the dependence terms use too; it runs one step at a time, so
+the iterates are bitwise those of a per-step loop.
 
 Each window's first Picard iterate is its seed: by default the one that
 SolverConfig.seed_mode names, or a slice of the trajectory passed to
@@ -49,8 +50,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import GriddedFuel, build_propagators, steps_per_block
-from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric
+from .evolution import GriddedFuel, build_propagators, duhamel, evolve, source_along
+from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric, time_lattice
 from .hypothesis import (
     HypothesisReport,
     audit_problem,
@@ -59,7 +60,7 @@ from .hypothesis import (
     continuation_radius,
     lipschitz_kappa,
 )
-from .model import Problem, TabulatedFuel, fuel_step, source_f
+from .model import Problem, TabulatedFuel, fuel_step
 
 
 # Relative slack of the a-priori check: observed <= bound * (1 + APRIORI_SLACK).
@@ -94,23 +95,22 @@ class AuditError(RuntimeError):
 class SolverConfig:
     """Tunables for the fixed-point marcher.
 
-    dt pins the global step lattice (windows snap to it); when None, each
-    window is cut into time_steps_per_window equal steps instead.  seed_mode
-    picks the cold-start Picard guess: the homogeneous evolution of the window
-    state, or that state held constant in time.  A trajectory passed to
-    solve_global as `guess` takes its place in every window (the warm start
-    of coupled passes and oracle-ladder rungs), so seed_mode only matters
-    when no guess is given.  window_mode "continuation"
-    and "contraction" use the two certified window rules; "adaptive" ignores
-    the certified constants, starts from the whole remaining span, halves on
-    divergence (detected early by gap growth over three consecutive sweeps),
-    and demotes the a-priori check to a warning; the certified modes raise.
+    dt has no default: it fixes the step lattice of every solve, T must be a
+    whole number of its steps, and so is every window.  seed_mode picks the
+    cold-start Picard guess: the homogeneous evolution of the window state,
+    or that state held constant in time.  A trajectory passed to solve_global
+    as `guess` takes its place in every window (the warm start of coupled
+    passes and oracle-ladder rungs), so seed_mode only matters when no guess
+    is given.  window_mode "continuation" and "contraction" use the two
+    certified window rules; "adaptive" ignores the certified constants,
+    starts from the whole remaining span, halves on divergence (detected
+    early by gap growth over three consecutive sweeps), and demotes the
+    a-priori check to a warning; the certified modes raise.
     """
 
+    dt: float
     theta: float = 0.5
     scheme: str = "auto"
-    dt: float | None = None
-    time_steps_per_window: int = 16
     picard_tol: float = 1e-10
     picard_max_iters: int = 15
     window_mode: str = "continuation"  # or "contraction" / "adaptive"
@@ -126,12 +126,10 @@ class SolverConfig:
             raise ValueError(f"unknown window_mode {self.window_mode!r}")
         if self.seed_mode not in ("homogeneous", "initial"):
             raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive when given")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.picard_tol <= 0 or self.picard_max_iters < 1:
             raise ValueError("picard_tol must be positive, picard_max_iters >= 1")
-        if self.time_steps_per_window < 2:
-            raise ValueError("time_steps_per_window must be at least 2")
 
 
 @dataclass
@@ -190,16 +188,9 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     replaced by phi_values); otherwise cfg.seed_mode picks it.
     """
     dx = fuel.grid.dx
-    K = times.size - 1
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
-    ys = fuel.sample(fuel.grid, times)
-    half = 0.5 * np.diff(times)[:, None, None]
-    block = steps_per_block(phi_values.size)
-
-    hom = np.empty((K + 1,) + phi_values.shape)
-    hom[0] = phi_values
-    for k in range(K):
-        hom[k + 1] = props[k].apply_values(hom[k])
+    ys = fuel.sample(times)
+    hom = evolve(props, phi_values)
 
     if guess is not None:
         u = guess.copy()
@@ -207,30 +198,13 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     elif cfg.seed_mode == "homogeneous":
         u = hom.copy()
     else:
-        u = np.repeat(phi_values[None], K + 1, axis=0)
-
-    def sweep(cur: np.ndarray) -> np.ndarray:
-        f = np.empty_like(cur)
-        for a in range(0, K + 1, block):
-            f[a : a + block] = source_f(p, ys[a : a + block], cur[a : a + block])
-        out = np.empty_like(cur)
-        out[0] = phi_values
-        acc = np.zeros_like(phi_values)
-        for a in range(0, K, block):
-            # the trapezoid terms (dt/2) f_k and (dt/2) f_{k+1} of a block of steps
-            b = min(a + block, K)
-            h = half[a:b]
-            left = h * f[a:b]
-            right = h * f[a + 1 : b + 1]
-            for j, prop in enumerate(props[a:b]):
-                acc = prop.apply_values(acc + left[j]) + right[j]
-                out[a + j + 1] = acc
-        out[1:] += hom[1:]
-        return out
+        u = np.repeat(phi_values[None], times.size, axis=0)
 
     gaps: list[float] = []
     for it in range(1, cfg.picard_max_iters + 1):
-        new = sweep(u)
+        new = duhamel(props, times, source_along(p, ys, u))
+        new[0] = phi_values
+        new[1:] += hom[1:]
         sup_new = float(np.max(layer_l2(new, dx)))
         if not math.isfinite(sup_new) or sup_new > cfg.blowup_ceiling:
             raise BlowUpError(
@@ -303,7 +277,7 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
     }
 
 
-def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
+def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
                  report: HypothesisReport | None = None,
                  guess: np.ndarray | None = None) -> SolveResult:
     """March [0, T] window by window; audit first, a-priori check last.
@@ -313,9 +287,7 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
     instead of the cfg.seed_mode seed.  A guess that is not on that lattice
     is a caller bug and raises SolverError.
     """
-    cfg = cfg or SolverConfig()
-    if T <= 0:
-        raise ValueError("T must be positive")
+    lattice = time_lattice(T, cfg.dt)
     if report is None:
         report = audit_problem(problem, T, theta=cfg.theta, scheme=cfg.scheme)
     if not report.ok:
@@ -324,37 +296,20 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
     p = problem.params
     fuel = GriddedFuel(problem.fuel, problem.grid)
     phi_norm0 = l2_norm(problem.phi)
+    K = lattice.size - 1
+    shape = (K + 1,) + problem.phi.values.shape
+    if guess is not None and guess.shape != shape:
+        raise SolverError(f"Picard guess has shape {guess.shape}, the dt lattice needs {shape}")
 
-    lattice = None
-    if cfg.dt is not None:
-        total = int(round(T / cfg.dt))
-        if total < 1 or abs(total * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
-            raise ValueError("T must be a whole number of dt steps")
-        lattice = cfg.dt * np.arange(total + 1)
-    if guess is not None:
-        if lattice is None:
-            raise SolverError("a Picard guess needs cfg.dt to pin its lattice")
-        if guess.shape != (lattice.size,) + problem.phi.values.shape:
-            raise SolverError(
-                f"Picard guess has shape {guess.shape}, the dt lattice needs "
-                f"{(lattice.size,) + problem.phi.values.shape}"
-            )
-
-    all_times = [np.array([0.0]) if lattice is None else lattice[:1]]
-    all_values = [problem.phi.values[None].copy()]
+    # each window's states stay in its own array until the final concatenate,
+    # so no full-trajectory buffer is held while the windows are solved
+    chunks = [problem.phi.values[None]]
+    state = problem.phi.values
     windows: list[WindowRecord] = []
-    state = problem.phi.values.copy()
     k0 = 0
-    t0 = 0.0
-    max_windows = 100000
-
-    while True:
-        remaining = (T - t0) if lattice is None else (lattice[-1] - lattice[k0])
-        if remaining <= (0.0 if lattice is not None else 1e-12 * max(1.0, T)):
-            break
-        if len(windows) >= max_windows:
-            raise SolverError("window budget exhausted; windows are shrinking too fast")
-
+    while k0 < K:
+        t0 = float(lattice[k0])
+        remaining = lattice[-1] - lattice[k0]
         phi_norm = float(np.max(layer_l2(state, problem.grid.dx)))
         if cfg.window_mode == "continuation":
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
@@ -366,48 +321,29 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
         if cfg.max_window is not None:
             w = min(w, cfg.max_window)
         w = min(w, remaining)
-
-        if lattice is not None:
-            steps_left = lattice.size - 1 - k0
-            n_sub = min(steps_left, max(1, int(math.floor(w / cfg.dt * (1.0 + 1e-12)))))
-        else:
-            n_sub = cfg.time_steps_per_window
+        # every window advances at least one step, so at most K windows
+        n_sub = min(K - k0, max(1, int(math.floor(w / cfg.dt * (1.0 + 1e-12)))))
 
         halvings = 0
         while True:
-            if lattice is not None:
-                times = lattice[k0 : k0 + n_sub + 1]
-            else:
-                times = t0 + (w / n_sub) * np.arange(n_sub + 1)
-            # a guess always lives on the lattice (checked above)
-            seed = None if guess is None else guess[k0 : k0 + times.size]
+            times = lattice[k0 : k0 + n_sub + 1]
+            seed = None if guess is None else guess[k0 : k0 + n_sub + 1]
             try:
                 vals, iters, gaps, ratios = _solve_window(p, fuel, times, state, cfg, seed)
                 break
             except PicardDivergenceError:
-                if halvings >= cfg.max_halvings:
+                if halvings >= cfg.max_halvings or n_sub == 1:
                     raise
-                if lattice is not None:
-                    if n_sub == 1:
-                        raise
-                    n_sub = max(1, n_sub // 2)
-                else:
-                    w *= 0.5
+                n_sub //= 2
                 halvings += 1
 
         windows.append(WindowRecord(float(times[0]), float(times[-1]), iters,
                                     gaps, ratios, halvings))
-        all_times.append(times[1:])
-        all_values.append(vals[1:])
+        chunks.append(vals[1:])
         state = vals[-1]
-        if lattice is not None:
-            k0 += n_sub
-        else:
-            t0 = float(times[-1])
+        k0 += n_sub
 
-    trajectory = SolutionTrajectory(
-        np.concatenate(all_times), np.concatenate(all_values), problem.grid
-    )
+    trajectory = SolutionTrajectory(lattice, np.concatenate(chunks), problem.grid)
     apriori = _apriori_check(trajectory, phi_norm0, report, p, fuel, T)
     if not apriori["ok"]:
         msg = (f"sup norm {apriori['observed']:.6g} exceeds the growth bound "
@@ -422,30 +358,19 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig | None = None, *,
 # coupled fuel
 
 
-def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
-                  ) -> CoupledResult:
+def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResult:
     """Alternate frozen-fuel temperature solves with exact fuel ODE restepping.
 
-    The fuel table lives on the dt lattice (cfg.dt is required); each step of
+    The fuel table lives on the temperature solves' dt lattice; each step of
     the restep uses the midpoint temperature (u_k + u_{k+1})/2, so the fuel is
     nonincreasing in time and stays in [0, y0] by construction.  Pass k >= 2
     seeds its solve with pass k-1's trajectory, which already lies within the
     outer gap of its fixed point.
     """
-    cfg = cfg or SolverConfig()
-    if cfg.dt is None:
-        raise ValueError("coupled runs need cfg.dt to pin the fuel lattice")
-    if T <= 0:
-        raise ValueError("T must be positive")
-
     p = problem.params
-    total = int(round(T / cfg.dt))
-    if total < 1 or abs(total * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be a whole number of dt steps")
-    lattice = cfg.dt * np.arange(total + 1)
-
+    lattice = time_lattice(T, cfg.dt)
     y0 = problem.fuel.sample(problem.grid, 0.0)
-    table = np.repeat(y0[None], total + 1, axis=0)
+    table = np.repeat(y0[None], lattice.size, axis=0)
 
     prev_traj = None
     u_gaps: list[float] = []
@@ -459,8 +384,6 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig | None = None
         pass_iterations.append(res.total_iterations)
         pass_worst_ratios.append(res.worst_ratio)
         traj = res.trajectory
-        if not np.array_equal(traj.times, lattice):
-            raise SolverError("temperature lattice drifted off the fuel lattice")
 
         new_table = fuel_step(y0, traj.values, p, cfg.dt)
         dy = float(np.max(np.abs(new_table - table)))

@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dgbsv
 
 from .evolution import (GriddedFuel, generator_apply, generator_bands, repeats,
                         steps_per_block)
-from .grid import SolutionTrajectory, layer_l2
+from .grid import SolutionTrajectory, layer_l2, time_lattice
 from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
 
 
@@ -114,20 +114,16 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
               ) -> SolutionTrajectory:
     """Integrate the semi-discrete system on the dt lattice over [0, T]."""
     cfg = cfg or OracleConfig()
-    if T <= 0:
-        raise ValueError("T must be positive")
-    total = int(round(T / cfg.dt))
-    if total < 1 or abs(total * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be a whole number of dt steps")
+    times = time_lattice(T, cfg.dt)
+    total = times.size - 1
 
     p = problem.params
     grid = problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     n, m = problem.phi.values.shape
-    times = cfg.dt * np.arange(total + 1)
 
     if cfg.integrator == "explicit-rk4":
-        _check_explicit_stability(p, fuel, grid, T, cfg.dt)
+        _check_explicit_stability(p, fuel, T, cfg.dt)
 
     def rhs(t: float, v: np.ndarray, L_tri: np.ndarray, y: np.ndarray) -> np.ndarray:
         return -generator_apply(L_tri, v) + source_f(p, y, v)
@@ -142,7 +138,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             u = values[k]
             tm = t + 0.5 * dt
             te = float(times[k + 1])
-            ys = fuel.sample(grid, np.array([t, tm, te]))
+            ys = fuel.sample(np.array([t, tm, te]))
             L0, Lm, Le = generator_bands(p, ys, grid.dx, cfg.scheme)
             k1 = rhs(t, u, L0, ys[0])
             k2 = rhs(tm, u + 0.5 * dt * k1, Lm, ys[1])
@@ -164,7 +160,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     y_next = None  # fuel sample at the last node of the previous block
     for a in range(0, total + 1, block):
         # fuel and generator for a block of lattice nodes, as build_propagators does
-        ys = fuel.sample(grid, times[a : a + block])
+        ys = fuel.sample(times[a : a + block])
         Ls = generator_bands(p, ys, grid.dx, cfg.scheme)
         same = repeats(ys, y_next)
         for j in range(ys.shape[0]):
@@ -211,9 +207,9 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     return SolutionTrajectory(times, values, grid)
 
 
-def _check_explicit_stability(p, fuel: GriddedFuel, grid, T: float, dt: float) -> None:
+def _check_explicit_stability(p, fuel: GriddedFuel, T: float, dt: float) -> None:
     """RK4 parabolic guard: dt <= 0.4 dx^2 / max(alpha), plus an advective CFL."""
-    ylo, yhi = fuel.envelope(grid, 0.0, T)
+    ylo, yhi = fuel.envelope(0.0, T)
     den_lo = p.a + p.b * ylo
     den_hi = p.a + p.b * yhi
     den_min = np.minimum(den_lo, den_hi)
@@ -221,7 +217,7 @@ def _check_explicit_stability(p, fuel: GriddedFuel, grid, T: float, dt: float) -
         raise ValueError("a + b*y must stay positive over the run")
     alpha_max = float(np.max(p.lam / den_min))
     beta_max = float(np.max(np.abs(p.c) / den_min))
-    dx = grid.dx
+    dx = fuel.grid.dx
     limit = 0.4 * dx * dx / alpha_max if alpha_max > 0 else math.inf
     if beta_max > 0:
         limit = min(limit, 0.5 * dx / beta_max)

@@ -181,7 +181,7 @@ def test_criterion_6_lipschitz_and_magnitude_bounds():
     f0_sup = 0.0
     for _ in range(1000):
         t = float(rng.uniform(0.0, T))
-        y = fuel.sample(grid, t)
+        y = fuel.sample(t)
         u, v = ball_draw(), ball_draw()
         df = float(np.max(layer_l2(source_f(p, y, u) - source_f(p, y, v), grid.dx)))
         du = float(np.max(layer_l2(u - v, grid.dx)))

@@ -142,6 +142,28 @@ def test_inadmissible_levels_are_skipped_not_fatal():
     assert len(study.ratios) == 1
 
 
+def _propagator_sups_per_step(problem, spec, cfg, times, fields):
+    """sup_t ||(U_j - U)(t, 0) psi|| with both marches taken one step at a
+    time per level, as the probe computed it before it called evolve."""
+    grid = problem.grid
+    props_b = build_propagators(problem.params, GriddedFuel(problem.fuel, grid), times,
+                                cfg.theta, cfg.scheme)
+    sups = []
+    for s in spec.levels:
+        pert = build_perturbed(problem, spec.directions, float(s))
+        props_j = build_propagators(pert.params, GriddedFuel(pert.fuel, grid), times,
+                                    cfg.theta, cfg.scheme)
+        worst = 0.0
+        for psi in fields:
+            vb, vj = psi.copy(), psi.copy()
+            for prop_b, prop_j in zip(props_b, props_j):
+                vb = prop_b.apply_values(vb)
+                vj = prop_j.apply_values(vj)
+                worst = max(worst, float(np.max(layer_l2(vj - vb, grid.dx))))
+        sups.append(worst)
+    return sups
+
+
 def test_operator_probe_scales_linearly():
     prob, _, _ = dependence_base(m=201)
     x = prob.grid.x
@@ -151,23 +173,18 @@ def test_operator_probe_scales_linearly():
         "qhat1": 0.05 * smooth_bump(x, 0.0, 3.0),
     }
     spec = PerturbationSpec(directions, levels=[0.5, 0.25, 0.125])
-    out = operator_convergence_probe(prob, 0.1, spec,
-                                     SolverConfig(dt=2e-3), n_fields=2, seed=3)
+    cfg = SolverConfig(dt=2e-3)
+    out = operator_convergence_probe(prob, 0.1, spec, cfg, n_fields=2, seed=3)
     gen, prop = out["generator"], out["propagator"]
     assert len(gen) == 3 and len(prop) == 3
+    rng = np.random.default_rng(3)
+    fields = [rng.standard_normal((2, prob.grid.m)) for _ in range(2)]
+    assert prop == _propagator_sups_per_step(prob, spec, cfg, 2e-3 * np.arange(51), fields)
     # lam and qhat1 enter the stencil linearly, so halving s halves L_j - L
     for a, b in zip(gen, gen[1:]):
         assert abs(b / a - 0.5) <= 1e-9
     for a, b in zip(prop, prop[1:]):
         assert 0.4 <= b / a <= 0.6
-
-
-def test_shared_lattice_is_required():
-    prob, T, spec = dependence_base(m=201)
-    with pytest.raises(ValueError):
-        dependence_study(prob, T, spec, SolverConfig())
-    with pytest.raises(ValueError):
-        operator_convergence_probe(prob, T, spec, SolverConfig())
 
 
 def test_gronwall_factor_formula():
@@ -198,8 +215,8 @@ def _difference_terms_per_level(base_problem, pert_problem, base_traj, cfg):
         props_b = build_propagators(pb, fb, seg, cfg.theta, cfg.scheme)
         props_j = build_propagators(pj, fj, seg, cfg.theta, cfg.scheme)
         u_seg = base_traj.values[a : a + block + 1]
-        f = source_f(pb, np.stack([fb.sample(grid, float(t)) for t in seg]), u_seg)
-        f_j = source_f(pj, np.stack([fj.sample(grid, float(t)) for t in seg]), u_seg)
+        f = source_f(pb, np.stack([fb.sample(float(t)) for t in seg]), u_seg)
+        f_j = source_f(pj, np.stack([fj.sample(float(t)) for t in seg]), u_seg)
         half = 0.5 * np.diff(seg)
         for k, (prop_b, prop_j) in enumerate(zip(props_b, props_j)):
             e0 = prop_j.apply_values(e0)

@@ -33,7 +33,7 @@ def _setup(m=201, span=(-10.0, 10.0), fuel_val=1.0, **params):
 
 def _generator(p, fuel, t, scheme="auto"):
     """Tridiagonals of L_h(t), shape (n, 3, m), from the fuel sampled at t."""
-    return generator_bands(p, fuel.sample(fuel.grid, t), fuel.grid.dx, scheme)
+    return generator_bands(p, fuel.sample(t), fuel.grid.dx, scheme)
 
 
 def _march(p, fuel, times, values, theta=0.5):
@@ -380,7 +380,7 @@ def test_propagator_layer_count_from_grid():
         assert prop.n == n
         assert prop.apply_values(np.ones((n, grid.m))).shape == (n, grid.m)
     # one layer: the bands of the first layer alone
-    one = Propagator(grid, 0.0, 0.01, 0.5, "auto", prop.exp[:, : grid.m].copy(), None)
+    one = Propagator(grid, prop.exp[:, : grid.m].copy(), None)
     assert one.n == 1
     assert build_propagator(p, fuel, 0.2, 0.2).n == n  # a zero-length step too
 
@@ -404,7 +404,6 @@ def test_batched_build_equals_per_step_builds():
     v = rng.standard_normal((n, m))
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
-        assert (prop.t_from, prop.t_to) == (one.t_from, one.t_to)
         assert np.array_equal(prop.exp, one.exp)
         assert len(prop.lu) == len(one.lu) == 5
         for got, ref in zip(prop.lu, one.lu):
@@ -462,7 +461,7 @@ def _check_runs(p, fuel, times, theta=0.5):
     props = build_propagators(p, fuel, times, theta)
     assert len(props) == times.size - 1
     mids = 0.5 * (times[:-1] + times[1:])
-    keys = [(_bits(fuel.sample(fuel.grid, float(t))), _bits(dt))
+    keys = [(_bits(fuel.sample(float(t))), _bits(dt))
             for t, dt in zip(mids, np.diff(times))]
     heads = [0]
     for k, prop in enumerate(props):

@@ -12,6 +12,7 @@ from layerburn.grid import (
     layer_l2,
     make_grid,
     sup_metric,
+    time_lattice,
 )
 
 
@@ -32,6 +33,22 @@ def test_make_grid_rejects_bad_input():
         make_grid(1.0, 0.0, 11)
     with pytest.raises(ValueError):
         make_grid(0.0, np.inf, 11)
+
+
+def test_time_lattice_is_dt_times_k():
+    for T, dt in ((0.5, 0.1), (1.0, 0.002), (0.3, 0.1)):
+        nodes = time_lattice(T, dt)
+        k = int(round(T / dt))
+        assert np.array_equal(nodes, dt * np.arange(k + 1))
+        assert nodes[-1] == pytest.approx(T, rel=1e-12)
+    # a horizon within 1e-9 of a whole number of steps keeps the dt*k nodes
+    assert time_lattice(1.0 + 1e-12, 0.25).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("T,dt", [(0.1, 0.03), (0.2, 0.3), (-1.0, 0.1), (0.0, 0.1)])
+def test_time_lattice_rejects_partial_steps(T, dt):
+    with pytest.raises(ValueError, match="whole number of dt steps"):
+        time_lattice(T, dt)
 
 
 def test_field_shape_must_match_grid():

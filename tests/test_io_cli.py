@@ -128,7 +128,6 @@ def test_config_accepts_all_solver_knobs():
         picard_max_iters = 30
         blowup_ceiling = 1e6
         max_window = 0.05
-        time_steps_per_window = 8
     """)
     cfg = parse_config(text)
     s = cfg.solver
@@ -136,7 +135,6 @@ def test_config_accepts_all_solver_knobs():
         (1.0, "upwind", "adaptive", "initial")
     assert s.picard_tol == 1e-8 and s.picard_max_iters == 30
     assert s.blowup_ceiling == 1e6 and s.max_window == 0.05
-    assert s.time_steps_per_window == 8
 
 
 def test_experiment_perturbations_are_assembled():
@@ -167,6 +165,7 @@ def test_experiment_perturbations_are_assembled():
     (lambda t: "stray = 1\n" + t, "outside any"),
     (lambda t: t.replace("n = 2", "n = 1"), "at least 2 layers"),
     (lambda t: t.replace("T = 0.2", "T = -1"), "T must be positive"),
+    (lambda t: t.replace("T = 0.2", "T = nan"), "T must be positive and finite"),
     (lambda t: t + "lam_1 = constant(0)\n".replace("lam_1", "phi_9"), "unknown key"),
     (lambda t: t.replace("y_1 = constant(0.8)", "y_1 = constant(1.5)"),
      r"fuel level must lie in \[0, 1\]"),
@@ -201,11 +200,40 @@ def test_positivity_failures_name_the_field():
         parse_config(bad)
 
 
-def test_coupled_mode_requires_dt():
-    text = BASE_CFG.replace("[fuel]", "[fuel]\nmode = coupled")
-    text = text.replace("dt = 0.01\n", "")
-    with pytest.raises(ConfigError, match="dt is required"):
+def test_missing_dt_is_a_config_error(tmp_path, capsys):
+    # dt is required in every fuel mode and for every subcommand
+    for mode in ("prescribed", "coupled"):
+        text = BASE_CFG.replace("[fuel]", f"[fuel]\nmode = {mode}")
+        text = text.replace("dt = 0.01\n", "")
+        with pytest.raises(ConfigError, match=r"^\[run\] is missing required key 'dt'$"):
+            parse_config(text)
+        path = _write(tmp_path, text, f"{mode}.cfg")
+        for command in ("simulate", "oracle-compare", "dependence-study"):
+            assert cli([command, path, "--out", str(tmp_path / "nodt")]) == 1
+            assert "missing required key 'dt'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("nodt*"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.01"])
+def test_nonpositive_or_nonfinite_dt_is_a_located_config_error(value, tmp_path, capsys):
+    text = BASE_CFG.replace("dt = 0.01", f"dt = {value}")
+    with pytest.raises(ConfigError, match=r"^\[run\]: dt must be positive and finite"):
         parse_config(text)
+    path = _write(tmp_path, text)
+    assert cli(["simulate", path, "--out", str(tmp_path / "baddt")]) == 1
+    assert "config error: [run]: dt must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_nonfinite_or_negative_u_e_is_a_config_error(value, tmp_path, capsys):
+    text = BASE_CFG.replace("E = 1", f"E = 1\nu_e = {value}")
+    with pytest.raises(ConfigError, match=r"^\[layers\] u_e must be nonnegative and finite"):
+        parse_config(text)
+    # the audit must not certify T' from a NaN mu
+    path = _write(tmp_path, text)
+    assert cli(["check-hypotheses", path, "--out", str(tmp_path / "ue")]) == 1
+    assert "[layers] u_e" in capsys.readouterr().err
+    assert not (tmp_path / "ue_hypotheses.txt").exists()
 
 
 # ---------------------------------------------------------------------------

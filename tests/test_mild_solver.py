@@ -2,12 +2,14 @@
 chaining, the blow-up guard, and the coupled-fuel outer loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import constant_problem
 from layerburn import mild_solver
+from layerburn.dependence import PerturbationSpec, operator_convergence_probe
 from layerburn.evolution import GriddedFuel, build_propagator, build_propagators, steps_per_block
 from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
@@ -27,23 +29,29 @@ from layerburn.mild_solver import (
     solve_coupled,
     solve_global,
 )
-from layerburn.model import arrhenius_g, fuel_step, source_f
+from layerburn.model import (
+    LogisticFrontFuel,
+    PrescribedFuel,
+    arrhenius_g,
+    fuel_step,
+    source_f,
+)
+from layerburn.oracle import OracleConfig, mol_solve
 
 
 def _phi_map(p, fuel, times, phi_values, traj_values, cfg):
     """One sweep of the integral map, rebuilt from the public pieces."""
-    grid = fuel.grid
     K = times.size - 1
     out = np.empty_like(traj_values)
     out[0] = phi_values
     hom = np.array(phi_values, dtype=float, copy=True)
     acc = np.zeros_like(hom)
-    f_prev = source_f(p, fuel.sample(grid, float(times[0])), traj_values[0])
+    f_prev = source_f(p, fuel.sample(float(times[0])), traj_values[0])
     for k in range(K):
         prop = build_propagator(p, fuel, float(times[k]), float(times[k + 1]),
                                 cfg.theta, cfg.scheme)
         half = 0.5 * (times[k + 1] - times[k])
-        f_next = source_f(p, fuel.sample(grid, float(times[k + 1])), traj_values[k + 1])
+        f_next = source_f(p, fuel.sample(float(times[k + 1])), traj_values[k + 1])
         hom = prop.apply_values(hom)
         acc = prop.apply_values(acc + half * f_prev) + half * f_next
         out[k + 1] = hom + acc
@@ -91,7 +99,7 @@ def test_source_free_map_ignores_input_trajectory():
     prob, T = homogeneous_drift(m=256)
     fuel = GriddedFuel(prob.fuel, prob.grid)
     times = 0.01 * np.arange(11)
-    cfg = SolverConfig()
+    cfg = SolverConfig(dt=0.01)
     rng = np.random.default_rng(31)
     outs = []
     for _ in range(2):
@@ -117,9 +125,9 @@ def test_map_contracts_random_trajectory_pairs():
     # the certified window bounds the Lipschitz factor of the map by 0.9
     prob, T = reactive_two_layer(m=201)
     report = audit_problem(prob, T)
-    cfg = SolverConfig()
+    cfg = SolverConfig(dt=0.002)
     fuel = GriddedFuel(prob.fuel, prob.grid)
-    dt = 0.002
+    dt = cfg.dt
     K = max(2, int(report.T_prime / dt))
     times = dt * np.arange(K + 1)
     rng = np.random.default_rng(32)
@@ -183,25 +191,34 @@ def test_windows_tile_the_horizon():
 
 
 def test_continuation_windows_follow_continuation_epsilon():
-    # each window is continuation_epsilon at its start time for the state
-    # there, with kappa on the radius-R(t0) ball and mu = sup ||f(t, 0)||;
-    # T is raised past the first window so no window is cut by the horizon
+    # each window starts at the lattice node t0 where the last one ended and
+    # takes the whole steps of continuation_epsilon at t0 for the state there,
+    # with kappa on the radius-R(t0) ball and mu = sup ||f(t, 0)|| over
+    # [t0, t0 + 1]; a moving fuel front makes that depend on t0, and T is
+    # raised past the first window so the horizon cuts only the last one
     prob, _ = reactive_two_layer(m=201)
-    T = 2.0
-    res = solve_global(prob, T, SolverConfig())
+    prob = replace(prob, fuel=PrescribedFuel([LogisticFrontFuel(-2.0, 3.0, 0.5)] * 2))
+    T, dt = 2.0, 0.002
+    res = solve_global(prob, T, SolverConfig(dt=dt))
     p, fuel, beta = prob.params, GriddedFuel(prob.fuel, prob.grid), res.report.beta
     times = res.trajectory.times
-    assert len(res.windows) >= 2
-    for win in res.windows:
-        t0 = win.t_start
-        state = res.trajectory.values[int(np.flatnonzero(times == t0)[0])]
-        phi_norm = float(np.max(layer_l2(state, prob.grid.dx)))
+    assert len(res.windows) >= 3
+    k0 = 0
+    for j, win in enumerate(res.windows):
+        t0 = float(times[k0])
+        assert win.t_start == t0
+        phi_norm = float(np.max(layer_l2(res.trajectory.values[k0], prob.grid.dx)))
         span = (t0, min(t0 + 1.0, T))
         kappa = lipschitz_kappa(p, fuel, continuation_radius(t0, phi_norm, beta), span)
         mu0 = bound_mu(p, fuel, 0.0, span)
         eps = continuation_epsilon(t0, phi_norm, kappa, mu0, beta)
-        assert eps < 1.0
-        assert win.t_end == t0 + min(eps, T - t0)
+        if j < len(res.windows) - 1:  # sized by epsilon, not by its cap or the horizon
+            assert eps < min(1.0, T - t0)
+        steps_left = times.size - 1 - k0
+        n_sub = min(steps_left, max(1, math.floor(min(eps, T - t0) / dt * (1.0 + 1e-12))))
+        assert win.t_end == times[k0 + n_sub]
+        k0 += n_sub
+    assert k0 == times.size - 1
 
 
 def test_solve_is_deterministic():
@@ -287,8 +304,6 @@ def test_guess_off_the_lattice_is_a_solver_error():
     for bad in (on_lattice[:-1], on_lattice[:, :, :-1], on_lattice[0]):
         with pytest.raises(SolverError, match="Picard guess has shape"):
             solve_global(prob, T, cfg, report=report, guess=bad)
-    with pytest.raises(SolverError, match="needs cfg.dt"):
-        solve_global(prob, T, SolverConfig(), report=report, guess=on_lattice)
 
 
 def test_audit_failure_aborts_with_report():
@@ -299,24 +314,41 @@ def test_audit_failure_aborts_with_report():
 
 
 def test_lattice_must_divide_horizon():
+    # every solve marches on grid.time_lattice, which rejects a horizon that
+    # is not a whole number of steps instead of stopping short of it
     prob, T = reactive_two_layer(m=201)
     with pytest.raises(ValueError):
         solve_global(prob, T, SolverConfig(dt=0.003))
     with pytest.raises(ValueError):
         solve_global(prob, -1.0, SolverConfig(dt=0.002))
+    whole = "whole number of dt steps"
+    with pytest.raises(ValueError, match=whole):
+        solve_coupled(prob, T, SolverConfig(dt=0.003))
+    with pytest.raises(ValueError, match=whole):
+        mol_solve(prob, 0.1, OracleConfig(dt=0.03))
+    spec = PerturbationSpec({"lam": np.full((2, prob.grid.m), 0.01)}, levels=[0.5, 0.25])
+    with pytest.raises(ValueError, match=whole):
+        operator_convergence_probe(prob, 0.1, spec, SolverConfig(dt=0.03))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(window_mode="bogus")
+        SolverConfig(dt=0.01, window_mode="bogus")
     with pytest.raises(ValueError):
-        SolverConfig(picard_tol=0.0)
+        SolverConfig(dt=0.01, picard_tol=0.0)
+    for dt in (-0.1, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SolverConfig(dt=dt)
     with pytest.raises(ValueError):
-        SolverConfig(time_steps_per_window=1)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(seed_mode="random")
+        SolverConfig(dt=0.01, seed_mode="random")
+
+
+def test_solver_config_requires_dt():
+    # dt has no default: every solve runs on its lattice
+    with pytest.raises(TypeError, match="dt"):
+        SolverConfig()
+    with pytest.raises(TypeError, match="dt"):
+        SolverConfig(theta=1.0)
 
 
 # ---------------------------------------------------------------------------

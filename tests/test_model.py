@@ -289,7 +289,7 @@ def test_source_lipschitz_on_ball():
     fuel = GriddedFuel(problem.fuel, grid)
     rho = 2.0
     kap = lipschitz_kappa(p, fuel, rho, (0.0, T))
-    y = fuel.sample(grid, 0.0)
+    y = fuel.sample(0.0)
     rng = np.random.default_rng(8)
     for _ in range(200):
         v = rng.standard_normal((2, grid.m))
@@ -477,9 +477,13 @@ def test_array_time_sample_equals_stacked_scalar_samples():
         ref = np.stack([fuel.sample(g, float(t)) for t in times])
         _assert_bitwise(fuel.sample(g, times), ref)
         _assert_bitwise(fuel.sample(g, times[5:6]), ref[5:6])
-    gridded = GriddedFuel(tabulated, g)
-    _assert_bitwise(gridded.sample(g, times),
-                    np.stack([tabulated.sample(g, float(t)) for t in times]))
+    # a gridded fuel samples and bounds the spec on the grid it stores
+    for spec in (prescribed, tabulated):
+        gridded = GriddedFuel(spec, g)
+        _assert_bitwise(gridded.sample(times),
+                        np.stack([spec.sample(g, float(t)) for t in times]))
+        for got, ref in zip(gridded.envelope(0.1, 0.5), spec.envelope(g, 0.1, 0.5)):
+            _assert_bitwise(got, ref)
 
 
 # ---------------------------------------------------------------------------

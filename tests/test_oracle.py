@@ -193,13 +193,13 @@ def _mol_solve_per_step(problem, T, cfg):
     values = np.empty((total + 1, n, m))
     values[0] = problem.phi.values
     half_dt = 0.5 * cfg.dt
-    y_k = fuel.sample(grid, 0.0)
+    y_k = fuel.sample(0.0)
     L_k = generator_bands(p, y_k, grid.dx, cfg.scheme)
     for k in range(total):
         u = values[k]
         t_next = float(times[k + 1])
         rhs_k = rhs(u, L_k, y_k)
-        y_next = fuel.sample(grid, t_next)
+        y_next = fuel.sample(t_next)
         L_next = generator_bands(p, y_next, grid.dx, cfg.scheme)
         den = p.a + p.b * y_next
         v = u + cfg.dt * rhs_k
