@@ -127,7 +127,7 @@ def _base_terms(base_problem: Problem, base_traj: SolutionTrajectory,
     times = base_traj.times
     props = build_propagators(pb, fb, times, cfg.theta, cfg.scheme)
     f = source_along(pb, fb.sample(times), base_traj.values)
-    return f, evolve(props, base_problem.phi.values), duhamel(props, times, f)
+    return f, evolve(props, base_problem.phi.values), duhamel(props, times, f, 0.0)
 
 
 def _difference_terms(base_problem: Problem, pert_problem: Problem,
@@ -152,8 +152,8 @@ def _difference_terms(base_problem: Problem, pert_problem: Problem,
     terms = {
         "d0": layer_l2(evolve(props, dphi), dx),
         "d1": layer_l2(evolve(props, hb[0]) - hb, dx),
-        "d3": layer_l2(duhamel(props, times, df), dx),
-        "d4": layer_l2(duhamel(props, times, f) - acc_b, dx),
+        "d3": layer_l2(duhamel(props, times, df, 0.0), dx),
+        "d4": layer_l2(duhamel(props, times, f, 0.0) - acc_b, dx),
     }
     terms = {key: float(np.max(val)) for key, val in terms.items()}
     terms["total"] = terms["d0"] + terms["d1"] + terms["d3"] + terms["d4"]

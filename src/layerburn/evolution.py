@@ -17,17 +17,20 @@ preserves the discrete mean) and no advection term at the two boundary nodes,
 where the Neumann condition makes beta*u_x vanish anyway.  Constants are
 exact steady states of the homogeneous flow in every mode.
 
-The n layers are decoupled, so the step matrices of all layers are stacked
-into one tridiagonal of size n*m: the first row of each layer has no
-sub-diagonal entry and its last row no super-diagonal entry, so the seams
-carry zeros.  Each step keeps its explicit bands as one contiguous (3, n*m)
-array and its stacked implicit matrix factored once with LAPACK's
-tridiagonal LU (dgttrf).  Every later application (Picard sweeps, power
-iteration) is one explicit product over the raveled layers, made of three
-band products on contiguous slices, and one dgttrs call; the adjoint reads
-the same bands and reuses the same factors with trans="T".  A seam entry only
-ever adds a zero product to a neighbouring layer's row, so each layer's
-result is the per-layer product, up to the sign of an exact zero at a seam.
+Only the implicit matrix A = I + theta*dt*L_h is kept.  The explicit one is
+B = I - (1-theta)*dt*L_h = (I - (1-theta)*A)/theta, so a step applies as
+U v = v + (A^{-1} v - v)/theta, one tridiagonal solve and three elementwise
+passes, and its adjoint the same with A^{-T}.  theta lies in [1/2, 1], the
+A-stable range, where dividing by theta at most doubles the rounding of
+A^{-1} v - v; a dt = 0 step has A = I and is exactly the identity.
+
+The n layers are decoupled, so the matrices A of all layers are stacked into
+one tridiagonal of size n*m whose seam entries (the first row's sub-diagonal
+and the last row's super-diagonal of each layer) are zero.  Each step factors
+it once with LAPACK's tridiagonal LU (dgttrf); every later application
+(Picard sweeps, power iteration) is one dgttrs call over the raveled layers,
+with trans="T" for the adjoint.  The factors are block diagonal, so each
+layer's result is the per-layer solve.
 
 build_propagators assembles all steps of a time lattice: fuel samples (one
 sample call per block), coefficients, stencils and bands are computed over
@@ -35,9 +38,9 @@ blocks of time steps at once, shape (steps, n, m), and dgttrf factors one
 step at a time.  A step's operator depends only on its fuel sample and dt,
 so a run of steps that repeat the previous step's sample and dt bit for bit
 is assembled and factored once, at its head, and its Propagators share one
-band array and one set of factors.  A time-dependent fuel makes every step a
-head; a time-invariant one on a lattice dt*k, whose steps round to a few
-distinct dt values, holds a few dozen operators per thousand steps.  The
+set of factors.  A time-dependent fuel makes every step a head; a
+time-invariant one on a lattice dt*k, whose steps round to a few distinct dt
+values, holds a few dozen operators per thousand steps.  The
 arithmetic is elementwise, so each operator is bitwise the one a single-step
 build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
@@ -46,9 +49,9 @@ the method-of-lines oracle uses per block of nodes.
 Along a lattice of Propagators every solver runs the same two recursions:
 evolve gives the homogeneous states U(t_k, t_0) v, and duhamel the
 propagated-trapezoid sums I_{k+1} = U_k [I_k + (dt/2) f_k] + (dt/2) f_{k+1}
-from I_0 = 0.  The Picard sweep, the dependence terms and the operator probe
-all call them; source_along evaluates f along the lattice one block of nodes
-at a time.
+from a given I_0.  From I_0 = phi that is one Picard sweep; from I_0 = 0 it
+is the integral term alone, which the dependence terms use.  source_along
+evaluates f along the lattice one block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -102,46 +105,46 @@ def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
     return sub, main, sup
 
 
+def check_theta(theta: float) -> None:
+    """theta must lie in the A-stable range [1/2, 1] (NaN does not)."""
+    if not 0.5 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+
+
 @dataclass
 class Propagator:
     """One theta-scheme step of the homogeneous evolution.
 
-    Holds the explicit bands of I - (1-theta)*dt*L_h and the dgttrf factors
-    of I + theta*dt*L_h, both for all layers stacked into one tridiagonal of
-    size n*m.  A zero-length step (dt = 0) has the bands and factors of the
-    identity, so it applies as the identity.  Neither is written after
-    assembly, so the Propagators of a run of equal steps share them.
+    Holds the dgttrf factors of A = I + theta*dt*L_h for all layers stacked
+    into one tridiagonal of size n*m, and applies the step as
+    v + (A^{-1} v - v)/theta (module docstring).  No explicit band is kept.
+    The factors are not written after assembly, so the Propagators of a run
+    of equal steps share them.
     """
 
     grid: Grid
-    # (3, n*m) rows sub/main/sup of the stacked I - (1-theta)*dt*L; layer i is
-    # columns i*m to (i+1)*m, and the seam entries sub[i*m], sup[i*m - 1] are zero
-    exp: np.ndarray
     lu: tuple  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
+    theta: float
 
     @property
     def n(self) -> int:
-        return self.exp.shape[1] // self.grid.m
+        return self.lu[1].size // self.grid.m
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        v = values.ravel()
-        sub, main, sup = self.exp
-        rhs = main * v
-        rhs[:-1] += sup[:-1] * v[1:]
-        rhs[1:] += sub[1:] * v[:-1]
-        # dgttrs reports only illegal arguments, which the factor shapes rule out
-        x, _ = dgttrs(*self.lu, rhs, overwrite_b=True)
-        return x.reshape(values.shape)
+        return self._step(values, "N")
 
     def apply_transpose_values(self, values: np.ndarray) -> np.ndarray:
         """Adjoint application, used by the operator-norm power iteration."""
-        z = np.array(values, dtype=float)
-        x, _ = dgttrs(*self.lu, z.ravel(), trans="T", overwrite_b=True)
-        sub, main, sup = self.exp
-        out = main * x
-        out[:-1] += sub[1:] * x[1:]
-        out[1:] += sup[:-1] * x[:-1]
-        return out.reshape(z.shape)
+        return self._step(values, "T")
+
+    def _step(self, values: np.ndarray, trans: str) -> np.ndarray:
+        v = values.ravel()
+        # dgttrs reports only illegal arguments, which the factor shapes rule out
+        x, _ = dgttrs(*self.lu, v, trans=trans)
+        x -= v
+        x /= self.theta
+        x += v
+        return x.reshape(values.shape)
 
 
 def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
@@ -150,10 +153,9 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
 
     Assembly runs over blocks of steps_per_block steps.  Only the head of a
     run of steps whose fuel sample and dt repeat bit for bit is assembled and
-    factored; the run's Propagators share its arrays, across blocks too.
+    factored; the run's Propagators share its factors, across blocks too.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    check_theta(theta)
     times = np.asarray(times, dtype=float)
     dts = np.diff(times)
     if np.any(dts < 0.0):
@@ -161,8 +163,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
     grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
     props: list[Propagator] = []
-    nodes = p.n * grid.m
-    block = steps_per_block(nodes)
+    block = steps_per_block(p.n * grid.m)
     last_y = last_dt = None
     for a in range(0, dts.size, block):
         dt = dts[a : a + block]
@@ -185,9 +186,6 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                         "forced-central implicit matrix lost diagonal dominance; "
                         "reduce dt or use scheme='auto'/'upwind'"
                     )
-            w_exp = (1.0 - theta) * w
-            exp = np.stack([-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup], axis=1)
-            exp = exp.reshape(heads.size, 3, nodes)
         h = -1
         for j in range(dt.size):
             if not same[j]:
@@ -199,8 +197,8 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                     # unreachable for a diagonally dominant matrix, so not a config error
                     raise RuntimeError(
                         f"dgttrf failed on the implicit step matrix (info {info})")
-                op = exp[h], tuple(lu)
-            props.append(Propagator(grid, *op))
+                lu = tuple(lu)
+            props.append(Propagator(grid, lu, theta))
     return props
 
 
@@ -239,17 +237,18 @@ def evolve(props: list[Propagator], start: np.ndarray) -> np.ndarray:
     return out
 
 
-def duhamel(props: list[Propagator], times: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Propagated-trapezoid sums of int_{t_0}^{t_k} U(t_k, s) f(s) ds, (K+1, n, m).
+def duhamel(props: list[Propagator], times: np.ndarray, f: np.ndarray,
+            start) -> np.ndarray:
+    """U(t_k, t_0) start + int_{t_0}^{t_k} U(t_k, s) f(s) ds by trapezoids, (K+1, n, m).
 
-    I_0 = 0 and I_{k+1} = U_k [I_k + (dt_k/2) f_k] + (dt_k/2) f_{k+1}, with f
-    the source at the K+1 lattice nodes.  The terms (dt_k/2) f_k and
+    I_0 = start and I_{k+1} = U_k [I_k + (dt_k/2) f_k] + (dt_k/2) f_{k+1},
+    with f the source at the K+1 lattice nodes.  The terms (dt_k/2) f_k and
     (dt_k/2) f_{k+1} are formed for a block of steps at once; the recursion
     runs one step at a time.
     """
     K = len(props)
     out = np.empty_like(f)
-    out[0] = 0.0
+    out[0] = start
     acc = out[0]
     half = 0.5 * np.diff(times)[:, None, None]
     block = steps_per_block(f[0].size)

@@ -47,7 +47,9 @@ import numpy as np
 
 from . import __version__
 from .dependence import PerturbationSpec, dependence_study
-from .grid import Grid, SolutionTrajectory, TemperatureField, layer_l2, make_grid
+from .evolution import check_theta
+from .grid import (Grid, SolutionTrajectory, TemperatureField, layer_l2, make_grid,
+                   time_lattice)
 from .hypothesis import HypothesisReport, PowerIterationError, audit_problem
 from .mild_solver import (
     AuditError,
@@ -394,6 +396,10 @@ def parse_config(text: str) -> ProblemConfig:
     )
     run.reject_leftovers()
     try:
+        check_theta(solver_kwargs["theta"])
+    except ValueError as err:
+        raise ConfigError(f"[run] {err}") from None
+    try:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as err:
         raise ConfigError(f"[run]: {err}") from None
@@ -440,6 +446,16 @@ def parse_config(text: str) -> ProblemConfig:
     experiment["perturb"] = perturb
     if experiment["levels"] < 2:
         raise ConfigError("[experiment] levels must be at least 2")
+    h = experiment["oracle_dt"]
+    if h is not None:
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"[experiment] oracle_dt must be positive and finite, got {h}")
+        try:
+            time_lattice(T, 4.0 * h)
+        except ValueError:
+            raise ConfigError(
+                f"[experiment] oracle_dt: T = {T} must be a whole number of steps of "
+                f"4*oracle_dt = {4.0 * h}, the coarsest oracle rung") from None
 
     return ProblemConfig(grid, n, params, fuel, fuel_mode, phi, T, solver,
                          experiment, defaults, text)
@@ -659,10 +675,12 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
     gaps = []
-    guess = None
+    guess = report = None
     for dt in ladder:
         mild_cfg = replace(config.solver, dt=dt)
-        mild = solve_global(problem, config.T, mild_cfg, guess=guess).trajectory
+        # the audit does not depend on dt, so the finer rungs reuse the first one's
+        res = solve_global(problem, config.T, mild_cfg, report=report, guess=guess)
+        report, mild = res.report, res.trajectory
         # the next, finer rung starts its Picard sweeps from this one
         guess = None if dt == h else _refine_in_time(mild.values)
         oracle_cfg = OracleConfig(
@@ -674,7 +692,7 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
         gaps.append(relative_gap(mild, reference))
         # free this rung's trajectories: the finer rung's solves then hold only
         # its guess, and the peak memory stays that of a cold ladder
-        del mild, reference
+        del res, mild, reference
     orders = refinement_orders(gaps)
 
     csv_path = prefix.parent / f"{prefix.name}_oracle.csv"

@@ -26,13 +26,15 @@ overflowing silently.
 
 A window's step operators come from one batched build_propagators call and
 its fuel from one sample call.  Each sweep evaluates f along the window with
-evolution.source_along and accumulates the integral with evolution.duhamel,
-the recursion the dependence terms use too; it runs one step at a time, so
-the iterates are bitwise those of a per-step loop.
+evolution.source_along and runs the trapezoid recursion above once, with
+evolution.duhamel from I_0 = phi instead of 0: by linearity that carries
+U(t_k, t0) phi and the integral in one array, one step at a time, so the
+iterates are bitwise those of a per-step loop.
 
 Each window's first Picard iterate is its seed: by default the one that
 SolverConfig.seed_mode names, or a slice of the trajectory passed to
-solve_global as `guess` (a warm start).  The Duhamel fixed point is unique, so
+solve_global as `guess` (a warm start).  Only the cold "homogeneous" seed
+computes U(t_k, t0) phi on its own.  The Duhamel fixed point is unique, so
 the seed only changes how many sweeps a window takes, not where it converges
 (to within picard_tol).
 
@@ -50,7 +52,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import GriddedFuel, build_propagators, duhamel, evolve, source_along
+from .evolution import (GriddedFuel, build_propagators, check_theta, duhamel, evolve,
+                        source_along)
 from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric, time_lattice
 from .hypothesis import (
     HypothesisReport,
@@ -96,7 +99,8 @@ class SolverConfig:
     """Tunables for the fixed-point marcher.
 
     dt has no default: it fixes the step lattice of every solve, T must be a
-    whole number of its steps, and so is every window.  seed_mode picks the
+    whole number of its steps, and so is every window.  theta lies in
+    [1/2, 1], the A-stable range of the theta-scheme.  seed_mode picks the
     cold-start Picard guess: the homogeneous evolution of the window state,
     or that state held constant in time.  A trajectory passed to solve_global
     as `guess` takes its place in every window (the warm start of coupled
@@ -128,6 +132,7 @@ class SolverConfig:
             raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_theta(self.theta)
         if self.picard_tol <= 0 or self.picard_max_iters < 1:
             raise ValueError("picard_tol must be positive, picard_max_iters >= 1")
 
@@ -190,28 +195,26 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     dx = fuel.grid.dx
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
     ys = fuel.sample(times)
-    hom = evolve(props, phi_values)
 
     if guess is not None:
         u = guess.copy()
         u[0] = phi_values
     elif cfg.seed_mode == "homogeneous":
-        u = hom.copy()
+        u = evolve(props, phi_values)
     else:
         u = np.repeat(phi_values[None], times.size, axis=0)
 
     gaps: list[float] = []
     for it in range(1, cfg.picard_max_iters + 1):
-        new = duhamel(props, times, source_along(p, ys, u))
-        new[0] = phi_values
-        new[1:] += hom[1:]
+        new = duhamel(props, times, source_along(p, ys, u), phi_values)
         sup_new = float(np.max(layer_l2(new, dx)))
         if not math.isfinite(sup_new) or sup_new > cfg.blowup_ceiling:
             raise BlowUpError(
                 f"iterate blew up on [{times[0]:.6g}, {times[-1]:.6g}] "
                 f"(sweep {it}, sup {sup_new:.3g})"
             )
-        gap = float(np.max(layer_l2(new - u, dx)))
+        u -= new
+        gap = float(np.max(layer_l2(u, dx)))
         gaps.append(gap)
         u = new
         if gap <= cfg.picard_tol * (1.0 + sup_new):

@@ -62,8 +62,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.integrator not in ("implicit-trapezoid", "explicit-rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ scheme switching, and the conservative boundary closure."""
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrs
 
 from conftest import constant_problem, random_field
 from layerburn.evolution import (
@@ -36,6 +35,33 @@ def _generator(p, fuel, t, scheme="auto"):
     return generator_bands(p, fuel.sample(t), fuel.grid.dx, scheme)
 
 
+def _banded(sub, main, sup):
+    """solve_banded's (3, m) layout of one tridiagonal."""
+    ab = np.zeros((3, main.size))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = main
+    ab[2, :-1] = sub[1:]
+    return ab
+
+
+def _layer_step(tri, w_imp, theta, v, transpose=False):
+    """One layer's step v + (A^{-1} v - v)/theta, A = I + w_imp*L_h from the
+    layer's generator bands tri (3, m), with one banded solve per layer."""
+    sub, main, sup = tri
+    imp = (w_imp * sub, 1.0 + w_imp * main, w_imp * sup)
+    if transpose:
+        imp = (np.r_[0.0, imp[2][:-1]], imp[1], np.r_[imp[0][1:], 0.0])
+    return v + (solve_banded((1, 1), _banded(*imp), v) - v) / theta
+
+
+def _assert_layer_steps(prop, gen, w_imp, theta, v):
+    """prop applies, layer by layer, bitwise as the per-layer reference."""
+    got = prop.apply_values(v)
+    assert got.shape == v.shape
+    for i in range(v.shape[0]):
+        assert np.array_equal(got[i], _layer_step(gen[i], w_imp, theta, v[i]))
+
+
 def _march(p, fuel, times, values, theta=0.5):
     """Apply the step operators of a time lattice in turn."""
     for prop in build_propagators(p, fuel, times, theta):
@@ -44,16 +70,20 @@ def _march(p, fuel, times, values, theta=0.5):
 
 
 def test_zero_length_step_is_identity():
-    # a dt = 0 step has the bands and LU factors of the identity, so it and
-    # its adjoint apply as the identity for every theta and scheme
+    # a dt = 0 step has the LU factors of the identity, so A^{-1} v - v is
+    # exactly zero and the step and its adjoint apply as the identity for
+    # every admitted theta and scheme; theta outside [1/2, 1] is refused
     p, fuel, grid = _setup(b=0.2, c=0.4, fuel_val=0.8)
     rng = np.random.default_rng(0)
     v = random_field(grid, 2, rng)
-    for theta in (0.0, 0.5, 0.7, 1.0):
+    for theta in (0.5, 0.7, 1.0):
         for scheme in ("auto", "upwind"):
             prop = build_propagators(p, fuel, [0.3, 0.3], theta, scheme)[0]
             np.testing.assert_array_equal(prop.apply_values(v), v)
             np.testing.assert_array_equal(prop.apply_transpose_values(v), v)
+    for theta in (0.0, 0.3, float("nan")):
+        with pytest.raises(ValueError, match="theta"):
+            build_propagators(p, fuel, [0.3, 0.3], theta)
 
 
 def test_constant_field_is_steady():
@@ -174,27 +204,26 @@ def test_strong_continuity_in_dt():
 
 def test_scheme_switch_threshold():
     # cell Peclet |beta| dx / alpha <= 2 keeps the central stencil; beyond it
-    # the auto scheme must match the upwind rows node by node, both in the
-    # generator and in the explicit bands of the step operator built from it
-    # (flat (3, n*m) bands, read per layer as (n, 3, m))
+    # the auto scheme must match the upwind rows node by node in the
+    # generator, and the step operator of each scheme must be bitwise the
+    # per-layer step built from that scheme's generator bands
     grid = make_grid(0.0, 1.0, 51)
     p = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
     p.c[0, :25] = 150.0  # cell Peclet 3 in the first half of layer 1
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * 2), grid)
     p_central = LayerParams.constants(grid, 2, a=1.0, c=1.0, lam=1.0)
 
-    def exp_per_layer(q, scheme):
-        exp = build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme).exp
-        return exp.reshape(3, 2, grid.m).swapaxes(0, 1)
+    gens = {scheme: _generator(q, fuel, 0.0, scheme)
+            for q, scheme in ((p, "auto"), (p, "upwind"), (p_central, "central"))}
+    auto, up, cen = gens["auto"], gens["upwind"], gens["central"]
+    np.testing.assert_array_equal(auto[0][:, 2:24], up[0][:, 2:24])
+    np.testing.assert_array_equal(auto[0][:, 26:-1], cen[0][:, 26:-1])
+    np.testing.assert_array_equal(auto[1][:, 1:-1], cen[1][:, 1:-1])
 
-    for bands in (
-        lambda q, scheme: _generator(q, fuel, 0.0, scheme),
-        exp_per_layer,
-    ):
-        auto, up, cen = bands(p, "auto"), bands(p, "upwind"), bands(p_central, "central")
-        np.testing.assert_array_equal(auto[0][:, 2:24], up[0][:, 2:24])
-        np.testing.assert_array_equal(auto[0][:, 26:-1], cen[0][:, 26:-1])
-        np.testing.assert_array_equal(auto[1][:, 1:-1], cen[1][:, 1:-1])
+    v = np.random.default_rng(10).standard_normal((2, grid.m))
+    for q, scheme in ((p, "auto"), (p, "upwind"), (p_central, "central")):
+        prop = build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme)
+        _assert_layer_steps(prop, gens[scheme], 0.5 * 1e-3, 0.5, v)
 
 
 def test_forced_central_guards_diagonal_dominance():
@@ -265,41 +294,20 @@ def test_stacked_kernel_matches_dense_per_layer_solve():
 
 
 def test_stacked_kernel_equals_per_layer_banded_reference():
-    # one banded LU per layer, as the kernel did before the layers were stacked
-    prop, gen, w_imp, w_exp = _variable_kernel_case()
-    n, m = gen.shape[0], gen.shape[2]
+    # one banded solve per layer, as the kernel did before the layers were
+    # stacked, for every admitted theta
     rng = np.random.default_rng(6)
-    v = rng.standard_normal((n, m))
-
-    def tri_mul(sub, main, sup, u):
-        out = main * u
-        out[:-1] += sup[:-1] * u[1:]
-        out[1:] += sub[1:] * u[:-1]
-        return out
-
-    def banded(sub, main, sup):
-        ab = np.zeros((3, m))
-        ab[0, 1:] = sup[:-1]
-        ab[1] = main
-        ab[2, :-1] = sub[1:]
-        return ab
-
-    def transpose(sub, main, sup):
-        return np.r_[0.0, sup[:-1]], main, np.r_[sub[1:], 0.0]
-
-    fwd = prop.apply_values(v)
-    adj = prop.apply_transpose_values(v)
-    for i in range(n):
-        sub, main, sup = gen[i]
-        imp = (w_imp * sub, 1.0 + w_imp * main, w_imp * sup)
-        exp = (-w_exp * sub, 1.0 - w_exp * main, -w_exp * sup)
-        ref = solve_banded((1, 1), banded(*imp), tri_mul(*exp, v[i]))
-        assert np.array_equal(fwd[i], ref)
+    for theta in (0.5, 0.7, 1.0):
+        prop, gen, w_imp, _ = _variable_kernel_case(theta=theta)
+        n, m = gen.shape[0], gen.shape[2]
+        v = rng.standard_normal((n, m))
+        _assert_layer_steps(prop, gen, w_imp, theta, v)
         # the adjoint solves with the transposed LU factors, not a fresh LU of
         # the transposed matrix, so it agrees to rounding rather than bitwise
-        z = solve_banded((1, 1), banded(*transpose(*imp)), v[i])
-        ref_t = tri_mul(*transpose(*exp), z)
-        assert np.linalg.norm(adj[i] - ref_t) <= 1e-13 * np.linalg.norm(ref_t)
+        adj = prop.apply_transpose_values(v)
+        for i in range(n):
+            ref_t = _layer_step(gen[i], w_imp, theta, v[i], transpose=True)
+            assert np.linalg.norm(adj[i] - ref_t) <= 1e-13 * np.linalg.norm(ref_t)
 
 
 def test_stacked_layers_are_decoupled_at_the_seams():
@@ -318,70 +326,24 @@ def test_stacked_layers_are_decoupled_at_the_seams():
             assert not np.array_equal(out[i], base[i])
 
 
-def _per_layer_apply(prop, v, transpose=False):
-    """apply_values (or its adjoint) with the explicit product taken per layer."""
-    n, m = v.shape
-    sub, main, sup = prop.exp.reshape(3, n, m)
-    if transpose:
-        z, _ = dgttrs(*prop.lu, v.ravel(), trans="T")
-        z = z.reshape(n, m)
-        out = main * z
-        out[:, :-1] += sub[:, 1:] * z[:, 1:]
-        out[:, 1:] += sup[:, :-1] * z[:, :-1]
-        return out
-    rhs = main * v
-    rhs[:, :-1] += sup[:, :-1] * v[:, 1:]
-    rhs[:, 1:] += sub[:, 1:] * v[:, :-1]
-    x, _ = dgttrs(*prop.lu, rhs.ravel())
-    return x.reshape(n, m)
-
-
-def test_flat_band_apply_equals_per_layer_reference():
-    # the flat bands also multiply across the layer seams, by zero entries;
-    # signed zeros and large values on both sides of every seam must leave
-    # each layer's result as the per-layer product gives it
-    n, m = 3, 64
-    prop, _, _, _ = _variable_kernel_case(n=n, m=m)
-    sub, _, sup = prop.exp
-    seams_lo = np.arange(1, n) * m  # first node of layers 2..n
-    assert np.all(sub[seams_lo] == 0.0) and np.all(sup[seams_lo - 1] == 0.0)
-    rng = np.random.default_rng(8)
-    seam = np.zeros((n, m), dtype=bool)
-    seam[:, [0, 1, -2, -1]] = True
-    fills = [np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, -0.0, 0.0, 0.0]),
-             np.array([1e300, -1e300, 3e299, -7e299]), np.array([-0.0, 5e299, -1e300, 0.0])]
-    for fill in fills:
-        for transpose in (False, True):
-            v = rng.standard_normal((n, m))
-            v[seam] = np.resize(fill, int(seam.sum()))
-            apply = prop.apply_transpose_values if transpose else prop.apply_values
-            got = apply(v)
-            ref = _per_layer_apply(prop, v, transpose)
-            assert got.shape == (n, m)
-            assert np.array_equal(got, ref)
-            # a zero seam product may flip the sign of an exact zero there
-            keep = ~(seam & (ref == 0.0))
-            assert np.array_equal(np.signbit(got[keep]), np.signbit(ref[keep]))
-        # zero layers next to nonzero ones stay exactly zero
-        v = np.zeros((n, m))
-        v[1] = fill[0] + rng.standard_normal(m)
-        for apply in (prop.apply_values, prop.apply_transpose_values):
-            out = apply(v)
-            assert np.all(out[[0, 2]] == 0.0)
-
-
 def test_propagator_layer_count_from_grid():
     grid = make_grid(-10.0, 10.0, 33)
     for n in (2, 3, 4):
         p = LayerParams.constants(grid, n, a=1.0, c=0.5, lam=1.0)
         fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * n), grid)
         prop = build_propagator(p, fuel, 0.0, 0.01)
-        assert prop.exp.shape == (3, n * grid.m)
+        assert prop.lu[1].shape == (n * grid.m,)
         assert prop.n == n
-        assert prop.apply_values(np.ones((n, grid.m))).shape == (n, grid.m)
-    # one layer: the bands of the first layer alone
-    one = Propagator(grid, prop.exp[:, : grid.m].copy(), None)
+        _assert_layer_steps(prop, _generator(p, fuel, 0.005), 0.5 * 0.01, 0.5,
+                            np.ones((n, grid.m)))
+    # one layer: the first layer's slice of the stacked factors, which the
+    # zero seam entries leave without a pivot across the seam
+    m = grid.m
+    dl, d, du, du2, ipiv = prop.lu
+    one = Propagator(grid, (dl[: m - 1], d[:m], du[: m - 1], du2[: m - 2], ipiv[:m]), 0.5)
     assert one.n == 1
+    v = np.random.default_rng(11).standard_normal((n, m))
+    assert np.array_equal(one.apply_values(v[:1]), prop.apply_values(v)[:1])
     assert build_propagator(p, fuel, 0.2, 0.2).n == n  # a zero-length step too
 
 
@@ -404,12 +366,13 @@ def test_batched_build_equals_per_step_builds():
     v = rng.standard_normal((n, m))
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
-        assert np.array_equal(prop.exp, one.exp)
         assert len(prop.lu) == len(one.lu) == 5
         for got, ref in zip(prop.lu, one.lu):
             assert np.array_equal(got, ref)
         assert np.array_equal(prop.apply_values(v), one.apply_values(v))
         assert np.array_equal(prop.apply_transpose_values(v), one.apply_transpose_values(v))
+        gen = _generator(p, fuel, 0.5 * (times[k] + times[k + 1]))
+        _assert_layer_steps(prop, gen, theta * (times[k + 1] - times[k]), theta, v)
 
 
 def test_batched_build_guards_every_step():
@@ -450,30 +413,35 @@ def _bits(a):
 
 
 def _shared(a, b):
-    """Whether each of a's band and factor arrays overlaps b's."""
-    return [np.shares_memory(x, y) for x, y in zip((a.exp, *a.lu), (b.exp, *b.lu))]
+    """Whether each of a's factor arrays overlaps b's."""
+    return [np.shares_memory(x, y) for x, y in zip(a.lu, b.lu)]
 
 
 def _check_runs(p, fuel, times, theta=0.5):
     """Each operator is bitwise its single-step build, and a step shares the
     previous step's arrays exactly when its fuel sample and dt repeat that
-    step's bit for bit.  Returns the props and the indices of the run heads."""
+    step's bit for bit.  Each run head also applies bitwise as the per-layer
+    step from its generator bands.  Returns the props and the indices of the
+    run heads."""
     props = build_propagators(p, fuel, times, theta)
     assert len(props) == times.size - 1
     mids = 0.5 * (times[:-1] + times[1:])
-    keys = [(_bits(fuel.sample(float(t))), _bits(dt))
-            for t, dt in zip(mids, np.diff(times))]
+    dts = np.diff(times)
+    keys = [(_bits(fuel.sample(float(t))), _bits(dt)) for t, dt in zip(mids, dts)]
+    v = np.random.default_rng(12).standard_normal((p.n, fuel.grid.m))
     heads = [0]
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
-        assert np.array_equal(prop.exp, one.exp)
         for got, ref in zip(prop.lu, one.lu):
             assert np.array_equal(got, ref)
         if k:
             repeat = all(np.array_equal(x, y) for x, y in zip(keys[k], keys[k - 1]))
-            assert _shared(prop, props[k - 1]) == [repeat] * 6
+            assert _shared(prop, props[k - 1]) == [repeat] * 5
             if not repeat:
                 heads.append(k)
+        if heads[-1] == k:
+            _assert_layer_steps(prop, _generator(p, fuel, float(mids[k])),
+                                theta * dts[k], theta, v)
     return props, heads
 
 
@@ -555,4 +523,6 @@ def test_signed_zero_fuel_samples_do_not_share():
     props, heads = _check_runs(p, fuel, times)
     assert len(heads) == 3
     for k in heads[1:]:  # equal operators, built apart
-        assert np.array_equal(props[k].exp, props[k - 1].exp)
+        assert not any(_shared(props[k], props[k - 1]))
+        for got, ref in zip(props[k].lu, props[k - 1].lu):
+            assert np.array_equal(got, ref)

@@ -224,6 +224,36 @@ def test_nonpositive_or_nonfinite_dt_is_a_located_config_error(value, tmp_path, 
     assert "config error: [run]: dt must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "0.3", "1.5", "nan"])
+def test_theta_outside_the_a_stable_range_is_a_located_config_error(value, tmp_path, capsys):
+    text = BASE_CFG.replace("dt = 0.01", f"dt = 0.01\ntheta = {value}")
+    with pytest.raises(ConfigError, match=r"^\[run\] theta must lie in \[1/2, 1\], got"):
+        parse_config(text)
+    path = _write(tmp_path, text)
+    assert cli(["simulate", path, "--out", str(tmp_path / "theta")]) == 1
+    assert "config error: [run] theta must lie in [1/2, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("theta*"))
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("nan", "must be positive and finite"),
+    ("inf", "must be positive and finite"),
+    ("0", "must be positive and finite"),
+    ("-0.0005", "must be positive and finite"),
+    ("0.0003", "must be a whole number of steps of 4\\*oracle_dt"),
+])
+def test_bad_oracle_dt_is_a_located_config_error(value, reason, tmp_path, capsys):
+    text = BASE_CFG + f"\n[experiment]\noracle_dt = {value}\n"
+    with pytest.raises(ConfigError, match=r"^\[experiment\] oracle_dt.*" + reason):
+        parse_config(text)
+    path = _write(tmp_path, text)
+    assert cli(["oracle-compare", path, "--out", str(tmp_path / "orc")]) == 1
+    assert "config error: [experiment] oracle_dt" in capsys.readouterr().err
+    # T = 0.2 is 100 steps of 4 * 0.0005
+    ok = parse_config(BASE_CFG + "\n[experiment]\noracle_dt = 0.0005\n")
+    assert ok.experiment["oracle_dt"] == 0.0005
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_nonfinite_or_negative_u_e_is_a_config_error(value, tmp_path, capsys):
     text = BASE_CFG.replace("E = 1", f"E = 1\nu_e = {value}")
@@ -500,18 +530,19 @@ def test_cli_oracle_compare_seeds_each_finer_rung(tmp_path, monkeypatch):
     # and land within 1e-9 of solving the rung from the cold seed
     calls = []
 
-    def recording(problem, T, cfg, *, guess=None):
-        res = solve_global(problem, T, cfg, guess=guess)
-        calls.append((problem, T, cfg, guess, res))
+    def recording(problem, T, cfg, *, report=None, guess=None):
+        res = solve_global(problem, T, cfg, report=report, guess=guess)
+        calls.append((problem, T, cfg, guess, res, report))
         return res
 
     monkeypatch.setattr(io_cli, "solve_global", recording)
     cfg = _write(tmp_path, BASE_CFG)
     assert cli(["oracle-compare", cfg, "--out", str(tmp_path / "orc")]) == 0
     assert [c[2].dt for c in calls] == pytest.approx([0.04, 0.02, 0.01])
-    assert calls[0][3] is None
-    for above, (problem, T, rung_cfg, guess, warm) in zip(calls, calls[1:]):
+    assert calls[0][3] is None and calls[0][5] is None
+    for above, (problem, T, rung_cfg, guess, warm, report) in zip(calls, calls[1:]):
         assert np.array_equal(guess[::2], above[4].trajectory.values)
+        assert report is calls[0][4].report  # one audit for the whole ladder
         cold = solve_global(problem, T, rung_cfg)
         assert warm.total_iterations < cold.total_iterations
         assert sup_metric(warm.trajectory, cold.trajectory) \

@@ -10,7 +10,13 @@ import pytest
 from conftest import constant_problem
 from layerburn import mild_solver
 from layerburn.dependence import PerturbationSpec, operator_convergence_probe
-from layerburn.evolution import GriddedFuel, build_propagator, build_propagators, steps_per_block
+from layerburn.evolution import (
+    GriddedFuel,
+    Propagator,
+    build_propagator,
+    build_propagators,
+    steps_per_block,
+)
 from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
@@ -40,21 +46,19 @@ from layerburn.oracle import OracleConfig, mol_solve
 
 
 def _phi_map(p, fuel, times, phi_values, traj_values, cfg):
-    """One sweep of the integral map, rebuilt from the public pieces."""
+    """One sweep of the integral map, rebuilt from the public pieces: the
+    recursion u_{k+1} = U_k (u_k + (dt/2) f_k) + (dt/2) f_{k+1} from phi."""
     K = times.size - 1
     out = np.empty_like(traj_values)
     out[0] = phi_values
-    hom = np.array(phi_values, dtype=float, copy=True)
-    acc = np.zeros_like(hom)
+    acc = out[0]
     f_prev = source_f(p, fuel.sample(float(times[0])), traj_values[0])
     for k in range(K):
         prop = build_propagator(p, fuel, float(times[k]), float(times[k + 1]),
                                 cfg.theta, cfg.scheme)
         half = 0.5 * (times[k + 1] - times[k])
         f_next = source_f(p, fuel.sample(float(times[k + 1])), traj_values[k + 1])
-        hom = prop.apply_values(hom)
-        acc = prop.apply_values(acc + half * f_prev) + half * f_next
-        out[k + 1] = hom + acc
+        acc = out[k + 1] = prop.apply_values(acc + half * f_prev) + half * f_next
         f_prev = f_next
     return out
 
@@ -283,6 +287,42 @@ def test_guess_at_the_fixed_point_takes_one_sweep_per_window():
     assert sup_metric(warm.trajectory, cold.trajectory) <= bound
 
 
+def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
+    # a warm-started window runs only the sweeps' recursion: sweeps x K
+    # applies and no homogeneous evolution; a cold window adds one evolve
+    prob, T = reactive_two_layer(m=201)
+    cfg = SolverConfig(dt=0.002, max_window=T / 4.0)
+    cold = solve_global(prob, T, cfg)
+    applies = []
+    evolves = []
+    orig_apply = Propagator.apply_values
+    orig_evolve = mild_solver.evolve
+
+    def counting_apply(self, values):
+        applies.append(1)
+        return orig_apply(self, values)
+
+    def counting_evolve(props, start):
+        evolves.append(len(props))
+        return orig_evolve(props, start)
+
+    monkeypatch.setattr(Propagator, "apply_values", counting_apply)
+    monkeypatch.setattr(mild_solver, "evolve", counting_evolve)
+    guess = cold.trajectory.values + 1e-6
+    warm = solve_global(prob, T, cfg, report=cold.report, guess=guess)
+    steps = [int(round((w.t_end - w.t_start) / cfg.dt)) for w in warm.windows]
+    assert len(warm.windows) > 1 and warm.total_iterations > len(warm.windows)
+    assert evolves == []
+    assert len(applies) == sum(w.iterations * K for w, K in zip(warm.windows, steps))
+
+    applies.clear()
+    again = solve_global(prob, T, cfg, report=cold.report)
+    steps = [int(round((w.t_end - w.t_start) / cfg.dt)) for w in again.windows]
+    assert evolves == steps
+    assert len(applies) == sum((w.iterations + 1) * K for w, K in zip(again.windows, steps))
+    assert np.array_equal(again.trajectory.values, cold.trajectory.values)
+
+
 def test_guess_follows_halved_windows():
     # a poor guess and a short sweep budget force halvings; each halved window
     # starts from its own slice of the guess, and the fixed point does not move
@@ -341,6 +381,11 @@ def test_config_validation():
             SolverConfig(dt=dt)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, seed_mode="random")
+    for theta in (0.0, 0.3, 0.4999, 1.0001, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"theta must lie in \[1/2, 1\]"):
+            SolverConfig(dt=0.01, theta=theta)
+    for theta in (0.5, 0.7, 1.0):
+        assert SolverConfig(dt=0.01, theta=theta).theta == theta
 
 
 def test_solver_config_requires_dt():

@@ -1,6 +1,8 @@
 """Method-of-lines cross-check: both integrators against closed forms, each
 other, and the fixed-point marcher."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -143,8 +145,9 @@ def test_refinement_orders_contracts():
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(integrator="euler")
-    with pytest.raises(ValueError):
-        OracleConfig(dt=0.0)
+    for dt in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            OracleConfig(dt=dt)
     with pytest.raises(ValueError):
         mol_solve(reactive_two_layer(m=101)[0], 0.05, OracleConfig(dt=0.003))
 
