@@ -2,24 +2,27 @@
 # Constant diffusion 1 and advection 0.5 spread a Gaussian while moving it
 # right; the solver's error against the exact kernel should fall like dx^2.
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
-from layerburn.fixtures import drift_exact, homogeneous_drift
+from layerburn.fixtures import drift_exact
 from layerburn.grid import SolutionTrajectory
-from layerburn.mild_solver import SolverConfig, solve_global
+from layerburn.io_cli import parse_config
+from layerburn.mild_solver import solve_global
 from layerburn.oracle import relative_gap
 
-T = 0.5
-DT = 1e-3
+TEXT = (Path(__file__).resolve().parents[1] / "configs" / "drift_benchmark.cfg").read_text()
 
 print(f"{'m':>6} {'rel_l2':>12} {'ratio':>8} {'seconds':>8}")
 prev = None
 for m in (128, 256, 512, 1024):
-    prob, _ = homogeneous_drift(m=m)
+    cfg = parse_config(re.sub(r"(?m)^m = .*$", f"m = {m}", TEXT))
+    prob = cfg.problem()
     t0 = time.time()
-    res = solve_global(prob, T, SolverConfig(dt=DT))
+    res = solve_global(prob, cfg.T, cfg.solver)
     elapsed = time.time() - t0
     traj = res.trajectory
     exact = np.stack([np.tile(drift_exact(prob.grid.x, t), (2, 1)) for t in traj.times])

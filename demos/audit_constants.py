@@ -7,13 +7,23 @@ Lipschitz bound kappa on the working ball, the magnitude bound mu, the
 semigroup growth rate beta, and the certified contraction window T'.
 """
 
-from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
+from pathlib import Path
+
 from layerburn.hypothesis import audit_problem
+from layerburn.io_cli import parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def load(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    return cfg.problem(), cfg.T
+
 
 for name, (problem, T) in (
-    ("drift (source-free)", homogeneous_drift()),
-    ("reactive two-layer", reactive_two_layer()),
-    ("ignition (prescribed fuel)", ignition_coupled()),
+    ("drift (source-free)", load("drift_benchmark")),
+    ("reactive two-layer", load("reactive_two_layer")),
+    ("ignition (prescribed fuel)", load("ignition_coupled")),
 ):
     report = audit_problem(problem, T)
     print(f"=== {name}, T = {T} ===")
@@ -21,7 +31,7 @@ for name, (problem, T) in (
     print()
 
 # the same audit refuses a heat-loss profile that reaches the boundary
-problem, T = reactive_two_layer()
+problem, T = load("reactive_two_layer")
 bad = problem.with_params(qhat1=0.1 + 0.0 * problem.params.qhat1)
 report = audit_problem(bad, T)
 print("=== constant qhat_1 (inadmissible) ===")

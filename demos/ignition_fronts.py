@@ -1,13 +1,16 @@
 # Coupled ignition run: a hot Gaussian in layer 1 burns fuel and the front
 # advects right. Prints the fuel budget and the tracked front positions.
 
+from pathlib import Path
+
 import numpy as np
 
-from layerburn.fixtures import ignition_coupled
-from layerburn.io_cli import front_track, write_trajectory
+from layerburn.io_cli import front_track, parse_config, write_trajectory
 from layerburn.mild_solver import SolverConfig, solve_coupled
 
-problem, T = ignition_coupled()
+cfg = parse_config(
+    (Path(__file__).resolve().parents[1] / "configs" / "ignition_coupled.cfg").read_text())
+problem, T = cfg.problem(), cfg.T
 res = solve_coupled(problem, T, SolverConfig(dt=0.004))
 traj = res.trajectory
 table = res.fuel.table

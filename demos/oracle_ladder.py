@@ -2,11 +2,15 @@
 # Same spatial stencil, two unrelated time integrators: the gap between them
 # must shrink at second order as dt is halved.
 
-from layerburn.fixtures import reactive_two_layer
+from pathlib import Path
+
+from layerburn.io_cli import parse_config
 from layerburn.mild_solver import SolverConfig, solve_global
 from layerburn.oracle import OracleConfig, mol_solve, refinement_orders, relative_gap
 
-problem, T = reactive_two_layer()
+cfg = parse_config(
+    (Path(__file__).resolve().parents[1] / "configs" / "reactive_two_layer.cfg").read_text())
+problem, T = cfg.problem(), cfg.T
 h = 5e-4
 
 gaps = []

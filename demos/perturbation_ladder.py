@@ -1,11 +1,15 @@
 """Continuous dependence, measured: halve the data perturbation, halve the
 solution response, and never exceed the Gronwall-form bound."""
 
+from pathlib import Path
+
 from layerburn.dependence import dependence_study
-from layerburn.fixtures import dependence_base
+from layerburn.io_cli import parse_config
 from layerburn.mild_solver import SolverConfig
 
-problem, T, spec = dependence_base()
+cfg = parse_config(
+    (Path(__file__).resolve().parents[1] / "configs" / "dependence_study.cfg").read_text())
+problem, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
 print(f"perturbing {', '.join(sorted(spec.directions))} on the reactive fixture, "
       f"T = {T}")
 

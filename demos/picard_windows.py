@@ -2,11 +2,15 @@
 # measured contraction per sweep. Also shows that the fixed point does not
 # care where the iteration started.
 
-from layerburn.fixtures import reactive_two_layer
+from pathlib import Path
+
 from layerburn.grid import sup_metric
+from layerburn.io_cli import parse_config
 from layerburn.mild_solver import SolverConfig, solve_global
 
-problem, T = reactive_two_layer()
+cfg = parse_config(
+    (Path(__file__).resolve().parents[1] / "configs" / "reactive_two_layer.cfg").read_text())
+problem, T = cfg.problem(), cfg.T
 
 for mode in ("continuation", "contraction", "adaptive"):
     res = solve_global(problem, T, SolverConfig(dt=1e-3, window_mode=mode))

@@ -31,7 +31,7 @@ those of recomputing the base parts for every level, step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class PerturbationSpec:
     """
 
     directions: dict
-    levels: np.ndarray = field(default_factory=lambda: 2.0 ** -np.arange(9, dtype=float))
+    levels: np.ndarray
 
     def __post_init__(self):
         self.levels = np.asarray(self.levels, dtype=float)

@@ -1,24 +1,12 @@
-"""Shipped reference problems used by the tests, demos, and default configs.
+"""Closed form of the drift benchmark (configs/drift_benchmark.cfg).
 
-Each builder returns (problem, T) tuned so the admissibility audit passes
-with comfortable margins: exchange profiles decay inside the boundary guard
-bands, fuel stays in [0, 1], and the reactive fixtures keep the source
-Lipschitz constant below 1 so every certified window rule applies.
+The shipped problems themselves are defined only by the configs under
+configs/; tests and demos load them through io_cli.parse_config.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .dependence import PerturbationSpec
-from .grid import TemperatureField, make_grid
-from .model import (
-    ConstantFuel,
-    LayerParams,
-    PrescribedFuel,
-    Problem,
-    smooth_bump,
-)
 
 
 def drift_exact(x, t: float, *, s2: float = 0.04, alpha: float = 1.0,
@@ -26,99 +14,3 @@ def drift_exact(x, t: float, *, s2: float = 0.04, alpha: float = 1.0,
     """Closed-form drift-diffusion evolution of a unit Gaussian of variance s2."""
     var = s2 + 2.0 * alpha * t
     return np.sqrt(s2 / var) * np.exp(-((np.asarray(x) - speed * t) ** 2) / (2.0 * var))
-
-
-def homogeneous_drift(m: int = 1024) -> tuple[Problem, float]:
-    """Two uncoupled identical layers with alpha = 1, advection 0.5, no source.
-
-    The source vanishes identically (c constant, K = d = q = qhat = 0), so
-    each layer follows the closed form in drift_exact.
-    """
-    grid = make_grid(-10.0, 10.0, m)
-    p = LayerParams.constants(grid, 2, a=1.0, c=0.5, lam=1.0, E=1.0)
-    phi_row = drift_exact(grid.x, 0.0)
-    phi = TemperatureField(np.stack([phi_row, phi_row]), grid)
-    fuel = PrescribedFuel([ConstantFuel(1.0), ConstantFuel(1.0)])
-    return Problem(grid, p, fuel, phi), 0.5
-
-
-def reactive_two_layer(m: int = 401) -> tuple[Problem, float]:
-    """Two-layer reactive fixture with exchange, reaction, and ambient loss."""
-    grid = make_grid(-10.0, 10.0, m)
-    x = grid.x
-    mm = grid.m
-    bump2 = np.exp(-((x / 2.0) ** 2))  # decays below 1e-8 inside the guard bands
-    p = LayerParams(
-        a=np.full((2, mm), 1.0),
-        b=np.full((2, mm), 0.3),
-        c=np.full((2, mm), 0.2),
-        c_x=np.zeros((2, mm)),
-        d=np.stack([0.4 * bump2, 0.3 * bump2]),
-        lam=np.ones((2, mm)),
-        K=np.full((2, mm), 0.2),
-        A=np.full((2, mm), 1.0),
-        q=np.full((1, mm), 0.15),
-        qhat1=0.1 * bump2,
-        qhat2=np.zeros(mm),
-        u_e=0.0,
-        E=1.0,
-    )
-    fuel = PrescribedFuel([ConstantFuel(0.8), ConstantFuel(0.8)])
-    phi = TemperatureField(
-        np.stack([1.2 * np.exp(-(x**2)), 0.2 * np.exp(-(x**2))]), grid
-    )
-    return Problem(grid, p, fuel, phi), 0.5
-
-
-def ignition_coupled(m: int = 401) -> tuple[Problem, float]:
-    """Ignition fixture for coupled fuel: hot Gaussian in layer 1, advection right.
-
-    Low conductivity and a strong reaction (A = 2, E = 0.5) burn the fuel
-    behind the front while advection carries the hot spot toward +x.
-    """
-    grid = make_grid(-8.0, 12.0, m)
-    x = grid.x
-    mm = grid.m
-    p = LayerParams(
-        a=np.full((2, mm), 1.0),
-        b=np.full((2, mm), 0.2),
-        c=np.full((2, mm), 0.8),
-        c_x=np.zeros((2, mm)),
-        d=np.full((2, mm), 0.8),
-        lam=np.full((2, mm), 0.1),
-        K=np.full((2, mm), 0.3),
-        A=np.full((2, mm), 2.0),
-        q=np.full((1, mm), 0.1),
-        qhat1=np.zeros(mm),
-        qhat2=np.zeros(mm),
-        u_e=0.0,
-        E=0.5,
-    )
-    fuel = PrescribedFuel([ConstantFuel(1.0), ConstantFuel(1.0)])
-    phi = TemperatureField(
-        np.stack([1.2 * np.exp(-(x**2)), np.zeros(mm)]), grid
-    )
-    return Problem(grid, p, fuel, phi), 1.0
-
-
-def dependence_base(m: int = 241) -> tuple[Problem, float, PerturbationSpec]:
-    """Reactive fixture plus smooth compactly supported perturbation directions.
-
-    Directions target phi, a, lam, d, and qhat_1; all keep the perturbed data
-    admissible at every ladder level (positive a and lam, nonnegative d and
-    qhat_1, guard bands untouched).
-    """
-    problem, _ = reactive_two_layer(m)
-    x = problem.grid.x
-    mm = problem.grid.m
-    directions = {
-        "phi": np.stack([0.1 * smooth_bump(x, 0.0, 3.0), np.zeros(mm)]),
-        "a": np.stack([0.05 * smooth_bump(x, 0.5, 2.0),
-                       0.03 * smooth_bump(x, -0.5, 2.0)]),
-        "lam": np.stack([0.05 * smooth_bump(x, 0.0, 2.5),
-                         0.04 * smooth_bump(x, 1.0, 2.0)]),
-        "d": np.stack([0.08 * smooth_bump(x, 0.0, 2.0),
-                       0.05 * smooth_bump(x, 0.3, 2.0)]),
-        "qhat1": 0.05 * smooth_bump(x, 0.0, 3.0),
-    }
-    return problem, 0.4, PerturbationSpec(directions)

@@ -11,10 +11,10 @@ dependence options).  Spatial profiles are function specs
     tanh_step(left, right, center, width)     left + (right-left)*(1+tanh((x-c)/w))/2
 
 and fuel families are constant(v), logistic_front(center, speed, width), or
-gaussian_decay(center, width, rate).  Unknown keys and duplicate keys are
-rejected with line numbers; positivity/nonnegativity requirements are checked
-at build time so a config either yields an admissible problem or a located
-error.
+gaussian_decay(center, width, rate).  Every number must be finite, and T must
+be a whole number of dt steps.  Unknown keys and duplicate keys are rejected
+with line numbers; positivity/nonnegativity requirements are checked at build
+time so a config either yields an admissible problem or a located error.
 
 Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 admissibility audit failure, 3 solver divergence or blow-up, 4 I/O failure.
@@ -107,9 +107,6 @@ class FunctionSpec:
         left, right, center, width = self.args
         return left + (right - left) * 0.5 * (1.0 + np.tanh((x - center) / width))
 
-    def render(self) -> str:
-        return f"{self.kind}({', '.join(_fmt(a) for a in self.args)})"
-
 
 _SPEC_ARITY = {"constant": 1, "bump": 4, "tanh_step": 4}
 _FUEL_ARITY = {"constant": 1, "logistic_front": 3, "gaussian_decay": 3}
@@ -132,6 +129,8 @@ def _parse_call(text: str, where: str, arity: dict) -> tuple[str, tuple]:
         args = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{where}: non-numeric argument in {text!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise ConfigError(f"{where}: non-finite argument in {text!r}")
     return kind, args
 
 
@@ -148,17 +147,13 @@ def _parse_fuel_family(text: str, where: str):
         if not 0.0 <= args[0] <= 1.0:
             raise ConfigError(f"{where}: fuel level must lie in [0, 1]")
         return ConstantFuel(args[0])
-    if kind == "logistic_front":
-        center, speed, width = args
-        if width <= 0:
-            raise ConfigError(f"{where}: width must be positive")
-        return LogisticFrontFuel(center, speed, width)
-    center, width, rate = args
-    if width <= 0:
+    if args[2 if kind == "logistic_front" else 1] <= 0:
         raise ConfigError(f"{where}: width must be positive")
-    if rate < 0:
+    if kind == "logistic_front":
+        return LogisticFrontFuel(*args)
+    if args[2] < 0:
         raise ConfigError(f"{where}: decay rate must be nonnegative")
-    return GaussianDecayFuel(center, width, rate)
+    return GaussianDecayFuel(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +219,18 @@ class _Section:
         self.defaults_filled.append(f"[{self.name}] {key} = {default}")
         return None, None
 
-    def take_float(self, key: str, default=None, required=False) -> float | None:
+    def take_float(self, key: str, default=None, required=False, cast=float):
         value, lineno = self.take(key, default, required)
         if value is None:
             return default
         try:
-            return float(value)
+            return cast(value)
         except ValueError:
-            raise ConfigError(f"{self._where(key, lineno)}: not a number: {value!r}") from None
+            kind = "a number" if cast is float else "an integer"
+            raise ConfigError(f"{self._where(key, lineno)}: not {kind}: {value!r}") from None
 
     def take_int(self, key: str, default=None, required=False) -> int | None:
-        value, lineno = self.take(key, default, required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{self._where(key, lineno)}: not an integer: {value!r}") from None
+        return self.take_float(key, default, required, cast=int)
 
     def take_choice(self, key: str, choices, default=None) -> str | None:
         value, lineno = self.take(key, default)
@@ -252,13 +242,10 @@ class _Section:
             )
         return value
 
-    def take_spec(self, key: str, default: str | None = None) -> FunctionSpec | None:
+    def take_spec(self, key: str, default: str) -> FunctionSpec:
         value, lineno = self.take(key, default)
-        if value is None:
-            value = default
-            if value is None:
-                return None
-        return parse_function_spec(value, self._where(key, lineno))
+        return parse_function_spec(default if value is None else value,
+                                   self._where(key, lineno))
 
     def reject_leftovers(self):
         if self.entries:
@@ -289,17 +276,31 @@ class ProblemConfig:
     def problem(self) -> Problem:
         return Problem(self.grid, self.params, self.fuel, self.phi)
 
+    def perturbation_spec(self) -> PerturbationSpec:
+        """The perturb_* directions on the ladder 2^-j, j < [experiment] levels."""
+        perturb = self.experiment["perturb"]
+        if not perturb:
+            raise ConfigError("[experiment] needs at least one perturb_* direction")
+        levels = 2.0 ** -np.arange(self.experiment["levels"], dtype=float)
+        return PerturbationSpec(perturb, levels)
+
 
 def _check_sign(name: str, values: np.ndarray, positive: bool):
-    if positive and values.min() <= 0.0:
+    low = values.min()
+    if positive and low <= 0.0:
+        raise ConfigError(f"{name} must be strictly positive on the grid "
+                          f"(H1 positivity), min {low:.6g}")
+    if low < 0.0:
+        raise ConfigError(f"{name} must be nonnegative on the grid, min {low:.6g}")
+
+
+def _check_lattice(T: float, step: float, where: str, what: str):
+    """A ConfigError at `where` unless T is a whole number of steps of `step`."""
+    try:
+        time_lattice(T, step)
+    except ValueError:
         raise ConfigError(
-            f"{name} must be strictly positive on the grid (H1 positivity), "
-            f"min {values.min():.6g}"
-        )
-    if not positive and values.min() < 0.0:
-        raise ConfigError(
-            f"{name} must be nonnegative on the grid, min {values.min():.6g}"
-        )
+            f"{where}: T = {T} must be a whole number of steps of {what}") from None
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -365,10 +366,8 @@ def parse_config(text: str) -> ProblemConfig:
     families = []
     for i in range(1, n + 1):
         value, lineno = fuel_sec.take(f"y_{i}", "constant(1)")
-        if value is None:
-            families.append(ConstantFuel(1.0))
-        else:
-            families.append(_parse_fuel_family(value, fuel_sec._where(f"y_{i}", lineno)))
+        families.append(_parse_fuel_family(value or "constant(1)",
+                                           fuel_sec._where(f"y_{i}", lineno)))
     fuel_sec.reject_leftovers()
     fuel = PrescribedFuel(families)
 
@@ -403,6 +402,7 @@ def parse_config(text: str) -> ProblemConfig:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as err:
         raise ConfigError(f"[run]: {err}") from None
+    _check_lattice(T, solver.dt, "[run] dt", f"dt = {solver.dt}")
 
     exp = _Section("experiment", tokens["experiment"], defaults)
     experiment = {
@@ -418,15 +418,14 @@ def parse_config(text: str) -> ProblemConfig:
     for key in list(exp.entries):
         if not key.startswith("perturb_"):
             continue
-        value, lineno = exp.entries.pop(key)
         target = key[len("perturb_"):]
-        where = f"line {lineno}: [experiment] {key}"
         if target == "u_e":
-            try:
-                perturb["u_e"] = float(value)
-            except ValueError:
-                raise ConfigError(f"{where}: not a number: {value!r}") from None
+            perturb["u_e"] = exp.take_float(key)
+            if not math.isfinite(perturb["u_e"]):
+                raise ConfigError(f"[experiment] {key} must be finite, got {perturb['u_e']}")
             continue
+        value, lineno = exp.entries.pop(key)
+        where = f"line {lineno}: [experiment] {key}"
         mt = re.match(r"^(phi|fuel|a|b|c|d|lam|K|A|q|qhat)_(\d+)$", target)
         if not mt:
             raise ConfigError(f"{where}: unknown perturbation target {target!r}")
@@ -450,12 +449,15 @@ def parse_config(text: str) -> ProblemConfig:
     if h is not None:
         if not 0.0 < h < math.inf:
             raise ConfigError(f"[experiment] oracle_dt must be positive and finite, got {h}")
-        try:
-            time_lattice(T, 4.0 * h)
-        except ValueError:
-            raise ConfigError(
-                f"[experiment] oracle_dt: T = {T} must be a whole number of steps of "
-                f"4*oracle_dt = {4.0 * h}, the coarsest oracle rung") from None
+        _check_lattice(T, 4.0 * h, "[experiment] oracle_dt",
+                       f"4*oracle_dt = {4.0 * h}, the coarsest oracle rung")
+    tol = experiment["oracle_newton_tol"]
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(
+            f"[experiment] oracle_newton_tol must be positive and finite, got {tol}")
+    thr = experiment["front_threshold"]
+    if thr is not None and not math.isfinite(thr):
+        raise ConfigError(f"[experiment] front_threshold must be finite, got {thr}")
 
     return ProblemConfig(grid, n, params, fuel, fuel_mode, phi, T, solver,
                          experiment, defaults, text)
@@ -670,7 +672,11 @@ def _refine_in_time(values: np.ndarray) -> np.ndarray:
 
 
 def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
-    h = config.experiment["oracle_dt"] or config.solver.dt
+    h = config.experiment["oracle_dt"]
+    if h is None:  # parse_config checked the ladder of a given oracle_dt
+        h = config.solver.dt
+        _check_lattice(config.T, 4.0 * h, "[run] dt", f"4*dt = {4.0 * h}, the "
+                       "coarsest oracle rung when oracle_dt is not set")
     prefix = _resolve_prefix(args.out, config_path, "oracle_compare")
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
@@ -708,12 +714,8 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
 
 
 def _cmd_dependence_study(args, config: ProblemConfig, config_path: str) -> int:
-    perturb = config.experiment["perturb"]
-    if not perturb:
-        raise ConfigError("[experiment] needs at least one perturb_* direction")
+    spec = config.perturbation_spec()
     prefix = _resolve_prefix(args.out, config_path, "dependence_study")
-    levels = 2.0 ** -np.arange(config.experiment["levels"], dtype=float)
-    spec = PerturbationSpec(perturb, levels)
     study = dependence_study(config.problem(), config.T, spec, config.solver)
 
     csv_path = prefix.parent / f"{prefix.name}_dependence.csv"
@@ -831,7 +833,7 @@ def cli(argv=None) -> int:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:
-        # Late validation errors (lattice mismatch, bad experiment values).
+        # bad input that surfaces as a ValueError rather than a ConfigError
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

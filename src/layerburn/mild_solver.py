@@ -133,8 +133,12 @@ class SolverConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         check_theta(self.theta)
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ValueError("picard_tol must be positive, picard_max_iters >= 1")
+        for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling", "max_window"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.picard_max_iters < 1:
+            raise ValueError("picard_max_iters must be at least 1")
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Shared builders for small constant-coefficient test problems."""
+"""Shared test helpers: the shipped configs, loaded as the CLI loads them,
+and builders for small constant-coefficient problems."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +14,24 @@ from layerburn import (
     TemperatureField,
     make_grid,
 )
+from layerburn.io_cli import parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name, m=None):
+    """configs/<name>.cfg through parse_config, its grid's m replaced if given."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    if m is not None:
+        text, count = re.subn(r"(?m)^m = .*$", f"m = {m}", text)
+        assert count == 1, f"{name}.cfg: {count} lines set m"
+    return parse_config(text)
+
+
+def shipped_problem(name, m=None):
+    """(problem, T) of configs/<name>.cfg, as shipped_config builds it."""
+    cfg = shipped_config(name, m)
+    return cfg.problem(), cfg.T
 
 
 def constant_problem(m=201, n=2, span=(-10.0, 10.0), phi_amp=1.0,

@@ -11,15 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from layerburn.dependence import PerturbationSpec, dependence_study
+from conftest import shipped_config, shipped_problem
+from layerburn.dependence import dependence_study
 from layerburn.evolution import GriddedFuel, build_propagator, build_propagators
-from layerburn.fixtures import (
-    dependence_base,
-    drift_exact,
-    homogeneous_drift,
-    ignition_coupled,
-    reactive_two_layer,
-)
+from layerburn.fixtures import drift_exact
 from layerburn.grid import (
     SolutionTrajectory,
     l2_norm,
@@ -46,7 +41,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str):
 
 
 def test_criterion_1_analytic_drift_diffusion():
-    prob, T = homogeneous_drift(m=1024)
+    prob, T = shipped_problem("drift_benchmark", m=1024)
     t0 = time.perf_counter()
     res = solve_global(prob, T, SolverConfig(dt=1e-3))
     elapsed = time.perf_counter() - t0
@@ -61,7 +56,7 @@ def test_criterion_1_analytic_drift_diffusion():
 
 
 def test_criterion_2_contraction_certificate():
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     worst_ratio = 0.0
     worst_iters = 0
     for mode in ("continuation", "contraction"):
@@ -78,7 +73,7 @@ def test_criterion_2_contraction_certificate():
 
 
 def test_criterion_3_uniqueness_across_seeds():
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     gap = sup_metric(
         solve_global(prob, T, SolverConfig(dt=1e-3, seed_mode="homogeneous")).trajectory,
         solve_global(prob, T, SolverConfig(dt=1e-3, seed_mode="initial")).trajectory,
@@ -88,7 +83,7 @@ def test_criterion_3_uniqueness_across_seeds():
 
 
 def test_criterion_4_oracle_equivalence():
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     h = 5e-4
     gaps = []
     for dt in (4.0 * h, 2.0 * h, h):
@@ -103,7 +98,7 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_evolution_operator_laws():
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     p, grid = prob.params, prob.grid
     fuel = GriddedFuel(prob.fuel, grid)
     rng = np.random.default_rng(505)
@@ -139,7 +134,7 @@ def test_criterion_5_evolution_operator_laws():
             after = float(np.max(layer_l2(prop.apply_values(v), grid.dx)))
             violations += after > allowed * before
 
-    dprob, _ = homogeneous_drift(m=256)
+    dprob, _ = shipped_problem("drift_benchmark", m=256)
     pd = replace(dprob.params, c=np.zeros_like(dprob.params.c),
                  c_x=np.zeros_like(dprob.params.c_x))
     dfuel = GriddedFuel(dprob.fuel, dprob.grid)
@@ -161,7 +156,7 @@ def test_criterion_5_evolution_operator_laws():
 
 
 def test_criterion_6_lipschitz_and_magnitude_bounds():
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     p, grid = prob.params, prob.grid
     fuel = GriddedFuel(prob.fuel, grid)
     report = audit_problem(prob, T)
@@ -191,7 +186,7 @@ def test_criterion_6_lipschitz_and_magnitude_bounds():
         f0 = float(np.max(layer_l2(source_f(p_mu, y, np.zeros((2, grid.m))), grid.dx)))
         f0_sup = max(f0_sup, f0)
 
-    dprob, dT = homogeneous_drift(m=256)
+    dprob, dT = shipped_problem("drift_benchmark", m=256)
     dfuel = GriddedFuel(dprob.fuel, dprob.grid)
     kappa_free = lipschitz_kappa(dprob.params, dfuel, rho, (0.0, dT))
     mu_free = bound_mu(dprob.params, dfuel, rho, (0.0, dT))
@@ -213,7 +208,8 @@ def test_criterion_6_lipschitz_and_magnitude_bounds():
 
 
 def test_criterion_7_continuous_dependence():
-    prob, T, spec = dependence_base()
+    cfg = shipped_config("dependence_study")
+    prob, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
     assert spec.levels.size == 9
     t0 = time.perf_counter()
     study = dependence_study(prob, T, spec, SolverConfig(dt=0.004))
@@ -233,11 +229,11 @@ def test_criterion_7_continuous_dependence():
 
 def test_criterion_8_apriori_bound_on_every_run():
     runs = []
-    prob, T = homogeneous_drift(m=1024)
+    prob, T = shipped_problem("drift_benchmark", m=1024)
     runs.append(("drift", solve_global(prob, T, SolverConfig(dt=1e-3))))
-    prob, T = reactive_two_layer()
+    prob, T = shipped_problem("reactive_two_layer")
     runs.append(("reactive", solve_global(prob, T, SolverConfig(dt=1e-3))))
-    prob, T = ignition_coupled()
+    prob, T = shipped_problem("ignition_coupled")
     runs.append(("ignition", solve_coupled(prob, T, SolverConfig(dt=0.004)).last_solve))
     ok = True
     parts = []
@@ -249,7 +245,7 @@ def test_criterion_8_apriori_bound_on_every_run():
 
 
 def test_criterion_9_coupled_ignition_physics():
-    prob, T = ignition_coupled()
+    prob, T = shipped_problem("ignition_coupled")
     res = solve_coupled(prob, T, SolverConfig(dt=0.004))
     table = res.fuel.table
     in_range = table.min() >= 0.0 and table.max() <= 1.0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import shipped_config, shipped_problem
 from layerburn.dependence import (
     PerturbationSpec,
     _base_terms,
@@ -15,7 +16,6 @@ from layerburn.dependence import (
     gronwall_factor,
     operator_convergence_probe,
 )
-from layerburn.fixtures import dependence_base, homogeneous_drift, reactive_two_layer
 from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
 from layerburn.grid import l2_norm, layer_l2
 from layerburn.mild_solver import SolverConfig, solve_global
@@ -24,12 +24,15 @@ from layerburn.model import central_gradient, smooth_bump, source_f
 
 def test_spec_validation():
     ok = {"phi": np.zeros((2, 5))}
-    with pytest.raises(ValueError):
-        PerturbationSpec({})
-    with pytest.raises(ValueError):
-        PerturbationSpec({"c_x": np.zeros((2, 5))})
-    with pytest.raises(ValueError):
-        PerturbationSpec({"porosity": np.zeros((2, 5))})
+    levels = [0.5, 0.25]
+    with pytest.raises(ValueError, match="at least one perturbation direction"):
+        PerturbationSpec({}, levels)
+    with pytest.raises(ValueError, match="perturb c, not c_x"):
+        PerturbationSpec({"c_x": np.zeros((2, 5))}, levels)
+    with pytest.raises(ValueError, match="unknown perturbation target"):
+        PerturbationSpec({"porosity": np.zeros((2, 5))}, levels)
+    with pytest.raises(TypeError, match="levels"):
+        PerturbationSpec(ok)  # no default ladder: callers pass their levels
     with pytest.raises(ValueError):
         PerturbationSpec(ok, levels=[0.5])
     with pytest.raises(ValueError):
@@ -37,7 +40,8 @@ def test_spec_validation():
 
 
 def test_build_perturbed_shifts_only_the_targets():
-    prob, T, spec = dependence_base(m=201)
+    cfg = shipped_config("dependence_study", m=201)
+    prob, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
     pert = build_perturbed(prob, spec.directions, 0.25)
     p0, p1 = prob.params, pert.params
     np.testing.assert_allclose(p1.a - p0.a, 0.25 * spec.directions["a"],
@@ -58,7 +62,7 @@ def test_build_perturbed_shifts_only_the_targets():
 
 
 def test_build_perturbed_keeps_advection_gradient_consistent():
-    prob, _, _ = dependence_base(m=201)
+    prob, _ = shipped_problem("dependence_study", m=201)
     x = prob.grid.x
     dirn = np.stack([np.sin(0.3 * x), np.zeros_like(x)])
     pert = build_perturbed(prob, {"c": dirn}, 0.5)
@@ -68,7 +72,7 @@ def test_build_perturbed_keeps_advection_gradient_consistent():
 
 
 def test_build_perturbed_fuel_and_ambient():
-    prob, _, _ = dependence_base(m=201)
+    prob, _ = shipped_problem("dependence_study", m=201)
     grid = prob.grid
     dirn = np.stack([smooth_bump(grid.x, 0.0, 2.0), np.zeros(grid.m)])
     pert = build_perturbed(prob, {"fuel": dirn, "u_e": -0.5}, 0.1)
@@ -79,7 +83,8 @@ def test_build_perturbed_fuel_and_ambient():
 
 
 def test_response_ladder_halves_and_respects_bound():
-    prob, T, spec = dependence_base(m=201)
+    cfg = shipped_config("dependence_study", m=201)
+    prob, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
     spec = PerturbationSpec(spec.directions, levels=2.0 ** -np.arange(5, dtype=float))
     study = dependence_study(prob, T, spec, SolverConfig(dt=0.004))
     assert all(lv.skipped is None for lv in study.levels)
@@ -100,7 +105,7 @@ def test_response_ladder_halves_and_respects_bound():
 
 def test_initial_state_response_is_exactly_the_propagated_difference():
     # same operator on both sides: the displacement IS the d0 term
-    prob, _ = homogeneous_drift(m=256)
+    prob, _ = shipped_problem("drift_benchmark", m=256)
     dirn = np.stack([smooth_bump(prob.grid.x, 0.0, 3.0),
                      smooth_bump(prob.grid.x, 1.0, 2.0)])
     spec = PerturbationSpec({"phi": dirn}, levels=[0.5, 0.25, 0.125])
@@ -116,10 +121,10 @@ def test_initial_state_response_is_exactly_the_propagated_difference():
 
 
 def test_noise_floor_crossover_is_detected():
-    prob, _ = homogeneous_drift(m=256)
+    prob, _ = shipped_problem("drift_benchmark", m=256)
     dirn = np.stack([1e-6 * smooth_bump(prob.grid.x, 0.0, 3.0),
                      np.zeros(prob.grid.m)])
-    spec = PerturbationSpec({"phi": dirn})
+    spec = PerturbationSpec({"phi": dirn}, levels=2.0 ** -np.arange(9, dtype=float))
     study = dependence_study(prob, 0.1, spec, SolverConfig(dt=1e-3))
     assert study.crossover is not None
     assert 2 <= study.crossover <= 8
@@ -130,7 +135,7 @@ def test_noise_floor_crossover_is_detected():
 
 
 def test_inadmissible_levels_are_skipped_not_fatal():
-    prob, T, _ = dependence_base(m=201)
+    prob, T = shipped_problem("dependence_study", m=201)
     dirn = np.full((2, prob.grid.m), -1.5)
     spec = PerturbationSpec({"a": dirn}, levels=[1.0, 0.5, 0.25])
     study = dependence_study(prob, T, spec, SolverConfig(dt=0.004))
@@ -165,7 +170,7 @@ def _propagator_sups_per_step(problem, spec, cfg, times, fields):
 
 
 def test_operator_probe_scales_linearly():
-    prob, _, _ = dependence_base(m=201)
+    prob, _ = shipped_problem("dependence_study", m=201)
     x = prob.grid.x
     directions = {
         "lam": np.stack([0.05 * smooth_bump(x, 0.0, 2.5),
@@ -236,7 +241,8 @@ def _difference_terms_per_level(base_problem, pert_problem, base_traj, cfg):
 def test_shared_base_terms_equal_per_level_recomputation():
     # base terms computed once along a lattice of several blocks, every data
     # target (fuel and c included), three levels
-    prob, T, spec = dependence_base(m=201)
+    cfg = shipped_config("dependence_study", m=201)
+    prob, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
     grid = prob.grid
     directions = dict(spec.directions)
     directions["fuel"] = np.stack([0.1 * smooth_bump(grid.x, 0.0, 2.0), np.zeros(grid.m)])

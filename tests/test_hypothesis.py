@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_problem
+from conftest import constant_problem, shipped_problem
 from layerburn.evolution import GriddedFuel, build_propagator
-from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
 from layerburn.hypothesis import (
     PowerIterationError,
@@ -144,7 +143,7 @@ def test_kappa_linear_in_exchange():
 
 
 def test_kappa_monotone_in_radius():
-    prob, T = reactive_two_layer(m=101)
+    prob, T = shipped_problem("reactive_two_layer", m=101)
     fuel = _gridded(prob)
     k_small = lipschitz_kappa(prob.params, fuel, 0.5, (0.0, T))
     k_large = lipschitz_kappa(prob.params, fuel, 2.0, (0.0, T))
@@ -152,7 +151,7 @@ def test_kappa_monotone_in_radius():
 
 
 def test_kappa_bounds_empirical_ratio():
-    prob, T = reactive_two_layer(m=101)
+    prob, T = shipped_problem("reactive_two_layer", m=101)
     p, grid = prob.params, prob.grid
     fuel = _gridded(prob)
     rho = 2.0
@@ -179,7 +178,7 @@ def test_mu_zero_for_source_free_problem():
 
 
 def test_mu_monotone_in_radius():
-    prob, T = reactive_two_layer(m=101)
+    prob, T = shipped_problem("reactive_two_layer", m=101)
     fuel = _gridded(prob)
     assert bound_mu(prob.params, fuel, 2.0, (0.0, T)) >= \
         bound_mu(prob.params, fuel, 1.0, (0.0, T))
@@ -187,7 +186,7 @@ def test_mu_monotone_in_radius():
 
 def test_mu_bounds_source_magnitude():
     # includes a nonzero ambient temperature so f(t, 0) contributes
-    prob, T = reactive_two_layer(m=101)
+    prob, T = shipped_problem("reactive_two_layer", m=101)
     prob = prob.with_params(u_e=0.7)
     p, grid = prob.params, prob.grid
     fuel = _gridded(prob)
@@ -317,7 +316,7 @@ def test_continuation_radius_formula():
 
 
 def test_audit_reactive_fixture():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     report = audit_problem(prob, T)
     assert report.ok
     assert 0.0 < report.h1.bounds["k1"] < report.h1.bounds["k2"]
@@ -331,8 +330,8 @@ def test_audit_reactive_fixture():
 
 
 def test_audit_all_shipped_fixtures_pass():
-    for builder in (homogeneous_drift, ignition_coupled):
-        prob, T = builder(m=401) if builder is ignition_coupled else builder()
+    for name in ("drift_benchmark", "ignition_coupled"):
+        prob, T = shipped_problem(name)
         report = audit_problem(prob, T)
         assert report.ok
         assert report.T_prime is not None

@@ -3,6 +3,7 @@ contract, exercised end to end through cli()."""
 
 import json
 import math
+import re
 from textwrap import dedent
 
 import numpy as np
@@ -13,7 +14,6 @@ from layerburn.grid import SolutionTrajectory, layer_l2, make_grid, sup_metric
 from layerburn.hypothesis import audit_problem
 from layerburn.io_cli import (
     ConfigError,
-    FunctionSpec,
     _refine_in_time,
     cli,
     front_threshold_default,
@@ -75,12 +75,6 @@ def test_function_spec_shapes():
     assert step(np.array([0.0]))[0] == pytest.approx(1.0)  # midpoint
     assert step(np.array([-50.0]))[0] == pytest.approx(-1.0)
     assert step(np.array([50.0]))[0] == pytest.approx(3.0)
-
-
-def test_function_spec_render_round_trip():
-    spec = FunctionSpec("bump", (0.0, 1.2, 0.0, 0.28284271247461906))
-    again = parse_function_spec(spec.render(), "here")
-    assert again == spec
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -264,6 +258,76 @@ def test_nonfinite_or_negative_u_e_is_a_config_error(value, tmp_path, capsys):
     assert cli(["check-hypotheses", path, "--out", str(tmp_path / "ue")]) == 1
     assert "[layers] u_e" in capsys.readouterr().err
     assert not (tmp_path / "ue_hypotheses.txt").exists()
+
+
+def test_horizon_off_the_dt_lattice_is_a_located_config_error(tmp_path, capsys):
+    text = BASE_CFG.replace("dt = 0.01", "dt = 0.003")
+    with pytest.raises(ConfigError, match=r"^\[run\] dt: T = 0.2 must be a whole number "
+                                          r"of steps of dt = 0.003$"):
+        parse_config(text)
+    path = _write(tmp_path, text)
+    assert cli(["simulate", path, "--out", str(tmp_path / "lat")]) == 1
+    assert "config error: [run] dt: T = 0.2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("lat*"))
+
+
+def test_default_oracle_ladder_off_the_4dt_lattice_is_a_located_config_error(
+        tmp_path, capsys):
+    # T = 0.3 is 6 steps of dt = 0.05 but 1.5 steps of 4*dt, the coarsest rung
+    # oracle-compare runs when oracle_dt is not set; only that subcommand fails
+    text = BASE_CFG.replace("T = 0.2", "T = 0.3").replace("dt = 0.01", "dt = 0.05")
+    path = _write(tmp_path, text)
+    assert cli(["oracle-compare", path, "--out", str(tmp_path / "orc")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [run] dt: T = 0.3 must be a whole number of steps of 4*dt" in err
+    assert not list(tmp_path.glob("orc*"))
+    assert cli(["simulate", path, "--out", str(tmp_path / "sim")]) == 0
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("phi_1 = bump(0, 1.2, 0, 1)", "phi_1 = constant(nan)", "[run] phi_1"),
+    ("E = 1", "E = 1\na_1 = constant(nan)", "[layers] a_1"),
+    ("d_1 = bump(0, 0.4, 0, 2)", "d_1 = bump(0, inf, 0, 2)", "[layers] d_1"),
+    ("y_2 = logistic_front(0, 1, 1)", "y_2 = logistic_front(0, nan, 1)", "[fuel] y_2"),
+    ("phi_1 = bump(0, 1.2, 0, 1)",
+     "phi_1 = bump(0, 1.2, 0, 1)\n[experiment]\nperturb_a_2 = bump(0, -inf, 0, 1)",
+     "[experiment] perturb_a_2"),
+])
+def test_nonfinite_function_spec_argument_is_a_located_config_error(
+        old, new, where, tmp_path, capsys):
+    text = BASE_CFG.replace(old, new)
+    with pytest.raises(ConfigError, match=re.escape(where) + ": non-finite argument"):
+        parse_config(text)
+    path = _write(tmp_path, text)
+    assert cli(["check-hypotheses", path, "--out", str(tmp_path / "spec")]) == 1
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("picard_tol = nan", "[run]: picard_tol must be positive and finite"),
+    ("picard_tol = inf", "[run]: picard_tol must be positive and finite"),
+    ("picard_tol = 0", "[run]: picard_tol must be positive and finite"),
+    ("coupled_outer_tol = nan", "[run]: coupled_outer_tol must be positive and finite"),
+    ("blowup_ceiling = nan", "[run]: blowup_ceiling must be positive and finite"),
+    ("blowup_ceiling = -1", "[run]: blowup_ceiling must be positive and finite"),
+    ("max_window = 0", "[run]: max_window must be positive and finite"),
+    ("max_window = inf", "[run]: max_window must be positive and finite"),
+    ("[experiment]\noracle_newton_tol = nan",
+     "[experiment] oracle_newton_tol must be positive and finite"),
+    ("[experiment]\noracle_newton_tol = -1e-10",
+     "[experiment] oracle_newton_tol must be positive and finite"),
+    ("[experiment]\nfront_threshold = nan", "[experiment] front_threshold must be finite"),
+    ("[experiment]\nperturb_u_e = nan", "[experiment] perturb_u_e must be finite"),
+])
+def test_bad_solver_settings_are_located_config_errors(line, message, tmp_path, capsys):
+    text = BASE_CFG + line + "\n"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    path = _write(tmp_path, text)
+    command = "oracle-compare" if "oracle" in line else "simulate"
+    assert cli([command, path, "--out", str(tmp_path / "tol")]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("tol*"))
 
 
 # ---------------------------------------------------------------------------

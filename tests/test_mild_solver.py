@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import constant_problem
+from conftest import constant_problem, shipped_problem
 from layerburn import mild_solver
 from layerburn.dependence import PerturbationSpec, operator_convergence_probe
 from layerburn.evolution import (
@@ -17,7 +17,6 @@ from layerburn.evolution import (
     build_propagators,
     steps_per_block,
 )
-from layerburn.fixtures import homogeneous_drift, ignition_coupled, reactive_two_layer
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
     audit_problem,
@@ -66,7 +65,7 @@ def _phi_map(p, fuel, times, phi_values, traj_values, cfg):
 def test_batched_window_equals_unbatched_sweeps():
     # one 250-step window spans several assembly and source blocks; iterating
     # the per-step map from the homogeneous seed must give the solver's values
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002)
     res = solve_global(prob, T, cfg)
     first = res.windows[0]
@@ -86,7 +85,7 @@ def test_batched_window_equals_unbatched_sweeps():
 
 
 def test_source_free_solve_is_homogeneous_evolution():
-    prob, T = homogeneous_drift(m=256)
+    prob, T = shipped_problem("drift_benchmark", m=256)
     cfg = SolverConfig(dt=0.005)
     res = solve_global(prob, T, cfg)
     # the integral term vanishes, so every window settles in one sweep
@@ -100,7 +99,7 @@ def test_source_free_solve_is_homogeneous_evolution():
 
 
 def test_source_free_map_ignores_input_trajectory():
-    prob, T = homogeneous_drift(m=256)
+    prob, T = shipped_problem("drift_benchmark", m=256)
     fuel = GriddedFuel(prob.fuel, prob.grid)
     times = 0.01 * np.arange(11)
     cfg = SolverConfig(dt=0.01)
@@ -113,7 +112,7 @@ def test_source_free_map_ignores_input_trajectory():
 
 
 def test_fixed_point_residual():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002)
     res = solve_global(prob, T, cfg)
     traj = res.trajectory
@@ -127,7 +126,7 @@ def test_fixed_point_residual():
 
 def test_map_contracts_random_trajectory_pairs():
     # the certified window bounds the Lipschitz factor of the map by 0.9
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     report = audit_problem(prob, T)
     cfg = SolverConfig(dt=0.002)
     fuel = GriddedFuel(prob.fuel, prob.grid)
@@ -150,7 +149,7 @@ def test_map_contracts_random_trajectory_pairs():
 
 
 def test_picard_gaps_decay_geometrically():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     res = solve_global(prob, T, SolverConfig(dt=0.002))
     for w in res.windows:
         assert all(r <= 0.9 for r in w.ratios)
@@ -158,7 +157,7 @@ def test_picard_gaps_decay_geometrically():
 
 
 def test_seed_choice_does_not_move_the_fixed_point():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     res_h = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol,
                                                seed_mode="homogeneous"))
@@ -168,7 +167,7 @@ def test_seed_choice_does_not_move_the_fixed_point():
 
 
 def test_window_partition_does_not_move_the_fixed_point():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     cfg_k = SolverConfig(dt=0.002, picard_tol=tol, max_window=T / 4.0)
     cfg_2k = SolverConfig(dt=0.002, picard_tol=tol, max_window=T / 8.0)
@@ -179,7 +178,7 @@ def test_window_partition_does_not_move_the_fixed_point():
 
 
 def test_windows_tile_the_horizon():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002, window_mode="contraction")
     res = solve_global(prob, T, cfg)
     ws = res.windows
@@ -200,7 +199,7 @@ def test_continuation_windows_follow_continuation_epsilon():
     # with kappa on the radius-R(t0) ball and mu = sup ||f(t, 0)|| over
     # [t0, t0 + 1]; a moving fuel front makes that depend on t0, and T is
     # raised past the first window so the horizon cuts only the last one
-    prob, _ = reactive_two_layer(m=201)
+    prob, _ = shipped_problem("reactive_two_layer", m=201)
     prob = replace(prob, fuel=PrescribedFuel([LogisticFrontFuel(-2.0, 3.0, 0.5)] * 2))
     T, dt = 2.0, 0.002
     res = solve_global(prob, T, SolverConfig(dt=dt))
@@ -226,14 +225,14 @@ def test_continuation_windows_follow_continuation_epsilon():
 
 
 def test_solve_is_deterministic():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     r1 = solve_global(prob, T, SolverConfig(dt=0.002))
     r2 = solve_global(prob, T, SolverConfig(dt=0.002))
     np.testing.assert_array_equal(r1.trajectory.values, r2.trajectory.values)
 
 
 def test_apriori_growth_bound_reported_and_satisfied():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     res = solve_global(prob, T, SolverConfig(dt=0.002))
     ap = res.apriori
     assert ap["ok"]
@@ -245,20 +244,20 @@ def test_apriori_growth_bound_reported_and_satisfied():
 
 
 def test_blowup_guard_trips_at_the_ceiling():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     with pytest.raises(BlowUpError):
         solve_global(prob, T, SolverConfig(dt=0.002, blowup_ceiling=1.0))
 
 
 def test_divergence_error_when_iteration_budget_exhausted():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=T / 4.0, picard_max_iters=1, max_halvings=0)
     with pytest.raises(PicardDivergenceError):
         solve_global(prob, T, cfg)
 
 
 def test_adaptive_mode_matches_certified_solution():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     cert = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
     adapt = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol,
@@ -275,7 +274,7 @@ def test_adaptive_mode_matches_certified_solution():
 def test_guess_at_the_fixed_point_takes_one_sweep_per_window():
     # a window's first guess row is replaced by the window state, so spoiling
     # the row at t = 0 costs no sweep
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002, max_window=T / 4.0)
     cold = solve_global(prob, T, cfg)
     guess = cold.trajectory.values.copy()
@@ -290,7 +289,7 @@ def test_guess_at_the_fixed_point_takes_one_sweep_per_window():
 def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
     # a warm-started window runs only the sweeps' recursion: sweeps x K
     # applies and no homogeneous evolution; a cold window adds one evolve
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002, max_window=T / 4.0)
     cold = solve_global(prob, T, cfg)
     applies = []
@@ -326,7 +325,7 @@ def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
 def test_guess_follows_halved_windows():
     # a poor guess and a short sweep budget force halvings; each halved window
     # starts from its own slice of the guess, and the fixed point does not move
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     ref = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
     cfg = SolverConfig(dt=0.002, picard_tol=tol, picard_max_iters=5)
@@ -337,7 +336,7 @@ def test_guess_follows_halved_windows():
 
 
 def test_guess_off_the_lattice_is_a_solver_error():
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     report = audit_problem(prob, T)
     cfg = SolverConfig(dt=0.01)
     on_lattice = np.zeros((int(round(T / cfg.dt)) + 1,) + prob.phi.values.shape)
@@ -356,7 +355,7 @@ def test_audit_failure_aborts_with_report():
 def test_lattice_must_divide_horizon():
     # every solve marches on grid.time_lattice, which rejects a horizon that
     # is not a whole number of steps instead of stopping short of it
-    prob, T = reactive_two_layer(m=201)
+    prob, T = shipped_problem("reactive_two_layer", m=201)
     with pytest.raises(ValueError):
         solve_global(prob, T, SolverConfig(dt=0.003))
     with pytest.raises(ValueError):
@@ -386,6 +385,12 @@ def test_config_validation():
             SolverConfig(dt=0.01, theta=theta)
     for theta in (0.5, 0.7, 1.0):
         assert SolverConfig(dt=0.01, theta=theta).theta == theta
+    for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling", "max_window"):
+        for value in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                SolverConfig(dt=0.01, **{name: value})
+    with pytest.raises(ValueError, match="picard_max_iters must be at least 1"):
+        SolverConfig(dt=0.01, picard_max_iters=0)
 
 
 def test_solver_config_requires_dt():
@@ -401,7 +406,7 @@ def test_solver_config_requires_dt():
 
 
 def test_coupled_burned_out_fuel_converges_immediately():
-    prob, T = ignition_coupled(m=201)
+    prob, T = shipped_problem("ignition_coupled", m=201)
     from layerburn.model import ConstantFuel, PrescribedFuel
     prob = type(prob)(prob.grid, prob.params,
                       PrescribedFuel([ConstantFuel(0.0)] * 2), prob.phi)
@@ -411,7 +416,7 @@ def test_coupled_burned_out_fuel_converges_immediately():
 
 
 def test_coupled_cold_run_leaves_fuel_untouched():
-    prob, T = ignition_coupled(m=201)
+    prob, T = shipped_problem("ignition_coupled", m=201)
     phi = TemperatureField(-np.abs(prob.phi.values), prob.grid)
     cold = type(prob)(prob.grid, prob.params, prob.fuel, phi)
     res = solve_coupled(cold, T, SolverConfig(dt=0.004))
@@ -422,7 +427,7 @@ def test_coupled_cold_run_leaves_fuel_untouched():
 
 
 def test_coupled_ignition_run_consumes_fuel_monotonically():
-    prob, T = ignition_coupled(m=201)
+    prob, T = shipped_problem("ignition_coupled", m=201)
     res = solve_coupled(prob, T, SolverConfig(dt=0.004))
     table = res.fuel.table
     assert table.min() >= 0.0 and table.max() <= 1.0
@@ -437,7 +442,7 @@ def test_coupled_ignition_run_consumes_fuel_monotonically():
 def test_coupled_warm_start_matches_cold_passes(monkeypatch):
     # pass k >= 2 starts from pass k-1: same passes and the same fixed point,
     # in fewer sweeps than starting every pass from the seed_mode seed
-    prob, T = ignition_coupled(m=201)
+    prob, T = shipped_problem("ignition_coupled", m=201)
     cfg = SolverConfig(dt=0.004)
     warm = solve_coupled(prob, T, cfg)
 
@@ -473,7 +478,7 @@ def test_fuel_step_equals_per_step_restep(monkeypatch):
     # the running product gives the per-step loop's table bit for bit, on
     # random temperatures (cold, hot, signed zeros) and through every outer
     # pass of the coupled ignition run, whose results must then be unchanged
-    prob, T = ignition_coupled()
+    prob, T = shipped_problem("ignition_coupled")
     p = prob.params
     y0 = prob.fuel.sample(prob.grid, 0.0)
     rng = np.random.default_rng(41)

@@ -4,6 +4,7 @@ models with the coupled-fuel restep."""
 import numpy as np
 import pytest
 
+from conftest import shipped_problem
 from layerburn.evolution import GriddedFuel
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
 from layerburn.hypothesis import check_H2
@@ -281,10 +282,9 @@ def test_source_on_stacked_time_slices_matches_each_slice():
 def test_source_lipschitz_on_ball():
     # property backing the fixed-point argument: f is kappa-Lipschitz on the
     # ball, with kappa computed from coefficient sups and the g bounds
-    from layerburn.fixtures import reactive_two_layer
     from layerburn.hypothesis import lipschitz_kappa
 
-    problem, T = reactive_two_layer(m=101)
+    problem, T = shipped_problem("reactive_two_layer", m=101)
     p, grid = problem.params, problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     rho = 2.0

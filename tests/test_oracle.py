@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from conftest import constant_problem
+from conftest import constant_problem, shipped_problem
 from layerburn import oracle
 from layerburn.evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
-from layerburn.fixtures import drift_exact, homogeneous_drift, reactive_two_layer
+from layerburn.fixtures import drift_exact
 from layerburn.grid import SolutionTrajectory, TemperatureField, make_grid
 from layerburn.mild_solver import SolverConfig, solve_global
 from layerburn.model import (
@@ -42,13 +42,13 @@ def _exact_drift_trajectory(traj):
 
 
 def test_implicit_matches_drifting_gaussian():
-    prob, _ = homogeneous_drift(m=512)
+    prob, _ = shipped_problem("drift_benchmark", m=512)
     mol = mol_solve(prob, 0.1, OracleConfig(dt=1e-3))
     assert relative_gap(mol, _exact_drift_trajectory(mol)) <= 2e-3
 
 
 def test_zero_data_stays_exactly_zero():
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     zero = Problem(prob.grid, prob.params, prob.fuel,
                    TemperatureField(np.zeros_like(prob.phi.values), prob.grid))
     for integ in ("implicit-trapezoid", "explicit-rk4"):
@@ -68,14 +68,14 @@ def test_ambient_equilibrium_is_preserved():
 
 
 def test_integrators_agree_on_reactive_fixture():
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     rk4 = mol_solve(prob, 0.08, OracleConfig(dt=0.004, integrator="explicit-rk4"))
     imp = mol_solve(prob, 0.08, OracleConfig(dt=0.004))
     assert relative_gap(rk4, imp) <= 1e-5
 
 
 def test_refinement_ladder_shows_second_order():
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     sols = [mol_solve(prob, 0.08, OracleConfig(dt=d))
             for d in (8e-3, 4e-3, 2e-3, 1e-3)]
     gaps = [compare(a, b) for a, b in zip(sols, sols[1:])]
@@ -85,14 +85,14 @@ def test_refinement_ladder_shows_second_order():
 
 
 def test_marcher_agrees_with_mol():
-    prob, _ = reactive_two_layer(m=201)
+    prob, _ = shipped_problem("reactive_two_layer", m=201)
     mild = solve_global(prob, 0.1, SolverConfig(dt=2e-3))
     mol = mol_solve(prob, 0.1, OracleConfig(dt=2e-3))
     assert relative_gap(mild.trajectory, mol) <= 1e-6
 
 
 def test_newton_budget_exhaustion_raises():
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     with pytest.raises(NewtonError):
         mol_solve(prob, 0.5, OracleConfig(dt=0.25, newton_max=1))
 
@@ -103,19 +103,19 @@ def test_singular_newton_matrix_is_a_newton_error(monkeypatch):
         return ab, None, b, 3
 
     monkeypatch.setattr(oracle, "dgbsv", singular)
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     with pytest.raises(NewtonError, match="singular Newton matrix.*info 3"):
         mol_solve(prob, 0.05, OracleConfig(dt=0.01))
 
 
 def test_explicit_guard_rejects_large_steps():
-    prob, _ = reactive_two_layer(m=201)
+    prob, _ = shipped_problem("reactive_two_layer", m=201)
     with pytest.raises(StabilityError):
         mol_solve(prob, 0.1, OracleConfig(dt=0.01, integrator="explicit-rk4"))
 
 
 def test_compare_contracts():
-    prob, _ = reactive_two_layer(m=101)
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
     grid = prob.grid
     w = np.ones((2, grid.m))
     fine = SolutionTrajectory(0.01 * np.arange(11),
@@ -149,7 +149,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             OracleConfig(dt=dt)
     with pytest.raises(ValueError):
-        mol_solve(reactive_two_layer(m=101)[0], 0.05, OracleConfig(dt=0.003))
+        mol_solve(shipped_problem("reactive_two_layer", m=101)[0], 0.05, OracleConfig(dt=0.003))
 
 
 def _mol_solve_per_step(problem, T, cfg):
@@ -273,7 +273,7 @@ def test_blocked_implicit_trapezoid_equals_per_step_reference():
 def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
     # the reference rebuilds the whole Newton matrix in every iteration; the
     # oracle builds its iterate-free bands only when y changes bit for bit
-    prob, _ = reactive_two_layer(m=101)  # time-invariant fuel: built once
+    prob, _ = shipped_problem("reactive_two_layer", m=101)  # time-invariant fuel: built once
     cfg = OracleConfig(dt=2e-3)
     T = 0.4
     assert int(round(T / cfg.dt)) + 1 > steps_per_block(2 * 101)  # over a block boundary

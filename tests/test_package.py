@@ -3,6 +3,7 @@ whose every export resolves, and README code that runs as written."""
 
 import ast
 import re
+import shutil
 from pathlib import Path
 
 import layerburn
@@ -63,6 +64,8 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                         flags=re.MULTILINE | re.DOTALL)
     assert blocks
+    # the blocks run from the repository root, so they see configs/ there
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k + 1}", "exec"), {})
