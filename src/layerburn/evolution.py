@@ -20,17 +20,16 @@ exact steady states of the homogeneous flow in every mode.
 Only the implicit matrix A = I + theta*dt*L_h is kept.  The explicit one is
 B = I - (1-theta)*dt*L_h = (I - (1-theta)*A)/theta, so a step applies as
 U v = v + (A^{-1} v - v)/theta, one tridiagonal solve and three elementwise
-passes, and its adjoint the same with A^{-T}.  theta lies in [1/2, 1], the
+passes.  theta lies in [1/2, 1], the
 A-stable range, where dividing by theta at most doubles the rounding of
 A^{-1} v - v; a dt = 0 step has A = I and is exactly the identity.
 
 The n layers are decoupled, so the matrices A of all layers are stacked into
 one tridiagonal of size n*m whose seam entries (the first row's sub-diagonal
 and the last row's super-diagonal of each layer) are zero.  Each step factors
-it once with LAPACK's tridiagonal LU (dgttrf); every later application
-(Picard sweeps, power iteration) is one dgttrs call over the raveled layers,
-with trans="T" for the adjoint.  The factors are block diagonal, so each
-layer's result is the per-layer solve.
+it once with LAPACK's tridiagonal LU (dgttrf); every later application is
+one dgttrs call over the raveled layers.  The factors are block diagonal, so
+each layer's result is the per-layer solve.
 
 build_propagators assembles all steps of a time lattice: fuel samples (one
 sample call per block), coefficients, stencils and bands are computed over
@@ -44,7 +43,8 @@ values, holds a few dozen operators per thousand steps.  The
 arithmetic is elementwise, so each operator is bitwise the one a single-step
 build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
-the method-of-lines oracle uses per block of nodes.
+the method-of-lines oracle uses per block of nodes and the audit's growth
+bound per probe step.
 
 Along a lattice of Propagators every solver runs the same two recursions:
 evolve gives the homogeneous states U(t_k, t_0) v, and duhamel the
@@ -131,16 +131,9 @@ class Propagator:
         return self.lu[1].size // self.grid.m
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self._step(values, "N")
-
-    def apply_transpose_values(self, values: np.ndarray) -> np.ndarray:
-        """Adjoint application, used by the operator-norm power iteration."""
-        return self._step(values, "T")
-
-    def _step(self, values: np.ndarray, trans: str) -> np.ndarray:
         v = values.ravel()
         # dgttrs reports only illegal arguments, which the factor shapes rule out
-        x, _ = dgttrs(*self.lu, v, trans=trans)
+        x, _ = dgttrs(*self.lu, v)
         x -= v
         x /= self.theta
         x += v

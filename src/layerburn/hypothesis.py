@@ -13,14 +13,18 @@ Three families of structural conditions gate every solve:
 
 On top of the checks, this module computes the constants that drive the
 contraction machinery: a Lipschitz bound kappa for the source on a ball of
-radius rho, a source magnitude bound mu on that ball, the exponential growth
-rate beta of the one-step propagators (power iteration on U^T U), the
-certified contraction step T' and the continuation step epsilon(t0).
+radius rho, a source magnitude bound mu on that ball, a growth rate beta of
+the one-step propagators, the certified contraction step T' and the
+continuation step epsilon(t0).
 
 kappa and mu are built from rigorous per-node fuel envelopes over the time
-span rather than probe-time sups, so the bounds hold for every t in the span;
-growth is certified per step, which composes to the sharper e^{beta (t-t')}
-form of the two-parameter growth estimate.
+span rather than probe-time sups, so the bounds hold for every t in the span.
+beta is a closed-form upper bound per probe step: the log-norm of each
+layer's tridiagonal generator, turned into a step-norm bound by von Neumann's
+theorem for the A-stable theta-step (Soederlind, BIT 46 (2006) 631-652).  It
+equals the dense-SVD growth rate of the probed steps to about five digits;
+growth certified per step composes to the e^{beta (t-t')} form of the
+two-parameter growth estimate.
 """
 
 from __future__ import annotations
@@ -29,22 +33,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .evolution import GriddedFuel, build_propagator
+from .evolution import GriddedFuel, check_theta, generator_bands, repeats
 from .grid import GUARD_BAND_TOL, Grid, guard_band_ratio, l2_norm, layer_l2
 from .model import LayerParams, Problem, central_gradient, g_prime_sup
 
 
 H2_PROBES = 33  # fuel probe times of the H2 check, evenly spread over [0, T]
-# beta is probed on BETA_PROBES steps of length T/512; each step's power
-# iteration stops at a move below POWER_TOL, or fails after POWER_ITERS.
-BETA_PROBES = 9
-POWER_ITERS = 30
-POWER_TOL = 1e-6
+BETA_PROBES = 9  # beta is probed on BETA_PROBES steps of length T/512
 
 
-class PowerIterationError(RuntimeError):
-    """Operator-norm estimate failed to settle within the iteration cap."""
+class GrowthBoundError(RuntimeError):
+    """The theta-step growth bound does not exist: theta*omega*h >= 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,66 +218,40 @@ def bound_mu(p: LayerParams, fuel: GriddedFuel, rho: float,
     return kap * rho + max(f0_first, f0_last)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, with the BLAS dot that np.linalg.norm uses on one row."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
+                theta: float, scheme: str = "auto"):
+    """Growth rate bound of the theta-steps [t, t + h] at the probe times.
 
-
-def _layer_operator_norms(prop, iters: int, tol: float) -> np.ndarray:
-    """Power-iteration estimate of each layer's largest singular value.
-
-    All layers iterate together through the stacked apply and its adjoint;
-    each layer has its own start vector and stopping test, and a settled
-    layer keeps its estimate while the others go on.  Each starts from the
-    constant vector, which the conservative stencil preserves exactly, so the
-    first estimate ||U v|| is about 1.  A layer stops as soon as its estimate
-    moves by at most tol (relative, once above 1) from one iteration to the
-    next.  That bounds the step between iterates, not the distance to the
-    top singular value: the estimate creeps up by less than tol per iteration
-    and stops far below it.  Through growth_beta this gives beta 6.8e-3 on
-    the ignition fixture against 0.90 from a dense SVD (ROADMAP Baseline;
-    the estimator is the subject of the ROADMAP item "Make the certificate
-    honest").
+    Each step's generator L_h is frozen at the midpoint t + h/2, as in
+    build_propagators, and probes whose fuel sample repeats the one before it
+    bit for bit are dropped.  Per probe and layer, the log-norm
+    omega = lambda_max(-(L_h + L_h^T)/2) bounds the numerical range of
+    -h*L_h by Re z <= omega*h, so by von Neumann's theorem the step has
+    ||U||_2 <= max(1, r(omega*h)), r(a) = (1 + (1-theta)a)/(1 - theta*a) =
+    1 + a/(1 - theta*a), provided theta*omega*h < 1.  Returns
+    (beta, omega): beta = max(0, max log r(omega*h)/h) and omega of shape
+    (distinct probes, n).
     """
-    n, m = prop.n, prop.grid.m
-    v = np.full((n, m), 1.0 / math.sqrt(m))
-    est_prev = np.full(n, math.inf)
-    norms = np.zeros(n)
-    unsettled = np.ones(n, dtype=bool)
-    for _ in range(iters):
-        w = prop.apply_values(v)
-        est = _row_norms(w)
-        z = prop.apply_transpose_values(w)
-        nz = _row_norms(z)
-        moving = unsettled & (nz != 0.0)  # a vanishing adjoint image leaves norm 0
-        settled = moving & (np.abs(est - est_prev) <= tol * np.maximum(1.0, est))
-        norms[settled] = est[settled]
-        unsettled = moving & ~settled
-        if not unsettled.any():
-            return norms
-        v[unsettled] = z[unsettled] / nz[unsettled, None]
-        est_prev = est
-    raise PowerIterationError(
-        f"operator-norm power iteration did not settle in {iters} iterations"
-    )
-
-
-def growth_beta(factory, probe_times, dt: float, *, power_iters: int = POWER_ITERS,
-                power_tol: float = POWER_TOL) -> float:
-    """Exponential growth rate estimate from one-step operator norms.
-
-    beta = max over probe steps and layers of ln||U_step||_2 / dt, floored at
-    0.  `factory(t0, t1)` must build the step propagator.
-    """
-    if dt <= 0:
-        raise ValueError("probe step dt must be positive")
-    worst = 0.0
-    for t in probe_times:
-        prop = factory(float(t), float(t) + dt)
-        for nrm in _layer_operator_norms(prop, power_iters, power_tol):
-            if nrm > 0.0:
-                worst = max(worst, math.log(nrm) / dt)
-    return max(0.0, worst)
+    if not h > 0:
+        raise ValueError("probe step h must be positive")
+    check_theta(theta)
+    t = np.asarray(probe_times, dtype=float)
+    ys = fuel.sample(0.5 * (t + (t + h)))
+    ys = ys[~repeats(ys, None)]
+    sub, main, sup = np.moveaxis(generator_bands(p, ys, fuel.grid.dx, scheme), -2, 0)
+    off = -0.5 * (sup[..., :-1] + sub[..., 1:])
+    top = (fuel.grid.m - 1,) * 2
+    omega = np.array([[eigh_tridiagonal(-d, e, eigvals_only=True, select="i",
+                                        select_range=top)[0]
+                       for d, e in zip(dk, ek)] for dk, ek in zip(main, off)])
+    a = np.maximum(omega, 0.0) * h
+    if np.any(theta * a >= 1.0):
+        k, i = np.unravel_index(int(np.argmax(omega)), omega.shape)
+        raise GrowthBoundError(
+            f"no theta-step growth bound: layer {i + 1} has log-norm omega = "
+            f"{omega[k, i]:.6g}, so theta*omega*h = {theta * omega[k, i] * h:.6g} >= 1 "
+            f"(theta = {theta:.6g}, h = {h:.6g})")
+    return float(np.max(np.log1p(a / (1.0 - theta * a))) / h), omega
 
 
 def contraction_step(kappa: float, beta: float, mu: float, rho: float, R: float,
@@ -365,13 +340,10 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
     """Run (H1)-(H3) and, when they pass, compute the contraction constants.
 
     kappa and mu are taken on the ball of radius rho = max(1, 2*||phi||).
-    beta comes from power iteration on BETA_PROBES one-step operators; a
-    layer stops once its norm estimate moves by less than POWER_TOL (relative
-    above 1) in one iteration.  That test does not bound the error in beta:
-    the estimate creeps up by less than POWER_TOL per iteration and stops far
-    below the top singular value.  On the ignition fixture the audited beta
-    is 6.8e-3 against a true 0.90 from a dense SVD (ROADMAP Baseline); the
-    fix is the ROADMAP item "Make the certificate honest".
+    beta is growth_beta's log-norm bound on BETA_PROBES steps of h = T/512.
+    A fuel that does not vary in time on [0, T] gives one operator, so the
+    bound holds at every time; a time-varying or tabulated fuel is bounded at
+    the probe times only.  The notes say which, with omega per layer.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -391,19 +363,23 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
 
     phi_norm = l2_norm(problem.phi)
     report.rho = max(1.0, 2.0 * phi_norm)
-    # The power-iteration creep toward the top singular value has amplitude
-    # O(dt), so a fine probe step lets the estimate settle within the cap.
-    dt_probe = T / 512.0
-    probe_times = np.linspace(0.0, T - dt_probe, BETA_PROBES)
-
-    def factory(t0, t1):
-        return build_propagator(problem.params, fuel, t0, t1, theta, scheme)
-
-    report.beta = growth_beta(factory, probe_times, dt_probe)
+    h = T / 512.0
+    probe_times = np.linspace(0.0, T - h, BETA_PROBES)
+    report.beta, omega = growth_beta(problem.params, fuel, probe_times, h, theta, scheme)
     report.kappa = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
     report.mu = bound_mu(problem.params, fuel, report.rho, (0.0, T))
     report.R = 2.0 * report.rho * math.exp(report.beta * T)
     report.T_prime = contraction_step(report.kappa, report.beta, report.mu,
                                       report.rho, report.R, T)
-    report.notes.append(f"beta probed with {BETA_PROBES} steps of dt={dt_probe:.6g}")
+    report.notes.append(
+        f"beta bounds {omega.shape[0]} distinct probe operator(s) of the "
+        f"{BETA_PROBES} probe steps of h={h:.6g}")
+    report.notes.append("log-norm omega per layer: "
+                        + ", ".join(format(w, ".17g") for w in omega.max(axis=0)))
+    if fuel.mode == "prescribed" and np.array_equal(*fuel.envelope(0.0, T)):
+        report.notes.append("coverage: the fuel is time-invariant on the span, "
+                            "so the bound holds at every time")
+    else:
+        report.notes.append("coverage: the fuel is tabulated or varies in time, "
+                            "so the bound holds at the probe times only")
     return report

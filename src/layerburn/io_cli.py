@@ -50,7 +50,7 @@ from .dependence import PerturbationSpec, dependence_study
 from .evolution import check_theta
 from .grid import (Grid, SolutionTrajectory, TemperatureField, layer_l2, make_grid,
                    time_lattice)
-from .hypothesis import HypothesisReport, PowerIterationError, audit_problem
+from .hypothesis import GrowthBoundError, HypothesisReport, audit_problem
 from .mild_solver import (
     AuditError,
     CoupledResult,
@@ -829,7 +829,7 @@ def cli(argv=None) -> int:
     except AuditError as err:
         print(f"audit failure:\n{err.report.to_text()}", file=sys.stderr)
         return 2
-    except (SolverError, NewtonError, StabilityError, PowerIterationError) as err:
+    except (SolverError, NewtonError, StabilityError, GrowthBoundError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

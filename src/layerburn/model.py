@@ -377,12 +377,3 @@ class Problem:
 
     def with_params(self, **updates) -> "Problem":
         return replace(self, params=replace(self.params, **updates))
-
-
-def smooth_bump(x: np.ndarray, center: float, radius: float) -> np.ndarray:
-    """C-infinity bump supported on |x - center| < radius, value 1 at center."""
-    xi = (np.asarray(x, dtype=float) - center) / radius
-    out = np.zeros_like(xi)
-    inside = np.abs(xi) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
-    return out

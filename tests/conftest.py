@@ -47,3 +47,21 @@ def constant_problem(m=201, n=2, span=(-10.0, 10.0), phi_amp=1.0,
 
 def random_field(grid, n, rng, scale=1.0):
     return scale * rng.standard_normal((n, grid.m))
+
+
+def dense_theta_step(tri, h, theta=0.5):
+    """Dense A^{-1} B of one layer's theta-step of length h, from the layer's
+    generator bands tri (3, m): A = I + theta*h*L_h, B = I - (1-theta)*h*L_h."""
+    sub, main, sup = tri
+    L = np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    eye = np.eye(main.size)
+    return np.linalg.solve(eye + theta * h * L, eye - (1.0 - theta) * h * L)
+
+
+def smooth_bump(x, center, radius):
+    """C-infinity bump supported on |x - center| < radius, value 1 at center."""
+    xi = (np.asarray(x, dtype=float) - center) / radius
+    out = np.zeros_like(xi)
+    inside = np.abs(xi) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
+    return out

@@ -11,9 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import shipped_config, shipped_problem
+from conftest import dense_theta_step, shipped_config, shipped_problem
 from layerburn.dependence import dependence_study
-from layerburn.evolution import GriddedFuel, build_propagator, build_propagators
+from layerburn.evolution import (
+    GriddedFuel,
+    build_propagator,
+    build_propagators,
+    generator_bands,
+)
 from layerburn.fixtures import drift_exact
 from layerburn.grid import (
     SolutionTrajectory,
@@ -134,6 +139,17 @@ def test_criterion_5_evolution_operator_laws():
             after = float(np.max(layer_l2(prop.apply_values(v), grid.dx)))
             violations += after > allowed * before
 
+    # along the dense top right singular vector of each layer's step at the
+    # audit's own probe step, where random vectors do not reach, the growth
+    # must stay under e^{beta*h} itself
+    h = T / 512.0
+    top = np.array([np.linalg.svd(dense_theta_step(tri, h))[2][0]
+                    for tri in generator_bands(p, fuel.sample(0.5 * h), grid.dx)])
+    probe = build_propagator(p, fuel, 0.0, h, 0.5, "auto")
+    top_growth = float(np.max(layer_l2(probe.apply_values(top), grid.dx)
+                              / layer_l2(top, grid.dx)))
+    top_allowed = math.exp(beta * h) * (1.0 + 1e-12)
+
     dprob, _ = shipped_problem("drift_benchmark", m=256)
     pd = replace(dprob.params, c=np.zeros_like(dprob.params.c),
                  c_x=np.zeros_like(dprob.params.c_x))
@@ -148,10 +164,12 @@ def test_criterion_5_evolution_operator_laws():
             worst_growth = max(worst_growth, after / before)
 
     ok = identity_exact and split_exact and violations == 0 \
-        and worst_growth <= 1.0 + 1e-10
+        and top_growth <= top_allowed and worst_growth <= 1.0 + 1e-10
     _verdict(5, "evolution-operator laws", ok,
              f"identity exact {identity_exact}, split exact {split_exact}, "
              f"norm-bound violations {violations}/1000, "
+             f"top-singular-vector growth {top_growth:.15f} "
+             f"(bound e^(beta*h) {top_allowed:.15f}), "
              f"pure-diffusion growth {worst_growth:.12f} (tol 1+1e-10)")
 
 

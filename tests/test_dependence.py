@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import shipped_config, shipped_problem
+from conftest import shipped_config, shipped_problem, smooth_bump
 from layerburn.dependence import (
     PerturbationSpec,
     _base_terms,
@@ -19,7 +19,7 @@ from layerburn.dependence import (
 from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
 from layerburn.grid import l2_norm, layer_l2
 from layerburn.mild_solver import SolverConfig, solve_global
-from layerburn.model import central_gradient, smooth_bump, source_f
+from layerburn.model import central_gradient, source_f
 
 
 def test_spec_validation():

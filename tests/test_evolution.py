@@ -44,13 +44,11 @@ def _banded(sub, main, sup):
     return ab
 
 
-def _layer_step(tri, w_imp, theta, v, transpose=False):
+def _layer_step(tri, w_imp, theta, v):
     """One layer's step v + (A^{-1} v - v)/theta, A = I + w_imp*L_h from the
     layer's generator bands tri (3, m), with one banded solve per layer."""
     sub, main, sup = tri
     imp = (w_imp * sub, 1.0 + w_imp * main, w_imp * sup)
-    if transpose:
-        imp = (np.r_[0.0, imp[2][:-1]], imp[1], np.r_[imp[0][1:], 0.0])
     return v + (solve_banded((1, 1), _banded(*imp), v) - v) / theta
 
 
@@ -71,8 +69,8 @@ def _march(p, fuel, times, values, theta=0.5):
 
 def test_zero_length_step_is_identity():
     # a dt = 0 step has the LU factors of the identity, so A^{-1} v - v is
-    # exactly zero and the step and its adjoint apply as the identity for
-    # every admitted theta and scheme; theta outside [1/2, 1] is refused
+    # exactly zero and the step applies as the identity for every admitted
+    # theta and scheme; theta outside [1/2, 1] is refused
     p, fuel, grid = _setup(b=0.2, c=0.4, fuel_val=0.8)
     rng = np.random.default_rng(0)
     v = random_field(grid, 2, rng)
@@ -80,7 +78,6 @@ def test_zero_length_step_is_identity():
         for scheme in ("auto", "upwind"):
             prop = build_propagators(p, fuel, [0.3, 0.3], theta, scheme)[0]
             np.testing.assert_array_equal(prop.apply_values(v), v)
-            np.testing.assert_array_equal(prop.apply_transpose_values(v), v)
     for theta in (0.0, 0.3, float("nan")):
         with pytest.raises(ValueError, match="theta"):
             build_propagators(p, fuel, [0.3, 0.3], theta)
@@ -234,20 +231,6 @@ def test_forced_central_guards_diagonal_dominance():
         build_propagator(p, fuel, 0.0, 0.5, scheme="central")
 
 
-def test_transpose_is_the_adjoint():
-    # <P u, v> == <u, P^T v> layer by layer for the variable-coefficient stencil
-    rng = np.random.default_rng(4)
-    for n in (2, 4):
-        p, fuel, grid = _setup(m=101, n=n, a=1.2, b=0.3, c=0.9, lam=0.7, fuel_val=0.5)
-        prop = build_propagator(p, fuel, 0.0, 0.01)
-        for _ in range(10):
-            u = rng.standard_normal((n, grid.m))
-            v = rng.standard_normal((n, grid.m))
-            lhs = np.sum(prop.apply_values(u) * v, axis=1)
-            rhs = np.sum(u * prop.apply_transpose_values(v), axis=1)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
 def _variable_params(grid, n):
     """n layers whose coefficients vary by node and layer."""
     x = grid.x
@@ -281,16 +264,14 @@ def test_stacked_kernel_matches_dense_per_layer_solve():
     rng = np.random.default_rng(5)
     v = rng.standard_normal((n, m))
     fwd = prop.apply_values(v)
-    adj = prop.apply_transpose_values(v)
     for i in range(n):
         L = _dense(*gen[i])
         A = np.eye(m) + w_imp * L
         B = np.eye(m) - w_exp * L
         # relative to the layer's norm: entries near zero carry the rounding
         # of the whole row, so an entrywise relative bound is not meaningful
-        for got, ref in ((fwd[i], np.linalg.solve(A, B @ v[i])),
-                         (adj[i], B.T @ np.linalg.solve(A.T, v[i]))):
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        ref = np.linalg.solve(A, B @ v[i])
+        assert np.linalg.norm(fwd[i] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_stacked_kernel_equals_per_layer_banded_reference():
@@ -302,12 +283,6 @@ def test_stacked_kernel_equals_per_layer_banded_reference():
         n, m = gen.shape[0], gen.shape[2]
         v = rng.standard_normal((n, m))
         _assert_layer_steps(prop, gen, w_imp, theta, v)
-        # the adjoint solves with the transposed LU factors, not a fresh LU of
-        # the transposed matrix, so it agrees to rounding rather than bitwise
-        adj = prop.apply_transpose_values(v)
-        for i in range(n):
-            ref_t = _layer_step(gen[i], w_imp, theta, v[i], transpose=True)
-            assert np.linalg.norm(adj[i] - ref_t) <= 1e-13 * np.linalg.norm(ref_t)
 
 
 def test_stacked_layers_are_decoupled_at_the_seams():
@@ -315,15 +290,14 @@ def test_stacked_layers_are_decoupled_at_the_seams():
     n, m = gen.shape[0], gen.shape[2]
     rng = np.random.default_rng(7)
     v = rng.standard_normal((n, m))
-    for apply in (prop.apply_values, prop.apply_transpose_values):
-        base = apply(v)
-        for i in range(n):
-            moved = v.copy()
-            moved[i] += rng.standard_normal(m)
-            out = apply(moved)
-            others = np.arange(n) != i
-            assert np.array_equal(out[others], base[others])
-            assert not np.array_equal(out[i], base[i])
+    base = prop.apply_values(v)
+    for i in range(n):
+        moved = v.copy()
+        moved[i] += rng.standard_normal(m)
+        out = prop.apply_values(moved)
+        others = np.arange(n) != i
+        assert np.array_equal(out[others], base[others])
+        assert not np.array_equal(out[i], base[i])
 
 
 def test_propagator_layer_count_from_grid():
@@ -370,7 +344,6 @@ def test_batched_build_equals_per_step_builds():
         for got, ref in zip(prop.lu, one.lu):
             assert np.array_equal(got, ref)
         assert np.array_equal(prop.apply_values(v), one.apply_values(v))
-        assert np.array_equal(prop.apply_transpose_values(v), one.apply_transpose_values(v))
         gen = _generator(p, fuel, 0.5 * (times[k] + times[k + 1]))
         _assert_layer_steps(prop, gen, theta * (times[k + 1] - times[k]), theta, v)
 

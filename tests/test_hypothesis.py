@@ -2,16 +2,23 @@
 contraction argument: kappa, mu, beta, and the window rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import constant_problem, shipped_problem
-from layerburn.evolution import GriddedFuel, build_propagator
+from conftest import (
+    constant_problem,
+    dense_theta_step,
+    shipped_config,
+    shipped_problem,
+    smooth_bump,
+)
+from layerburn.evolution import GriddedFuel, generator_bands
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
 from layerburn.hypothesis import (
-    PowerIterationError,
-    _layer_operator_norms,
+    BETA_PROBES,
+    GrowthBoundError,
     audit_problem,
     bound_mu,
     check_H1,
@@ -25,11 +32,11 @@ from layerburn.hypothesis import (
 )
 from layerburn.model import (
     ConstantFuel,
+    GaussianDecayFuel,
     LayerParams,
     LogisticFrontFuel,
     PerturbedFuel,
     PrescribedFuel,
-    smooth_bump,
     source_f,
 )
 
@@ -209,52 +216,75 @@ def test_mu_bounds_source_magnitude():
 # growth rate
 
 
+def _dense_step_norms(p, fuel, t, h, theta=0.5):
+    """Per-layer ||A^{-1} B||_2 of the theta-step [t, t + h], by dense SVD."""
+    bands = generator_bands(p, fuel.sample(0.5 * (t + (t + h))), fuel.grid.dx)
+    return np.array([np.linalg.svd(dense_theta_step(tri, h, theta), compute_uv=False)[0]
+                     for tri in bands])
+
+
 def test_beta_zero_for_pure_diffusion():
     prob = constant_problem(a=1.0, lam=1.0)
     fuel = _gridded(prob)
-
-    def factory(t0, t1):
-        return build_propagator(prob.params, fuel, t0, t1)
-
-    beta = growth_beta(factory, np.linspace(0.0, 0.4, 5), 0.001)
+    beta, omega = growth_beta(prob.params, fuel, np.linspace(0.0, 0.4, 5), 0.001, 0.5)
     assert 0.0 <= beta <= 1e-9  # one-ulp solve roundoff at most
+    assert omega.shape == (1, 2)  # a constant fuel is probed once
     # the step operator itself is an L2 contraction
-    prop = factory(0.0, 0.001)
-    norms = _layer_operator_norms(prop, 30, 1e-8)
+    norms = _dense_step_norms(prob.params, fuel, 0.0, 0.001)
     assert norms.shape == (2,)
     assert np.all(norms <= 1.0 + 1e-10)
 
 
 def test_beta_stable_under_probe_halving():
     # spatially varying advection with a compressive gradient drives genuine
-    # norm growth; estimates at halved probe steps must agree within 20%.
-    # Resolving a top singular value that sits beta*dt above the near-identity
-    # cluster needs an iteration budget of order 1/(beta*dt), so this uses
-    # coarse probe steps and a raised cap.
+    # norm growth; bounds at halved probe steps must agree within 20%
     grid = make_grid(-10.0, 10.0, 201)
     p = LayerParams.constants(grid, 2, a=1.0, lam=0.05, c=1.0)
     p.c[:] = 1.0 + 0.8 * np.sin(grid.x)
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * 2), grid)
-
-    def factory(t0, t1):
-        return build_propagator(p, fuel, t0, t1)
-
     times = [0.0, 0.2, 0.4]
-    b1 = growth_beta(factory, times, 0.1, power_iters=200, power_tol=1e-8)
-    b2 = growth_beta(factory, times, 0.05, power_iters=200, power_tol=1e-8)
+    b1, _ = growth_beta(p, fuel, times, 0.1, 0.5)
+    b2, _ = growth_beta(p, fuel, times, 0.05, 0.5)
     assert b1 > 1.0 and b2 > 1.0
     assert abs(b1 - b2) <= 0.2 * max(b1, b2)
 
 
-def test_power_iteration_budget_is_enforced():
-    prob = constant_problem(c=0.5)
+@pytest.mark.parametrize("name, m", [("reactive_two_layer", None),
+                                     ("ignition_coupled", None),
+                                     ("drift_benchmark", 401),
+                                     ("dependence_study", None)])
+def test_audited_beta_bounds_dense_svd_beta(name, m):
+    # the audited beta is an upper bound of the dense-SVD growth rate of the
+    # audit's own probe steps, and within 1e-4 relative of it
+    cfg = shipped_config(name, m)
+    prob, T = cfg.problem(), cfg.T
+    assert prob.grid.m <= 401
+    theta = cfg.solver.theta
+    report = audit_problem(prob, T, theta=theta, scheme=cfg.solver.scheme)
     fuel = _gridded(prob)
+    h = T / 512.0
+    times = np.linspace(0.0, T - h, BETA_PROBES)
+    # probes with equal fuel samples have equal step operators
+    _, first = np.unique(fuel.sample(0.5 * (times + (times + h))), axis=0, return_index=True)
+    norms = np.concatenate([_dense_step_norms(prob.params, fuel, times[k], h, theta)
+                            for k in first])
+    beta_svd = max(0.0, float(np.max(np.log(norms))) / h)
+    assert beta_svd > 0.0
+    assert report.beta >= beta_svd
+    assert report.beta - beta_svd <= 1e-4 * beta_svd
 
-    def factory(t0, t1):
-        return build_propagator(prob.params, fuel, t0, t1)
 
-    with pytest.raises(PowerIterationError):
-        growth_beta(factory, [0.0], 0.001, power_iters=1)
+def test_no_growth_bound_is_a_typed_error():
+    # theta*omega*h >= 1: the theta-step norm has no bound of the form r(omega*h)
+    prob, T = shipped_problem("reactive_two_layer")
+    prob = prob.with_params(c=np.full_like(prob.params.c, 1000.0))
+    with pytest.raises(GrowthBoundError, match=r"layer 1 .*omega = .* >= 1 \(theta = 0\.5, h = "):
+        audit_problem(prob, T)
+    fuel = _gridded(prob)
+    _, omega = growth_beta(prob.params, fuel, [0.0], 1e-6, 0.5)
+    h = 1.01 / (0.5 * float(np.max(omega)))  # theta*omega*h = 1.01
+    with pytest.raises(GrowthBoundError):
+        growth_beta(prob.params, fuel, [0.0], h, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +357,18 @@ def test_audit_reactive_fixture():
     assert report.T_prime > 0.0
     text = report.to_text()
     assert "[H1]" in text and "pass: true" in text and "T_prime" in text
+
+
+def test_audit_reports_what_the_growth_bound_covers():
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    text = audit_problem(prob, T).to_text()
+    assert "beta bounds 1 distinct probe operator(s) of the 9 probe steps" in text
+    assert "note: log-norm omega per layer: " in text
+    assert "the fuel is time-invariant on the span, so the bound holds at every time" in text
+    varying = replace(prob, fuel=PrescribedFuel([GaussianDecayFuel(0.0, 2.0, 0.9)] * 2))
+    text = audit_problem(varying, T).to_text()
+    assert "beta bounds 9 distinct probe operator(s)" in text
+    assert "so the bound holds at the probe times only" in text
 
 
 def test_audit_all_shipped_fixtures_pass():

@@ -4,7 +4,7 @@ models with the coupled-fuel restep."""
 import numpy as np
 import pytest
 
-from conftest import shipped_problem
+from conftest import shipped_problem, smooth_bump
 from layerburn.evolution import GriddedFuel
 from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
 from layerburn.hypothesis import check_H2
@@ -22,7 +22,6 @@ from layerburn.model import (
     coefficient_fields,
     fuel_step,
     g_prime_sup,
-    smooth_bump,
     source_f,
 )
 
