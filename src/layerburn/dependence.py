@@ -35,16 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import (
-    GriddedFuel,
-    build_propagators,
-    duhamel,
-    evolve,
-    generator_apply,
-    generator_bands,
-    source_along,
-)
-from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric, time_lattice
+from .evolution import GriddedFuel, build_propagators, duhamel, evolve, source_along
+from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric
 from .mild_solver import (
     AuditError,
     BlowUpError,
@@ -246,44 +238,3 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
                       if lv.skipped is None and not lv.above_floor), None)
     return DependenceStudy(base, out, ratios, crossover, noise_floor)
 
-
-def operator_convergence_probe(problem: Problem, T: float, spec: PerturbationSpec,
-                               cfg: SolverConfig, *,
-                               n_fields: int = 3, seed: int = 0) -> dict:
-    """Generator and propagator differences on probe fields, per level.
-
-    Returns {"generator": [...], "propagator": [...]}: per level,
-    sup ||(L_j - L) psi|| over probe times t = 0, T/2, T and
-    sup_t ||(U_j - U)(t, 0) psi|| over the cfg.dt lattice (T must be a whole
-    number of its steps), for n_fields standard normal fields psi drawn from
-    `seed`.  Both must fall linearly with s; this isolates the
-    operator-convergence half of the dependence story from the source terms.
-    """
-    grid = problem.grid
-    p = problem.params
-    rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal((p.n, grid.m)) for _ in range(n_fields)]
-    times = time_lattice(T, cfg.dt)
-    probe_times = np.array([0.0, 0.5 * T, T])
-    fb = GriddedFuel(problem.fuel, grid)
-
-    props_b = build_propagators(p, fb, times, cfg.theta, cfg.scheme)
-    tris_b = generator_bands(p, fb.sample(probe_times), grid.dx, cfg.scheme)
-    base = [evolve(props_b, psi) for psi in fields]
-    gen_sups: list[float] = []
-    prop_sups: list[float] = []
-    for s in spec.levels:
-        pert = build_perturbed(problem, spec.directions, float(s))
-        fj = GriddedFuel(pert.fuel, grid)
-        tris_j = generator_bands(pert.params, fj.sample(probe_times), grid.dx, cfg.scheme)
-        worst_gen = 0.0
-        for tri_b, tri_j in zip(tris_b, tris_j):
-            for psi in fields:
-                diff = generator_apply(tri_j, psi) - generator_apply(tri_b, psi)
-                worst_gen = max(worst_gen, float(np.max(layer_l2(diff, grid.dx))))
-        props_j = build_propagators(pert.params, fj, times, cfg.theta, cfg.scheme)
-        worst_prop = max(float(np.max(layer_l2(evolve(props_j, psi) - vb, grid.dx)))
-                         for psi, vb in zip(fields, base))
-        gen_sups.append(worst_gen)
-        prop_sups.append(worst_prop)
-    return {"generator": gen_sups, "propagator": prop_sups}

@@ -228,7 +228,9 @@ def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
     omega = lambda_max(-(L_h + L_h^T)/2) bounds the numerical range of
     -h*L_h by Re z <= omega*h, so by von Neumann's theorem the step has
     ||U||_2 <= max(1, r(omega*h)), r(a) = (1 + (1-theta)a)/(1 - theta*a) =
-    1 + a/(1 - theta*a), provided theta*omega*h < 1.  Returns
+    1 + a/(1 - theta*a), provided theta*omega*h < 1.  Bisection locates the
+    top eigenvalue of S = -(L_h + L_h^T)/2 to within tol = eps*||S||_1, and
+    omega is that estimate plus tol, so it rounds up.  Returns
     (beta, omega): beta = max(0, max log r(omega*h)/h) and omega of shape
     (distinct probes, n).
     """
@@ -240,10 +242,15 @@ def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
     ys = ys[~repeats(ys, None)]
     sub, main, sup = np.moveaxis(generator_bands(p, ys, fuel.grid.dx, scheme), -2, 0)
     off = -0.5 * (sup[..., :-1] + sub[..., 1:])
+    col = np.abs(main)
+    col[..., :-1] += np.abs(off)
+    col[..., 1:] += np.abs(off)
+    tols = np.finfo(float).eps * np.max(col, axis=-1)
     top = (fuel.grid.m - 1,) * 2
     omega = np.array([[eigh_tridiagonal(-d, e, eigvals_only=True, select="i",
-                                        select_range=top)[0]
-                       for d, e in zip(dk, ek)] for dk, ek in zip(main, off)])
+                                        select_range=top, tol=tol)[0] + tol
+                       for d, e, tol in zip(dk, ek, tk)]
+                      for dk, ek, tk in zip(main, off, tols)])
     a = np.maximum(omega, 0.0) * h
     if np.any(theta * a >= 1.0):
         k, i = np.unravel_index(int(np.argmax(omega)), omega.shape)

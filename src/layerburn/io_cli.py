@@ -383,12 +383,9 @@ def parse_config(text: str) -> ProblemConfig:
         scheme=run.take_choice("scheme", ("auto", "central", "upwind"), "auto"),
         picard_tol=run.take_float("picard_tol", default=1e-10),
         picard_max_iters=run.take_int("picard_max_iters", default=15),
-        window_mode=run.take_choice(
-            "window_mode", ("continuation", "contraction", "adaptive"),
-            "continuation"),
+        window_mode=run.take_choice("window_mode", ("continuation", "contraction"),
+                                    "continuation"),
         max_window=run.take_float("max_window", default=None),
-        seed_mode=run.take_choice("seed_mode", ("homogeneous", "initial"),
-                                  "homogeneous"),
         blowup_ceiling=run.take_float("blowup_ceiling", default=1e12),
         coupled_outer_tol=run.take_float("coupled_outer_tol", default=1e-8),
         coupled_outer_max=run.take_int("coupled_outer_max", default=12),

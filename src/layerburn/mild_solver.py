@@ -17,11 +17,10 @@ which is independent of how [0, T] is split into windows.  Global solves
 chain windows of whole lattice steps, each starting at a lattice node t0 and
 sized by one of two certified rules (the continuation window epsilon(t0) or
 the fixed contraction step T'), both of which bound the Picard contraction
-factor by 1/2; a third, adaptive mode ignores the certified constants, starts
-from the whole remaining span, and halves its step count on observed
-divergence instead.  Every global solve is audited first and checked against
-the a-priori growth bound afterwards (a warning rather than a failure in
-adaptive mode); runaway iterates trip the blow-up guard instead of
+factor by 1/2; a window that exhausts its sweep budget is halved and
+retried, at most MAX_HALVINGS times.  Every global solve is audited first and checked
+against the a-priori growth bound afterwards, and a violation raises
+AprioriViolationError; runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
 A window's step operators come from one batched build_propagators call and
@@ -31,12 +30,11 @@ evolution.duhamel from I_0 = phi instead of 0: by linearity that carries
 U(t_k, t0) phi and the integral in one array, one step at a time, so the
 iterates are bitwise those of a per-step loop.
 
-Each window's first Picard iterate is its seed: by default the one that
-SolverConfig.seed_mode names, or a slice of the trajectory passed to
-solve_global as `guess` (a warm start).  Only the cold "homogeneous" seed
-computes U(t_k, t0) phi on its own.  The Duhamel fixed point is unique, so
-the seed only changes how many sweeps a window takes, not where it converges
-(to within picard_tol).
+Each window's first Picard iterate is its seed: the homogeneous evolution
+U(t_k, t0) phi of a cold window, or a slice of the trajectory passed to
+solve_global as `guess` (a warm start).  The Duhamel fixed point is unique,
+so the seed only changes how many sweeps a window takes, not where it
+converges (to within picard_tol).
 
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures (one fuel_step call over the
@@ -47,7 +45,6 @@ starts from the previous pass's trajectory.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +65,8 @@ from .model import Problem, TabulatedFuel, fuel_step
 
 # Relative slack of the a-priori check: observed <= bound * (1 + APRIORI_SLACK).
 APRIORI_SLACK = 1e-8
+# Halvings of one window's step count before PicardDivergenceError propagates.
+MAX_HALVINGS = 10
 
 
 class SolverError(RuntimeError):
@@ -100,16 +99,10 @@ class SolverConfig:
 
     dt has no default: it fixes the step lattice of every solve, T must be a
     whole number of its steps, and so is every window.  theta lies in
-    [1/2, 1], the A-stable range of the theta-scheme.  seed_mode picks the
-    cold-start Picard guess: the homogeneous evolution of the window state,
-    or that state held constant in time.  A trajectory passed to solve_global
-    as `guess` takes its place in every window (the warm start of coupled
-    passes and oracle-ladder rungs), so seed_mode only matters when no guess
-    is given.  window_mode "continuation" and "contraction" use the two
-    certified window rules; "adaptive" ignores the certified constants,
-    starts from the whole remaining span, halves on divergence (detected
-    early by gap growth over three consecutive sweeps), and demotes the
-    a-priori check to a warning; the certified modes raise.
+    [1/2, 1], the A-stable range of the theta-scheme.  window_mode picks
+    one of the two certified window rules, "continuation" (epsilon(t0)) or
+    "contraction" (T'); max_window only caps them.  A run whose trajectory
+    exceeds the a-priori growth bound always raises AprioriViolationError.
     """
 
     dt: float
@@ -117,19 +110,15 @@ class SolverConfig:
     scheme: str = "auto"
     picard_tol: float = 1e-10
     picard_max_iters: int = 15
-    window_mode: str = "continuation"  # or "contraction" / "adaptive"
+    window_mode: str = "continuation"  # or "contraction"
     max_window: float | None = None
-    seed_mode: str = "homogeneous"  # or "initial"
     blowup_ceiling: float = 1e12
-    max_halvings: int = 10
     coupled_outer_tol: float = 1e-8
     coupled_outer_max: int = 12
 
     def __post_init__(self):
-        if self.window_mode not in ("continuation", "contraction", "adaptive"):
+        if self.window_mode not in ("continuation", "contraction"):
             raise ValueError(f"unknown window_mode {self.window_mode!r}")
-        if self.seed_mode not in ("homogeneous", "initial"):
-            raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         check_theta(self.theta)
@@ -137,8 +126,9 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.picard_max_iters < 1:
-            raise ValueError("picard_max_iters must be at least 1")
+        for name in ("picard_max_iters", "coupled_outer_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -194,19 +184,17 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
     """Fixed point on one window; times are absolute lattice nodes.
 
     guess, when given, is the first iterate on those nodes (its row 0 is
-    replaced by phi_values); otherwise cfg.seed_mode picks it.
+    replaced by phi_values); otherwise it is the homogeneous evolution.
     """
     dx = fuel.grid.dx
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
     ys = fuel.sample(times)
 
-    if guess is not None:
-        u = guess.copy()
-        u[0] = phi_values
-    elif cfg.seed_mode == "homogeneous":
+    if guess is None:
         u = evolve(props, phi_values)
     else:
-        u = np.repeat(phi_values[None], times.size, axis=0)
+        u = guess.copy()
+        u[0] = phi_values
 
     gaps: list[float] = []
     for it in range(1, cfg.picard_max_iters + 1):
@@ -224,12 +212,6 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarra
         if gap <= cfg.picard_tol * (1.0 + sup_new):
             ratios = [gaps[j + 1] / gaps[j] for j in range(len(gaps) - 1) if gaps[j] > 0]
             return u, it, gaps, ratios
-        if (cfg.window_mode == "adaptive" and len(gaps) >= 3
-                and gaps[-1] > gaps[-2] > gaps[-3]):
-            raise PicardDivergenceError(
-                f"gaps grew over three consecutive sweeps on "
-                f"[{times[0]:.6g}, {times[-1]:.6g}]; last gap {gap:.3e}"
-            )
     raise PicardDivergenceError(
         f"no contraction to tol {cfg.picard_tol:.1e} in {cfg.picard_max_iters} sweeps "
         f"on [{times[0]:.6g}, {times[-1]:.6g}]; last gap {gaps[-1]:.3e}"
@@ -291,7 +273,7 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
 
     guess is an optional (K+1, n, m) trajectory on the cfg.dt lattice; each
     window starts its Picard iteration from the guess's rows on its nodes
-    instead of the cfg.seed_mode seed.  A guess that is not on that lattice
+    instead of the homogeneous evolution.  A guess that is not on that lattice
     is a caller bug and raises SolverError.
     """
     lattice = time_lattice(T, cfg.dt)
@@ -320,11 +302,8 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
         phi_norm = float(np.max(layer_l2(state, problem.grid.dx)))
         if cfg.window_mode == "continuation":
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
-        elif cfg.window_mode == "contraction":
-            w = report.T_prime
         else:
-            # adaptive: no certified size; take the span and halve on failure
-            w = remaining
+            w = report.T_prime
         if cfg.max_window is not None:
             w = min(w, cfg.max_window)
         w = min(w, remaining)
@@ -339,7 +318,7 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
                 vals, iters, gaps, ratios = _solve_window(p, fuel, times, state, cfg, seed)
                 break
             except PicardDivergenceError:
-                if halvings >= cfg.max_halvings or n_sub == 1:
+                if halvings >= MAX_HALVINGS or n_sub == 1:
                     raise
                 n_sub //= 2
                 halvings += 1
@@ -353,11 +332,9 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     trajectory = SolutionTrajectory(lattice, np.concatenate(chunks), problem.grid)
     apriori = _apriori_check(trajectory, phi_norm0, report, p, fuel, T)
     if not apriori["ok"]:
-        msg = (f"sup norm {apriori['observed']:.6g} exceeds the growth bound "
-               f"{apriori['bound']:.6g}")
-        if cfg.window_mode != "adaptive":
-            raise AprioriViolationError(msg)
-        warnings.warn(msg, stacklevel=2)
+        raise AprioriViolationError(
+            f"sup norm {apriori['observed']:.6g} exceeds the growth bound "
+            f"{apriori['bound']:.6g}")
     return SolveResult(trajectory, windows, report, apriori)
 
 

@@ -1,5 +1,5 @@
-"""Continuous dependence: response ladders, data-difference bounds, and
-operator convergence under perturbed coefficients."""
+"""Continuous dependence: response ladders, data-difference bounds, and the
+operator-difference term d1 under perturbed coefficients."""
 
 import math
 
@@ -14,7 +14,6 @@ from layerburn.dependence import (
     build_perturbed,
     dependence_study,
     gronwall_factor,
-    operator_convergence_probe,
 )
 from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
 from layerburn.grid import l2_norm, layer_l2
@@ -95,6 +94,10 @@ def test_response_ladder_halves_and_respects_bound():
     assert len(study.ratios) == 4
     for r in study.ratios:
         assert 0.4 <= r <= 0.6
+    # (U_j - U)(t, 0) phi is linear in s to first order: d1 halves with s
+    d1 = [lv.terms["d1"] for lv in study.levels]
+    for a, b in zip(d1, d1[1:]):
+        assert 0.45 <= b / a <= 0.55
     for lv in study.levels:
         assert set(lv.terms) == {"d0", "d1", "d3", "d4", "total"}
         assert lv.bound == pytest.approx(
@@ -145,51 +148,6 @@ def test_inadmissible_levels_are_skipped_not_fatal():
     assert all(lv.skipped is None for lv in study.levels[1:])
     assert study.decreasing
     assert len(study.ratios) == 1
-
-
-def _propagator_sups_per_step(problem, spec, cfg, times, fields):
-    """sup_t ||(U_j - U)(t, 0) psi|| with both marches taken one step at a
-    time per level, as the probe computed it before it called evolve."""
-    grid = problem.grid
-    props_b = build_propagators(problem.params, GriddedFuel(problem.fuel, grid), times,
-                                cfg.theta, cfg.scheme)
-    sups = []
-    for s in spec.levels:
-        pert = build_perturbed(problem, spec.directions, float(s))
-        props_j = build_propagators(pert.params, GriddedFuel(pert.fuel, grid), times,
-                                    cfg.theta, cfg.scheme)
-        worst = 0.0
-        for psi in fields:
-            vb, vj = psi.copy(), psi.copy()
-            for prop_b, prop_j in zip(props_b, props_j):
-                vb = prop_b.apply_values(vb)
-                vj = prop_j.apply_values(vj)
-                worst = max(worst, float(np.max(layer_l2(vj - vb, grid.dx))))
-        sups.append(worst)
-    return sups
-
-
-def test_operator_probe_scales_linearly():
-    prob, _ = shipped_problem("dependence_study", m=201)
-    x = prob.grid.x
-    directions = {
-        "lam": np.stack([0.05 * smooth_bump(x, 0.0, 2.5),
-                         0.04 * smooth_bump(x, 1.0, 2.0)]),
-        "qhat1": 0.05 * smooth_bump(x, 0.0, 3.0),
-    }
-    spec = PerturbationSpec(directions, levels=[0.5, 0.25, 0.125])
-    cfg = SolverConfig(dt=2e-3)
-    out = operator_convergence_probe(prob, 0.1, spec, cfg, n_fields=2, seed=3)
-    gen, prop = out["generator"], out["propagator"]
-    assert len(gen) == 3 and len(prop) == 3
-    rng = np.random.default_rng(3)
-    fields = [rng.standard_normal((2, prob.grid.m)) for _ in range(2)]
-    assert prop == _propagator_sups_per_step(prob, spec, cfg, 2e-3 * np.arange(51), fields)
-    # lam and qhat1 enter the stencil linearly, so halving s halves L_j - L
-    for a, b in zip(gen, gen[1:]):
-        assert abs(b / a - 0.5) <= 1e-9
-    for a, b in zip(prop, prop[1:]):
-        assert 0.4 <= b / a <= 0.6
 
 
 def test_gronwall_factor_formula():

@@ -255,7 +255,8 @@ def test_beta_stable_under_probe_halving():
                                      ("dependence_study", None)])
 def test_audited_beta_bounds_dense_svd_beta(name, m):
     # the audited beta is an upper bound of the dense-SVD growth rate of the
-    # audit's own probe steps, and within 1e-4 relative of it
+    # audit's own probe steps, and within 1e-4 relative of it; each probe's
+    # omega bounds the top eigenvalue of the dense symmetric part from above
     cfg = shipped_config(name, m)
     prob, T = cfg.problem(), cfg.T
     assert prob.grid.m <= 401
@@ -268,6 +269,14 @@ def test_audited_beta_bounds_dense_svd_beta(name, m):
     _, first = np.unique(fuel.sample(0.5 * (times + (times + h))), axis=0, return_index=True)
     norms = np.concatenate([_dense_step_norms(prob.params, fuel, times[k], h, theta)
                             for k in first])
+    for k in first:
+        _, omega = growth_beta(prob.params, fuel, [times[k]], h, theta, cfg.solver.scheme)
+        bands = generator_bands(prob.params, fuel.sample(times[k] + 0.5 * h), prob.grid.dx,
+                                cfg.solver.scheme)
+        for tri, om in zip(bands, omega[0]):
+            sub, main, sup = tri
+            L = np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+            assert om >= np.linalg.eigvalsh(-0.5 * (L + L.T))[-1]
     beta_svd = max(0.0, float(np.max(np.log(norms))) / h)
     assert beta_svd > 0.0
     assert report.beta >= beta_svd

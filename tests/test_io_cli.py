@@ -116,8 +116,7 @@ def test_config_accepts_all_solver_knobs():
     text = BASE_CFG + dedent("""\
         theta = 1
         scheme = upwind
-        window_mode = adaptive
-        seed_mode = initial
+        window_mode = contraction
         picard_tol = 1e-8
         picard_max_iters = 30
         blowup_ceiling = 1e6
@@ -125,8 +124,7 @@ def test_config_accepts_all_solver_knobs():
     """)
     cfg = parse_config(text)
     s = cfg.solver
-    assert (s.theta, s.scheme, s.window_mode, s.seed_mode) == \
-        (1.0, "upwind", "adaptive", "initial")
+    assert (s.theta, s.scheme, s.window_mode) == (1.0, "upwind", "contraction")
     assert s.picard_tol == 1e-8 and s.picard_max_iters == 30
     assert s.blowup_ceiling == 1e6 and s.max_window == 0.05
 
@@ -167,6 +165,9 @@ def test_experiment_perturbations_are_assembled():
     (lambda t: t.replace("q_1 = constant(0.15)", "q_1 = constant(-0.1)"),
      "nonnegative"),
     (lambda t: t.replace("[run]", "[run]\nbogus\n"), "expected key = value"),
+    (lambda t: t + "window_mode = adaptive\n",
+     r"\[run\] window_mode: must be one of continuation, contraction$"),
+    (lambda t: t + "seed_mode = initial\n", r"unknown key 'seed_mode' in \[run\]"),
 ])
 def test_config_errors_are_located(mangle, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -312,6 +313,8 @@ def test_nonfinite_function_spec_argument_is_a_located_config_error(
     ("blowup_ceiling = -1", "[run]: blowup_ceiling must be positive and finite"),
     ("max_window = 0", "[run]: max_window must be positive and finite"),
     ("max_window = inf", "[run]: max_window must be positive and finite"),
+    ("coupled_outer_max = 0", "[run]: coupled_outer_max must be at least 1"),
+    ("coupled_outer_max = -3", "[run]: coupled_outer_max must be at least 1"),
     ("[experiment]\noracle_newton_tol = nan",
      "[experiment] oracle_newton_tol must be positive and finite"),
     ("[experiment]\noracle_newton_tol = -1e-10",

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import constant_problem, shipped_problem
+from conftest import constant_problem, shipped_config, shipped_problem
 from layerburn import mild_solver
-from layerburn.dependence import PerturbationSpec, operator_convergence_probe
+from layerburn.dependence import PerturbationSpec, dependence_study
 from layerburn.evolution import (
     GriddedFuel,
     Propagator,
@@ -26,6 +26,7 @@ from layerburn.hypothesis import (
     lipschitz_kappa,
 )
 from layerburn.mild_solver import (
+    AprioriViolationError,
     AuditError,
     BlowUpError,
     PicardDivergenceError,
@@ -157,13 +158,14 @@ def test_picard_gaps_decay_geometrically():
 
 
 def test_seed_choice_does_not_move_the_fixed_point():
+    # the cold seed (homogeneous evolution) and phi held constant on the
+    # lattice, passed as the guess, converge to the same fixed point
     prob, T = shipped_problem("reactive_two_layer", m=201)
-    tol = 1e-10
-    res_h = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol,
-                                               seed_mode="homogeneous"))
-    res_i = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol,
-                                               seed_mode="initial"))
-    assert sup_metric(res_h.trajectory, res_i.trajectory) <= 10.0 * tol
+    cfg = SolverConfig(dt=0.002, picard_tol=1e-10)
+    cold = solve_global(prob, T, cfg)
+    frozen = np.repeat(prob.phi.values[None], cold.trajectory.times.size, axis=0)
+    held = solve_global(prob, T, cfg, report=cold.report, guess=frozen)
+    assert sup_metric(cold.trajectory, held.trajectory) <= 10.0 * cfg.picard_tol
 
 
 def test_window_partition_does_not_move_the_fixed_point():
@@ -251,20 +253,21 @@ def test_blowup_guard_trips_at_the_ceiling():
 
 def test_divergence_error_when_iteration_budget_exhausted():
     prob, T = shipped_problem("reactive_two_layer", m=201)
-    cfg = SolverConfig(dt=T / 4.0, picard_max_iters=1, max_halvings=0)
+    # one sweep never meets the tolerance, so the window halves down to one
+    # step and the divergence propagates
+    cfg = SolverConfig(dt=T / 4.0, picard_max_iters=1)
     with pytest.raises(PicardDivergenceError):
         solve_global(prob, T, cfg)
 
 
-def test_adaptive_mode_matches_certified_solution():
-    prob, T = shipped_problem("reactive_two_layer", m=201)
-    tol = 1e-10
-    cert = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
-    adapt = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol,
-                                               window_mode="adaptive"))
-    assert sup_metric(cert.trajectory, adapt.trajectory) <= 10.0 * tol
-    # adaptive windows start from the whole remaining span
-    assert len(adapt.windows) <= len(cert.windows)
+def test_apriori_violation_raises():
+    # with kappa = mu = beta = 0 the growth bound is ||phi||, which the
+    # igniting hot spot (fuel y = 1) exceeds
+    config = shipped_config("ignition_coupled")
+    prob, T, cfg = config.problem(), config.T, config.solver
+    report = audit_problem(prob, T, theta=cfg.theta, scheme=cfg.scheme)
+    with pytest.raises(AprioriViolationError, match="exceeds the growth bound"):
+        solve_global(prob, T, cfg, report=replace(report, kappa=0.0, mu=0.0, beta=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +370,18 @@ def test_lattice_must_divide_horizon():
         mol_solve(prob, 0.1, OracleConfig(dt=0.03))
     spec = PerturbationSpec({"lam": np.full((2, prob.grid.m), 0.01)}, levels=[0.5, 0.25])
     with pytest.raises(ValueError, match=whole):
-        operator_convergence_probe(prob, 0.1, spec, SolverConfig(dt=0.03))
+        dependence_study(prob, 0.1, spec, SolverConfig(dt=0.03))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, window_mode="bogus")
+    for mode in ("bogus", "adaptive"):
+        with pytest.raises(ValueError, match="unknown window_mode"):
+            SolverConfig(dt=0.01, window_mode=mode)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, picard_tol=0.0)
     for dt in (-0.1, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             SolverConfig(dt=dt)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, seed_mode="random")
     for theta in (0.0, 0.3, 0.4999, 1.0001, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"theta must lie in \[1/2, 1\]"):
             SolverConfig(dt=0.01, theta=theta)
@@ -389,8 +391,10 @@ def test_config_validation():
         for value in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 SolverConfig(dt=0.01, **{name: value})
-    with pytest.raises(ValueError, match="picard_max_iters must be at least 1"):
-        SolverConfig(dt=0.01, picard_max_iters=0)
+    for name in ("picard_max_iters", "coupled_outer_max"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                SolverConfig(dt=0.01, **{name: value})
 
 
 def test_solver_config_requires_dt():
@@ -441,7 +445,7 @@ def test_coupled_ignition_run_consumes_fuel_monotonically():
 
 def test_coupled_warm_start_matches_cold_passes(monkeypatch):
     # pass k >= 2 starts from pass k-1: same passes and the same fixed point,
-    # in fewer sweeps than starting every pass from the seed_mode seed
+    # in fewer sweeps than starting every pass from the homogeneous evolution
     prob, T = shipped_problem("ignition_coupled", m=201)
     cfg = SolverConfig(dt=0.004)
     warm = solve_coupled(prob, T, cfg)
