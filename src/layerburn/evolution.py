@@ -47,11 +47,15 @@ the method-of-lines oracle uses per block of nodes and the audit's growth
 bound per probe step.
 
 Along a lattice of Propagators every solver runs the same two recursions:
-evolve gives the homogeneous states U(t_k, t_0) v, and duhamel the
-propagated-trapezoid sums I_{k+1} = U_k [I_k + (dt/2) f_k] + (dt/2) f_{k+1}
-from a given I_0.  From I_0 = phi that is one Picard sweep; from I_0 = 0 it
-is the integral term alone, which the dependence terms use.  source_along
-evaluates f along the lattice one block of nodes at a time.
+evolve gives the homogeneous states U(t_k, t_0) v, into a given array if
+asked, and duhamel_blocks the propagated-trapezoid sums
+I_{k+1} = U_k [I_k + (dt/2) f_k] + (dt/2) f_{k+1} from a given I_0, one
+block of steps at a time, asking a callback for each block's source as it
+goes.  From I_0 = phi that is one Picard sweep, whose blocks the solver
+stores over the rows of its old iterate; from I_0 = 0 it is the integral
+term alone, which the dependence terms take as a whole array from duhamel.
+source_along evaluates f along the lattice one block of nodes at a time, for
+the dependence terms' sources.
 """
 
 from __future__ import annotations
@@ -221,36 +225,62 @@ def repeats(rows: np.ndarray, last) -> np.ndarray:
     return same
 
 
-def evolve(props: list[Propagator], start: np.ndarray) -> np.ndarray:
-    """Homogeneous states U(t_k, t_0) start at every lattice node, (K+1, n, m)."""
-    out = np.empty((len(props) + 1,) + start.shape)
+def evolve(props: list[Propagator], start: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Homogeneous states U(t_k, t_0) start at every lattice node, (K+1, n, m).
+
+    out, when given, receives the states in place and is returned; start may
+    be its row 0.
+    """
+    if out is None:
+        out = np.empty((len(props) + 1,) + start.shape)
     out[0] = start
     for k, prop in enumerate(props):
         out[k + 1] = prop.apply_values(out[k])
     return out
 
 
+def duhamel_blocks(props: list[Propagator], times: np.ndarray, source,
+                   start: np.ndarray):
+    """Yield (a, I[a+1 : b+1]) for blocks of steps [a, b), I the trapezoid sums.
+
+    I_0 = start and I_{k+1} = U_k [I_k + (dt_k/2) f_k] + (dt_k/2) f_{k+1}.
+    source(lo, hi) returns f at the nodes lo..hi-1.  It is called once per
+    block, for nodes 0..b in the first and a+1..b in the others, when the
+    generator resumes after the previous block; the block's f_b is carried
+    as the next block's f_a.  A consumer can therefore store each block in
+    place of the rows that source reads.  The terms (dt_k/2) f_k and
+    (dt_k/2) f_{k+1} are formed for a block at once; the recursion runs one
+    step at a time.
+    """
+    K = len(props)
+    half = 0.5 * np.diff(times)[:, None, None]
+    block = steps_per_block(start.size)
+    acc = start
+    f = source(0, min(block, K) + 1)
+    for a in range(0, K, block):
+        b = min(a + block, K)
+        if a:
+            f = np.concatenate((f[-1:], source(a + 1, b + 1)))
+        left = half[a:b] * f[:-1]
+        right = half[a:b] * f[1:]
+        rows = np.empty_like(right)
+        for j, prop in enumerate(props[a:b]):
+            acc = rows[j] = prop.apply_values(acc + left[j]) + right[j]
+        yield a, rows
+
+
 def duhamel(props: list[Propagator], times: np.ndarray, f: np.ndarray,
             start) -> np.ndarray:
     """U(t_k, t_0) start + int_{t_0}^{t_k} U(t_k, s) f(s) ds by trapezoids, (K+1, n, m).
 
-    I_0 = start and I_{k+1} = U_k [I_k + (dt_k/2) f_k] + (dt_k/2) f_{k+1},
-    with f the source at the K+1 lattice nodes.  The terms (dt_k/2) f_k and
-    (dt_k/2) f_{k+1} are formed for a block of steps at once; the recursion
-    runs one step at a time.
+    f is the source at the K+1 lattice nodes; duhamel_blocks runs the
+    recursion.
     """
-    K = len(props)
     out = np.empty_like(f)
     out[0] = start
-    acc = out[0]
-    half = 0.5 * np.diff(times)[:, None, None]
-    block = steps_per_block(f[0].size)
-    for a in range(0, K, block):
-        b = min(a + block, K)
-        left = half[a:b] * f[a:b]
-        right = half[a:b] * f[a + 1 : b + 1]
-        for j, prop in enumerate(props[a:b]):
-            acc = out[a + j + 1] = prop.apply_values(acc + left[j]) + right[j]
+    for a, rows in duhamel_blocks(props, times, lambda lo, hi: f[lo:hi], out[0]):
+        out[a + 1 : a + 1 + len(rows)] = rows
     return out
 
 

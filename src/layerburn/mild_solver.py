@@ -23,16 +23,20 @@ against the a-priori growth bound afterwards, and a violation raises
 AprioriViolationError; runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
-A window's step operators come from one batched build_propagators call and
-its fuel from one sample call.  Each sweep evaluates f along the window with
-evolution.source_along and runs the trapezoid recursion above once, with
-evolution.duhamel from I_0 = phi instead of 0: by linearity that carries
-U(t_k, t0) phi and the integral in one array, one step at a time, so the
-iterates are bitwise those of a per-step loop.
+A global solve allocates its (K+1, n, m) trajectory once, and every window,
+a retry after a halving included, solves in place in its slice of it.  A
+window's step operators come from one batched build_propagators call and its
+fuel from one sample call.  Each sweep runs the trapezoid recursion above
+once, with evolution.duhamel_blocks from I_0 = phi instead of 0: by linearity
+that carries U(t_k, t0) phi and the integral in one recursion.  It runs a
+block of steps at a time: the block's source comes from the old iterate's
+rows, the block's sup norm and Picard gap are reduced, and the new rows
+replace the old ones.  No array the size of the window's source, successor
+or gap exists, and the iterates are bitwise those of a per-step loop.
 
-Each window's first Picard iterate is its seed: the homogeneous evolution
-U(t_k, t0) phi of a cold window, or a slice of the trajectory passed to
-solve_global as `guess` (a warm start).  The Duhamel fixed point is unique,
+Each window's first Picard iterate is its seed, written into its slice: the
+homogeneous evolution U(t_k, t0) phi of a cold window, or a slice of the
+trajectory passed to solve_global as `guess` (a warm start).  The Duhamel fixed point is unique,
 so the seed only changes how many sweeps a window takes, not where it
 converges (to within picard_tol).
 
@@ -49,8 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import (GriddedFuel, build_propagators, check_theta, duhamel, evolve,
-                        source_along)
+from .evolution import GriddedFuel, build_propagators, check_theta, duhamel_blocks, evolve
 from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric, time_lattice
 from .hypothesis import (
     HypothesisReport,
@@ -60,7 +63,7 @@ from .hypothesis import (
     continuation_radius,
     lipschitz_kappa,
 )
-from .model import Problem, TabulatedFuel, fuel_step
+from .model import Problem, TabulatedFuel, fuel_step, source_f
 
 
 # Relative slack of the a-priori check: observed <= bound * (1 + APRIORI_SLACK).
@@ -178,40 +181,53 @@ class CoupledResult:
 # single-window Picard iteration
 
 
-def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, phi_values: np.ndarray,
+def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, u: np.ndarray,
                   cfg: SolverConfig, guess: np.ndarray | None
-                  ) -> tuple[np.ndarray, int, list[float], list[float]]:
-    """Fixed point on one window; times are absolute lattice nodes.
+                  ) -> tuple[int, list[float], list[float]]:
+    """Fixed point on one window, solved in place in u; times are absolute lattice nodes.
 
-    guess, when given, is the first iterate on those nodes (its row 0 is
-    replaced by phi_values); otherwise it is the homogeneous evolution.
+    u[0] holds the window state and is not written.  guess, when given, is
+    the first iterate on those nodes (its row 0 is ignored); otherwise it is
+    the homogeneous evolution.  Every row past u[0] is seeded before the
+    first sweep, so rows left by an earlier attempt on the same slice do not
+    reach the iterates.
     """
     dx = fuel.grid.dx
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
     ys = fuel.sample(times)
 
     if guess is None:
-        u = evolve(props, phi_values)
+        evolve(props, u[0], out=u)
     else:
-        u = guess.copy()
-        u[0] = phi_values
+        u[1:] = guess[1:]
 
+    def source(lo, hi):
+        return source_f(p, ys[lo:hi], u[lo:hi])
+
+    sup0 = np.max(layer_l2(u[0], dx))
     gaps: list[float] = []
     for it in range(1, cfg.picard_max_iters + 1):
-        new = duhamel(props, times, source_along(p, ys, u), phi_values)
-        sup_new = float(np.max(layer_l2(new, dx)))
+        # each block of the successor replaces the old rows once they have
+        # given their source and their share of the Picard gap
+        sups = [sup0]
+        block_gaps = []
+        for a, rows in duhamel_blocks(props, times, source, u[0]):
+            old = u[a + 1 : a + 1 + len(rows)]
+            sups.append(np.max(layer_l2(rows, dx)))
+            old -= rows
+            block_gaps.append(np.max(layer_l2(old, dx)))
+            old[...] = rows
+        sup_new = float(np.max(sups))
         if not math.isfinite(sup_new) or sup_new > cfg.blowup_ceiling:
             raise BlowUpError(
                 f"iterate blew up on [{times[0]:.6g}, {times[-1]:.6g}] "
                 f"(sweep {it}, sup {sup_new:.3g})"
             )
-        u -= new
-        gap = float(np.max(layer_l2(u, dx)))
+        gap = float(np.max(block_gaps))
         gaps.append(gap)
-        u = new
         if gap <= cfg.picard_tol * (1.0 + sup_new):
             ratios = [gaps[j + 1] / gaps[j] for j in range(len(gaps) - 1) if gaps[j] > 0]
-            return u, it, gaps, ratios
+            return it, gaps, ratios
     raise PicardDivergenceError(
         f"no contraction to tol {cfg.picard_tol:.1e} in {cfg.picard_max_iters} sweeps "
         f"on [{times[0]:.6g}, {times[-1]:.6g}]; last gap {gaps[-1]:.3e}"
@@ -290,16 +306,16 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     if guess is not None and guess.shape != shape:
         raise SolverError(f"Picard guess has shape {guess.shape}, the dt lattice needs {shape}")
 
-    # each window's states stay in its own array until the final concatenate,
-    # so no full-trajectory buffer is held while the windows are solved
-    chunks = [problem.phi.values[None]]
-    state = problem.phi.values
+    # every window solves in place in its slice of one trajectory buffer;
+    # row k0 of a window is the last row of the window before it
+    values = np.empty(shape)
+    values[0] = problem.phi.values
     windows: list[WindowRecord] = []
     k0 = 0
     while k0 < K:
         t0 = float(lattice[k0])
         remaining = lattice[-1] - lattice[k0]
-        phi_norm = float(np.max(layer_l2(state, problem.grid.dx)))
+        phi_norm = float(np.max(layer_l2(values[k0], problem.grid.dx)))
         if cfg.window_mode == "continuation":
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
         else:
@@ -312,10 +328,11 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
 
         halvings = 0
         while True:
-            times = lattice[k0 : k0 + n_sub + 1]
-            seed = None if guess is None else guess[k0 : k0 + n_sub + 1]
+            span = slice(k0, k0 + n_sub + 1)
+            times = lattice[span]
+            seed = None if guess is None else guess[span]
             try:
-                vals, iters, gaps, ratios = _solve_window(p, fuel, times, state, cfg, seed)
+                iters, gaps, ratios = _solve_window(p, fuel, times, values[span], cfg, seed)
                 break
             except PicardDivergenceError:
                 if halvings >= MAX_HALVINGS or n_sub == 1:
@@ -325,11 +342,9 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
 
         windows.append(WindowRecord(float(times[0]), float(times[-1]), iters,
                                     gaps, ratios, halvings))
-        chunks.append(vals[1:])
-        state = vals[-1]
         k0 += n_sub
 
-    trajectory = SolutionTrajectory(lattice, np.concatenate(chunks), problem.grid)
+    trajectory = SolutionTrajectory(lattice, values, problem.grid)
     apriori = _apriori_check(trajectory, phi_norm0, report, p, fuel, T)
     if not apriori["ok"]:
         raise AprioriViolationError(
@@ -362,7 +377,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     pass_iterations: list[int] = []
     pass_worst_ratios: list[float] = []
     for outer in range(1, cfg.coupled_outer_max + 1):
-        frozen = replace(problem, fuel=TabulatedFuel(lattice.copy(), table.copy()))
+        frozen = replace(problem, fuel=TabulatedFuel(lattice, table))
         guess = None if prev_traj is None else prev_traj.values
         res = solve_global(frozen, T, cfg, guess=guess)
         pass_iterations.append(res.total_iterations)

@@ -222,10 +222,14 @@ class PrescribedFuel:
         """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
 
         Each family's profile broadcasts x against a column of times, so every
-        slice is computed elementwise exactly as the scalar sample.
+        slice is computed elementwise exactly as the scalar sample; it is
+        written into the output one family at a time.
         """
         tt = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[:, None]
-        return np.stack([fam.profile(grid.x, tt) for fam in self.families], axis=-2)
+        out = np.empty(np.shape(t) + (self.n, grid.m))
+        for i, fam in enumerate(self.families):
+            out[..., i, :] = fam.profile(grid.x, tt)
+        return out
 
     def envelope(self, grid: Grid, t0: float, t1: float):
         los, his = [], []

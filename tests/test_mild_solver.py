@@ -2,6 +2,7 @@
 chaining, the blow-up guard, and the coupled-fuel outer loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -304,9 +305,9 @@ def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
         applies.append(1)
         return orig_apply(self, values)
 
-    def counting_evolve(props, start):
+    def counting_evolve(props, start, out=None):
         evolves.append(len(props))
-        return orig_evolve(props, start)
+        return orig_evolve(props, start, out)
 
     monkeypatch.setattr(Propagator, "apply_values", counting_apply)
     monkeypatch.setattr(mild_solver, "evolve", counting_evolve)
@@ -336,6 +337,38 @@ def test_guess_follows_halved_windows():
     res = solve_global(prob, T, cfg, report=ref.report, guess=rough)
     assert sum(w.halvings for w in res.windows) > 0
     assert sup_metric(res.trajectory, ref.trajectory) <= 10.0 * tol
+
+
+def test_halved_window_equals_a_window_of_that_size():
+    # the first 250-step window exhausts its budget and retries on 125 steps
+    # in its slice of the trajectory buffer, whose rows 126..250 still hold
+    # the failed attempt; nothing of it reaches the result
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    halved = solve_global(prob, T, SolverConfig(dt=0.002, picard_max_iters=6))
+    assert [w.halvings for w in halved.windows] == [1, 0]
+    cfg = SolverConfig(dt=0.002, picard_max_iters=6, max_window=T / 2)
+    sized = solve_global(prob, T, cfg, report=halved.report)
+    assert [w.halvings for w in sized.windows] == [0, 0]
+    assert ([(w.t_start, w.t_end, w.gaps) for w in sized.windows]
+            == [(w.t_start, w.t_end, w.gaps) for w in halved.windows])
+    assert np.array_equal(sized.trajectory.values, halved.trajectory.values)
+
+
+def test_drift_solve_peak_stays_under_3_5_trajectories():
+    # windows solve in place in one trajectory buffer and a sweep holds only
+    # block-sized temporaries, so the traced peak of the 500-step m = 1024
+    # drift solve (audit, operators, the window's fuel samples, the buffer)
+    # stays under 3.5 trajectories; it measures 2.9
+    config = shipped_config("drift_benchmark")
+    prob = config.problem()
+    tracemalloc.start()
+    try:
+        res = solve_global(prob, config.T, config.solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trajectory.values.shape == (501, 2, 1024)
+    assert peak < 3.5 * res.trajectory.values.nbytes
 
 
 def test_guess_off_the_lattice_is_a_solver_error():

@@ -136,6 +136,24 @@ def test_compare_contracts():
         compare(late, fine)
 
 
+def test_blocked_compare_equals_whole_trajectory_interpolant():
+    # compare interpolates and reduces a block of coarse nodes at a time; over
+    # several blocks the gap is bitwise that of the whole-array interpolant
+    grid = make_grid(-1.0, 1.0, 401)
+    rng = np.random.default_rng(7)
+    fine_t = np.linspace(0.0, 1.0, 701)
+    coarse_t = np.linspace(0.0, 1.0, 301)
+    assert coarse_t.size > 2 * steps_per_block(2 * grid.m)
+    fine = SolutionTrajectory(fine_t, rng.standard_normal((701, 2, grid.m)), grid)
+    coarse = SolutionTrajectory(coarse_t, rng.standard_normal((301, 2, grid.m)), grid)
+    idx = np.clip(np.searchsorted(fine_t, coarse_t), 1, fine_t.size - 1)
+    w = np.clip((coarse_t - fine_t[idx - 1]) / (fine_t[idx] - fine_t[idx - 1]), 0.0, 1.0)
+    interp = (1.0 - w)[:, None, None] * fine.values[idx - 1] \
+        + w[:, None, None] * fine.values[idx]
+    whole = float(np.max(np.sqrt(grid.dx * np.sum((interp - coarse.values) ** 2, axis=-1))))
+    assert compare(fine, coarse) == compare(coarse, fine) == whole
+
+
 def test_refinement_orders_contracts():
     assert refinement_orders([4.0, 1.0, 0.25]) == [2.0, 2.0]
     with pytest.raises(ValueError):
