@@ -31,17 +31,20 @@ it once with LAPACK's tridiagonal LU (dgttrf); every later application is
 one dgttrs call over the raveled layers.  The factors are block diagonal, so
 each layer's result is the per-layer solve.
 
-build_propagators assembles all steps of a time lattice: fuel samples (one
-sample call per block), coefficients, stencils and bands are computed over
-blocks of time steps at once, shape (steps, n, m), and dgttrf factors one
-step at a time.  A step's operator depends only on its fuel sample and dt,
-so a run of steps that repeat the previous step's sample and dt bit for bit
-is assembled and factored once, at its head, and its Propagators share one
-set of factors.  A time-dependent fuel makes every step a head; a
-time-invariant one on a lattice dt*k, whose steps round to a few distinct dt
-values, holds a few dozen operators per thousand steps.  The
-arithmetic is elementwise, so each operator is bitwise the one a single-step
-build_propagator gives.  Blocks hold about BLOCK_NODES values per array.
+build_propagators assembles all steps of a time lattice: fuel samples,
+coefficients, stencils and bands are computed over blocks of time steps at
+once, shape (steps, n, m), and dgttrf factors one step at a time.  A step's
+operator depends only on its fuel sample and dt, so steps that share both
+are assembled and factored once and their Propagators share one set of
+factors.  When U(t, s) is a semigroup T(t - s), that is for a time-invariant
+fuel, the fuel is sampled once and steps share by their dt bit pattern
+wherever they fall: a lattice dt*k, whose steps round to a few distinct dt
+values, holds a handful of operators (8 for 500 steps of 1e-3).  Otherwise
+a fuel is sampled once per block, and a run of steps that repeat the
+previous step's sample and dt bit for bit shares the factors of its head; a
+time-dependent fuel makes every step a head.  The arithmetic is elementwise,
+so each operator is bitwise the one a single-step build_propagator gives.
+Blocks hold about grid.BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
 the method-of-lines oracle uses per block of nodes and the audit's growth
 bound per probe step.
@@ -65,15 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grid import Grid
+from .grid import Grid, steps_per_block
 from .model import LayerParams, coefficient_fields, source_f
-
-# Values per array in one batched block of time steps (40 steps at n*m = 802),
-# used for assembly here and for source evaluation along a lattice.  Blocks
-# keep their (steps, n, m) temporaries in L2: an unblocked pass over a long
-# lattice measured slower, at m = 1024 even slower than a per-step loop.
-BLOCK_NODES = 1 << 15
-
 
 def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
     """Tridiagonals (sub, main, sup) of L_h for stacked layers, shape (..., n, m)."""
@@ -148,9 +144,12 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                       scheme: str = "auto") -> list[Propagator]:
     """Step operators for every interval [times[k], times[k+1]] of a lattice.
 
-    Assembly runs over blocks of steps_per_block steps.  Only the head of a
-    run of steps whose fuel sample and dt repeat bit for bit is assembled and
-    factored; the run's Propagators share its factors, across blocks too.
+    Assembly runs over blocks of steps_per_block steps, and only the first
+    step of each key is assembled and factored; the Propagators of a key
+    share its factors, across blocks too.  A time-invariant fuel is sampled
+    once and a step's key is its dt bit pattern, so equal steps share
+    wherever they fall.  Otherwise the key is the run of adjacent steps whose
+    fuel sample and dt repeat the step before bit for bit.
     """
     check_theta(theta)
     times = np.asarray(times, dtype=float)
@@ -159,20 +158,34 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
         raise ValueError("t_to must not precede t_from")
     grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
+    invariant = fuel.time_invariant
+    y_all = fuel.sample(mids) if invariant else None  # a read-only broadcast
+    factors: dict[int, tuple] = {}
     props: list[Propagator] = []
     block = steps_per_block(p.n * grid.m)
+    run = 0
     last_y = last_dt = None
     for a in range(0, dts.size, block):
         dt = dts[a : a + block]
-        ys = fuel.sample(mids[a : a + block])
-        same = repeats(ys, last_y) & repeats(dt, last_dt)
-        last_y, last_dt = ys[-1], dt[-1]
-        heads = np.flatnonzero(~same)
-        if heads.size:
+        if invariant:
+            ys = y_all[a : a + block]
+            keys = dt.view(np.uint64).tolist()
+        else:
+            ys = fuel.sample(mids[a : a + block])
+            same = repeats(ys, last_y) & repeats(dt, last_dt)
+            last_y, last_dt = ys[-1], dt[-1]
+            runs = run + np.cumsum(~same)
+            run = int(runs[-1])
+            keys = runs.tolist()
+        new: dict[int, int] = {}  # key -> the block step that builds it
+        for j, key in enumerate(keys):
+            if key not in factors and key not in new:
+                new[key] = j
+        if new:
+            heads = list(new.values())
             alpha, beta = coefficient_fields(p, ys[heads])
             sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
-            w = dt[heads, None, None]
-            w_imp = theta * w
+            w_imp = theta * dt[heads, None, None]
             d = 1.0 + w_imp * main
             dl = w_imp * sub
             du = w_imp * sup
@@ -183,10 +196,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                         "forced-central implicit matrix lost diagonal dominance; "
                         "reduce dt or use scheme='auto'/'upwind'"
                     )
-        h = -1
-        for j in range(dt.size):
-            if not same[j]:
-                h += 1
+            for h, key in enumerate(new):
                 # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
                 *lu, info = dgttrf(dl[h].ravel()[1:], d[h].ravel(), du[h].ravel()[:-1],
                                    overwrite_dl=True, overwrite_d=True, overwrite_du=True)
@@ -194,8 +204,8 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                     # unreachable for a diagonally dominant matrix, so not a config error
                     raise RuntimeError(
                         f"dgttrf failed on the implicit step matrix (info {info})")
-                lu = tuple(lu)
-            props.append(Propagator(grid, lu, theta))
+                factors[key] = tuple(lu)
+        props.extend(Propagator(grid, factors[key], theta) for key in keys)
     return props
 
 
@@ -203,11 +213,6 @@ def build_propagator(p: LayerParams, fuel, t_from: float, t_to: float,
                      theta: float = 0.5, scheme: str = "auto") -> Propagator:
     """Assemble the step operator for [t_from, t_to]."""
     return build_propagators(p, fuel, [t_from, t_to], theta, scheme)[0]
-
-
-def steps_per_block(nodes: int) -> int:
-    """Time steps per batched block for fields of `nodes` values per step."""
-    return max(1, BLOCK_NODES // nodes)
 
 
 def repeats(rows: np.ndarray, last) -> np.ndarray:
@@ -267,6 +272,7 @@ def duhamel_blocks(props: list[Propagator], times: np.ndarray, source,
         rows = np.empty_like(right)
         for j, prop in enumerate(props[a:b]):
             acc = rows[j] = prop.apply_values(acc + left[j]) + right[j]
+        del left, right  # not held while the consumer and the next source call run
         yield a, rows
 
 
@@ -311,6 +317,11 @@ class GriddedFuel:
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @property
+    def time_invariant(self) -> bool:
+        """The spec's own answer; a spec that does not say is taken to vary."""
+        return getattr(self.spec, "time_invariant", False)
 
     def sample(self, t) -> np.ndarray:
         return self.spec.sample(self.grid, t)

@@ -348,9 +348,10 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
 
     kappa and mu are taken on the ball of radius rho = max(1, 2*||phi||).
     beta is growth_beta's log-norm bound on BETA_PROBES steps of h = T/512.
-    A fuel that does not vary in time on [0, T] gives one operator, so the
-    bound holds at every time; a time-varying or tabulated fuel is bounded at
-    the probe times only.  The notes say which, with omega per layer.
+    A time-invariant fuel (its time_invariant property) gives the same
+    operator at every time, so the bound holds at every time; a time-varying
+    or tabulated fuel is bounded at the probe times only.  The notes say
+    which, with omega per layer.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -383,7 +384,7 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
         f"{BETA_PROBES} probe steps of h={h:.6g}")
     report.notes.append("log-norm omega per layer: "
                         + ", ".join(format(w, ".17g") for w in omega.max(axis=0)))
-    if fuel.mode == "prescribed" and np.array_equal(*fuel.envelope(0.0, T)):
+    if fuel.time_invariant:
         report.notes.append("coverage: the fuel is time-invariant on the span, "
                             "so the bound holds at every time")
     else:

@@ -385,7 +385,6 @@ def parse_config(text: str) -> ProblemConfig:
         picard_max_iters=run.take_int("picard_max_iters", default=15),
         window_mode=run.take_choice("window_mode", ("continuation", "contraction"),
                                     "continuation"),
-        max_window=run.take_float("max_window", default=None),
         blowup_ceiling=run.take_float("blowup_ceiling", default=1e12),
         coupled_outer_tol=run.take_float("coupled_outer_tol", default=1e-8),
         coupled_outer_max=run.take_int("coupled_outer_max", default=12),

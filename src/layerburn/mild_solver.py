@@ -26,7 +26,9 @@ overflowing silently.
 A global solve allocates its (K+1, n, m) trajectory once, and every window,
 a retry after a halving included, solves in place in its slice of it.  A
 window's step operators come from one batched build_propagators call and its
-fuel from one sample call.  Each sweep runs the trapezoid recursion above
+fuel from one sample call; a time-invariant fuel's sample is a read-only
+broadcast of one field, and its operators are factored once per distinct
+step length.  Each sweep runs the trapezoid recursion above
 once, with evolution.duhamel_blocks from I_0 = phi instead of 0: by linearity
 that carries U(t_k, t0) phi and the integral in one recursion.  It runs a
 block of steps at a time: the block's source comes from the old iterate's
@@ -41,9 +43,10 @@ so the seed only changes how many sweeps a window takes, not where it
 converges (to within picard_tol).
 
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
-restep the fuel ODE through the new temperatures (one fuel_step call over the
-whole lattice), repeat until neither field moves.  Each pass after the first
-starts from the previous pass's trajectory.
+restep the fuel ODE through the new temperatures, repeat until neither field
+moves.  The restep rewrites the table in place, one fuel_step call per block
+of steps, so a pass holds its trajectory, the previous pass's and one table.
+Each pass after the first starts from the previous pass's trajectory.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import GriddedFuel, build_propagators, check_theta, duhamel_blocks, evolve
-from .grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric, time_lattice
+from .grid import (SolutionTrajectory, l2_norm, layer_l2, steps_per_block, sup_metric,
+                   time_lattice)
 from .hypothesis import (
     HypothesisReport,
     audit_problem,
@@ -104,7 +108,7 @@ class SolverConfig:
     whole number of its steps, and so is every window.  theta lies in
     [1/2, 1], the A-stable range of the theta-scheme.  window_mode picks
     one of the two certified window rules, "continuation" (epsilon(t0)) or
-    "contraction" (T'); max_window only caps them.  A run whose trajectory
+    "contraction" (T').  A run whose trajectory
     exceeds the a-priori growth bound always raises AprioriViolationError.
     """
 
@@ -114,7 +118,6 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iters: int = 15
     window_mode: str = "continuation"  # or "contraction"
-    max_window: float | None = None
     blowup_ceiling: float = 1e12
     coupled_outer_tol: float = 1e-8
     coupled_outer_max: int = 12
@@ -125,9 +128,9 @@ class SolverConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         check_theta(self.theta)
-        for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling", "max_window"):
+        for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("picard_max_iters", "coupled_outer_max"):
             if getattr(self, name) < 1:
@@ -320,8 +323,6 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
         else:
             w = report.T_prime
-        if cfg.max_window is not None:
-            w = min(w, cfg.max_window)
         w = min(w, remaining)
         # every window advances at least one step, so at most K windows
         n_sub = min(K - k0, max(1, int(math.floor(w / cfg.dt * (1.0 + 1e-12)))))
@@ -370,6 +371,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     lattice = time_lattice(T, cfg.dt)
     y0 = problem.fuel.sample(problem.grid, 0.0)
     table = np.repeat(y0[None], lattice.size, axis=0)
+    block = steps_per_block(y0.size)
 
     prev_traj = None
     u_gaps: list[float] = []
@@ -384,9 +386,16 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
         pass_worst_ratios.append(res.worst_ratio)
         traj = res.trajectory
 
-        new_table = fuel_step(y0, traj.values, p, cfg.dt)
-        dy = float(np.max(np.abs(new_table - table)))
-        table = new_table
+        # restep the table in place a block of steps at a time: each block's
+        # running product starts from the new row before it, and the block's
+        # change is taken before it replaces the old rows
+        block_gaps = []
+        for a in range(0, lattice.size - 1, block):
+            rows = fuel_step(table[a], traj.values[a : a + block + 1], p, cfg.dt)[1:]
+            old = table[a + 1 : a + 1 + len(rows)]
+            block_gaps.append(np.max(np.abs(rows - old)))
+            old[...] = rows
+        dy = float(np.max(block_gaps))
         y_gaps.append(dy)
 
         du = math.inf if prev_traj is None else sup_metric(traj, prev_traj)

@@ -14,7 +14,10 @@ fuel object can report rigorous per-node envelopes of its values over a time
 interval; the quantitative audit builds its sup-norm constants from these, so
 the resulting bounds hold for every t in the span, not just probe times.
 Every fuel's sample takes one time, giving (n, m), or a 1-D array of k times,
-giving (k, n, m) in one call with each slice bitwise the scalar sample.  In
+giving (k, n, m) in one call with each slice bitwise the scalar sample.  Every
+fuel also says whether it is time_invariant, every sample bitwise its t = 0
+sample; such a fuel samples an array of times as a read-only broadcast of
+that one field, and the solver builds one operator per step length for it.  In
 coupled runs the fuel obeys dy/dt = -A*y*g(u); fuel_step integrates it exactly
 along a temperature trajectory.
 """
@@ -162,6 +165,8 @@ def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
 class ConstantFuel:
     level: float
 
+    time_invariant = True
+
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), self.level, dtype=float)
 
@@ -182,6 +187,10 @@ class LogisticFrontFuel:
     speed: float
     width: float
 
+    @property
+    def time_invariant(self) -> bool:
+        return self.speed == 0.0
+
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(x - self.center - self.speed * t) / self.width))
 
@@ -198,6 +207,10 @@ class GaussianDecayFuel:
     width: float
     rate: float
 
+    @property
+    def time_invariant(self) -> bool:
+        return self.rate == 0.0
+
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return np.exp(-self.rate * t) * np.exp(-(((x - self.center) / self.width) ** 2))
 
@@ -206,9 +219,27 @@ class GaussianDecayFuel:
         return np.minimum(y0, y1), np.maximum(y0, y1)
 
 
+class _Fuel:
+    """Sampling shared by the fuel specs.
+
+    A spec is time_invariant when every sample is bitwise its t = 0 sample;
+    one that cannot promise that says False.  sample(grid, t) gives the field
+    at time t, shape (n, m), or at a 1-D array of k times, shape (k, n, m),
+    each slice bitwise the scalar sample.  For a time-invariant spec the
+    array case is a read-only broadcast of the one t = 0 field.
+    """
+
+    time_invariant = False
+
+    def sample(self, grid: Grid, t) -> np.ndarray:
+        if np.ndim(t) and self.time_invariant:
+            return np.broadcast_to(self._sample(grid, 0.0), np.shape(t) + (self.n, grid.m))
+        return self._sample(grid, t)
+
+
 @dataclass
-class PrescribedFuel:
-    """Per-layer closed-form fuel families."""
+class PrescribedFuel(_Fuel):
+    """Per-layer closed-form fuel families; time-invariant when every family is."""
 
     families: Sequence
 
@@ -218,10 +249,12 @@ class PrescribedFuel:
     def n(self) -> int:
         return len(self.families)
 
-    def sample(self, grid: Grid, t) -> np.ndarray:
-        """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
+    @property
+    def time_invariant(self) -> bool:
+        return all(fam.time_invariant for fam in self.families)
 
-        Each family's profile broadcasts x against a column of times, so every
+    def _sample(self, grid: Grid, t) -> np.ndarray:
+        """Each family's profile broadcasts x against a column of times, so every
         slice is computed elementwise exactly as the scalar sample; it is
         written into the output one family at a time.
         """
@@ -241,8 +274,12 @@ class PrescribedFuel:
 
 
 @dataclass
-class TabulatedFuel:
-    """Fuel stored on a time lattice (coupled mode); linear in t between nodes."""
+class TabulatedFuel(_Fuel):
+    """Fuel stored on a time lattice (coupled mode); linear in t between nodes.
+
+    Only a one-node table is time-invariant: interpolating between two equal
+    nodes can round away from them, so equal rows do not make it exact.
+    """
 
     times: np.ndarray
     table: np.ndarray  # (k, n, m)
@@ -259,15 +296,17 @@ class TabulatedFuel:
     def n(self) -> int:
         return self.table.shape[1]
 
-    def sample(self, grid: Grid, t) -> np.ndarray:
-        """Fuel at time t, shape (n, m); at an array of k times, shape (k, n, m).
+    @property
+    def time_invariant(self) -> bool:
+        return self.times.size == 1
 
-        Times at or before the first node take the first field, at or after
+    def _sample(self, grid: Grid, t) -> np.ndarray:
+        """Times at or before the first node take the first field, at or after
         the last node the last field; in between, the linear interpolant of the
         two bracketing nodes.  A single time is the one-time case of an array.
         """
         if np.ndim(t) == 0:
-            return self.sample(grid, np.array([t]))[0]
+            return self._sample(grid, np.array([t]))[0]
         ts = self.times
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape + self.table.shape[1:])
@@ -291,7 +330,7 @@ class TabulatedFuel:
 
 
 @dataclass
-class PerturbedFuel:
+class PerturbedFuel(_Fuel):
     """base fuel plus a time-independent per-node offset scale*direction."""
 
     base: object
@@ -306,8 +345,11 @@ class PerturbedFuel:
     def n(self) -> int:
         return self.base.n
 
-    def sample(self, grid: Grid, t) -> np.ndarray:
-        """Base sample plus the offset; at an array of times, shape (k, n, m)."""
+    @property
+    def time_invariant(self) -> bool:
+        return self.base.time_invariant
+
+    def _sample(self, grid: Grid, t) -> np.ndarray:
         return self.base.sample(grid, t) + self.scale * self.direction
 
     def envelope(self, grid: Grid, t0: float, t1: float):
@@ -356,7 +398,10 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
     if den.min() <= 0.0:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
     g = arrhenius_g(uv, p.E)
-    out = -p.c_x * uv + (p.K * p.b * uv + p.d) * yv * g
+    # in place where the operands allow; a + b is b + a bit for bit
+    out = (p.K * p.b * uv + p.d) * yv
+    out *= g
+    out += -p.c_x * uv
     first, last = uv[..., 0, :], uv[..., -1, :]
     out[..., 0, :] += p.q[0] * (uv[..., 1, :] - first) - p.qhat1 * (first - p.u_e)
     if n > 2:
@@ -365,7 +410,8 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
             uv[..., 2:, :] - mid
         )
     out[..., -1, :] += -p.q[n - 2] * (last - uv[..., -2, :]) - p.qhat2 * (last - p.u_e)
-    return out / den
+    out /= den
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .evolution import (GriddedFuel, generator_apply, generator_bands, repeats,
-                        steps_per_block)
-from .grid import SolutionTrajectory, layer_l2, time_lattice
+from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
+from .grid import SolutionTrajectory, layer_l2, steps_per_block, time_lattice
 from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from conftest import constant_problem, random_field
+from conftest import constant_problem, random_field, shipped_config
 from layerburn.evolution import (
     GriddedFuel,
     Propagator,
@@ -15,7 +15,7 @@ from layerburn.evolution import (
     generator_bands,
     steps_per_block,
 )
-from layerburn.grid import TemperatureField, l2_norm, make_grid
+from layerburn.grid import TemperatureField, l2_norm, make_grid, time_lattice
 from layerburn.model import (
     ConstantFuel,
     GaussianDecayFuel,
@@ -391,30 +391,39 @@ def _shared(a, b):
 
 
 def _check_runs(p, fuel, times, theta=0.5):
-    """Each operator is bitwise its single-step build, and a step shares the
-    previous step's arrays exactly when its fuel sample and dt repeat that
-    step's bit for bit.  Each run head also applies bitwise as the per-layer
-    step from its generator bands.  Returns the props and the indices of the
-    run heads."""
+    """Each operator is bitwise its single-step build, and steps share factors
+    exactly when they share a key: for a time-invariant fuel the step's dt bit
+    pattern, otherwise the run of adjacent steps whose fuel sample and dt
+    repeat the step before bit for bit.  The step that builds a key's factors
+    also applies bitwise as the per-layer step from its generator bands.
+    Returns the props and the indices of those building steps."""
     props = build_propagators(p, fuel, times, theta)
     assert len(props) == times.size - 1
     mids = 0.5 * (times[:-1] + times[1:])
     dts = np.diff(times)
-    keys = [(_bits(fuel.sample(float(t))), _bits(dt)) for t, dt in zip(mids, dts)]
+    dt_bits = _bits(dts).tolist()
+    samples = [_bits(fuel.sample(float(t))) for t in mids]
     v = np.random.default_rng(12).standard_normal((p.n, fuel.grid.m))
-    heads = [0]
+    owner = {}  # key -> the step that built its factors
+    heads = []
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
         for got, ref in zip(prop.lu, one.lu):
             assert np.array_equal(got, ref)
-        if k:
-            repeat = all(np.array_equal(x, y) for x, y in zip(keys[k], keys[k - 1]))
-            assert _shared(prop, props[k - 1]) == [repeat] * 5
-            if not repeat:
-                heads.append(k)
-        if heads[-1] == k:
+        if fuel.time_invariant:
+            key = dt_bits[k]
+        else:
+            repeat = k > 0 and dt_bits[k] == dt_bits[k - 1] and np.array_equal(
+                samples[k], samples[k - 1])
+            key = heads[-1] if repeat else k
+        j = owner.setdefault(key, k)
+        assert all(_shared(prop, props[j]))
+        if j == k:
+            heads.append(k)
             _assert_layer_steps(prop, _generator(p, fuel, float(mids[k])),
                                 theta * dts[k], theta, v)
+    # no two keys share factors
+    assert len({id(prop.lu[1]) for prop in props}) == len(heads)
     return props, heads
 
 
@@ -436,13 +445,18 @@ def test_time_invariant_fuel_shares_one_operator_per_run():
     # rate 0: a Gaussian in x that does not move in t
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(0.8), GaussianDecayFuel(0.5, 2.0, 0.0)]),
                        grid)
+    assert fuel.time_invariant
     block = steps_per_block(n * m)
     exact = np.arange(2 * block + 7) * 2.0**-9  # every dt the same bits
     _, heads = _check_runs(p, fuel, exact)
     assert heads == [0]
-    # dt * k lattices round each dt a little differently: fewer runs, not one
-    _, heads = _check_runs(p, fuel, 1e-3 * np.arange(2 * block + 7))
-    assert 1 < len(heads) < block
+    # dt * k lattices round each dt a little differently: one operator per
+    # distinct dt, fewer than the runs of equal adjacent steps
+    times = 1e-3 * np.arange(2 * block + 7)
+    dt_bits = _bits(np.diff(times))
+    _, heads = _check_runs(p, fuel, times)
+    assert 1 < len(heads) == np.unique(dt_bits).size
+    assert len(heads) < 1 + np.count_nonzero(dt_bits[1:] != dt_bits[:-1])
 
 
 def test_tabulated_run_crosses_blocks_then_changes():
@@ -479,7 +493,8 @@ def test_nonuniform_dt_with_constant_fuel():
     times = np.concatenate([[0.0], np.cumsum(dts)])
     assert np.array_equal(_bits(np.diff(times)[:-6]), _bits(dts[:-6]))  # sums of 2**-10
     _, heads = _check_runs(p, fuel, times)
-    assert len(heads) == 5 + 6
+    # the third run repeats the first run's dt, so it reuses its factors
+    assert heads == [0, block + 3, block + 28, block + 58] + list(range(block + 60, block + 66))
 
 
 def test_signed_zero_fuel_samples_do_not_share():
@@ -499,3 +514,36 @@ def test_signed_zero_fuel_samples_do_not_share():
         assert not any(_shared(props[k], props[k - 1]))
         for got, ref in zip(props[k].lu, props[k - 1].lu):
             assert np.array_equal(got, ref)
+
+
+def test_drift_window_factors_once_per_step_length():
+    # drift's fuel is constant, so its 500 steps take one operator per
+    # distinct dt bit pattern (8), not one per run of equal adjacent steps (46)
+    config = shipped_config("drift_benchmark")
+    prob, cfg = config.problem(), config.solver
+    times = time_lattice(config.T, cfg.dt)
+    dt_bits = _bits(np.diff(times))
+    runs = 1 + np.count_nonzero(dt_bits[1:] != dt_bits[:-1])
+    props = build_propagators(prob.params, GriddedFuel(prob.fuel, prob.grid), times,
+                              cfg.theta, cfg.scheme)
+    assert len(props) == 500
+    assert len({id(prop.lu) for prop in props}) <= np.unique(dt_bits).size < runs == 46
+
+
+def test_shared_factors_still_guard_forced_central_dominance():
+    # a long step after two blocks of short ones loses dominance; it raises
+    # whether the short steps share one set of factors (time-invariant fuel)
+    # or share by runs (decaying fuel)
+    grid = make_grid(0.0, 1.0, 51)
+    p = LayerParams.constants(grid, 2, a=1.0, c=200.0, lam=0.01)
+    block = steps_per_block(2 * grid.m)
+    dts = np.full(2 * block + 4, 2.0**-14)
+    dts[2 * block] = 0.5
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    for spec, operators in ((PrescribedFuel([ConstantFuel(1.0)] * 2), 1),
+                            (PrescribedFuel([GaussianDecayFuel(0.5, 2.0, 0.9)] * 2), 2 * block)):
+        fuel = GriddedFuel(spec, grid)
+        short = build_propagators(p, fuel, times[: 2 * block + 1], scheme="central")
+        assert len({id(prop.lu) for prop in short}) == operators
+        with pytest.raises(ValueError, match="diagonal dominance"):
+            build_propagators(p, fuel, times, scheme="central")

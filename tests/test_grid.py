@@ -11,6 +11,7 @@ from layerburn.grid import (
     l2_norm,
     layer_l2,
     make_grid,
+    steps_per_block,
     sup_metric,
     time_lattice,
 )
@@ -157,6 +158,25 @@ def test_sup_metric_rejects_mismatched_discretizations():
         sup_metric(a, _traj(g, [0.0, 2.0], np.zeros((2, 2, 21))))
     with pytest.raises(ValueError):
         sup_metric(a, _traj(g, [0.0, 1.0], np.zeros((2, 3, 21))))
+
+
+def test_blocked_reductions_equal_whole_array_formulas():
+    # layer_l2 and sup_metric reduce a block of time nodes at a time; over
+    # several blocks they give the whole-array formulas bit for bit, and a
+    # non-finite value in a later block is still refused
+    g = make_grid(0.0, 1.0, 64)
+    k = 2 * steps_per_block(2 * g.m) + 7
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal((k, 2, g.m))
+    v = rng.standard_normal((k, 2, g.m))
+    whole = np.sqrt(g.dx * np.sum(u**2, axis=-1))
+    assert np.array_equal(layer_l2(u, g.dx), whole)
+    assert all(np.array_equal(layer_l2(u[j], g.dx), whole[j]) for j in range(k))
+    a, b = _traj(g, np.arange(k), u), _traj(g, np.arange(k), v)
+    assert sup_metric(a, b) == float(np.max(np.sqrt(g.dx * np.sum((u - v) ** 2, axis=-1))))
+    v[-1, 1, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sup_metric(a, b)
 
 
 def test_guard_band_ratio_flags_boundary_mass():

@@ -37,6 +37,7 @@ from layerburn.model import (
     LogisticFrontFuel,
     PerturbedFuel,
     PrescribedFuel,
+    TabulatedFuel,
     source_f,
 )
 
@@ -378,6 +379,22 @@ def test_audit_reports_what_the_growth_bound_covers():
     text = audit_problem(varying, T).to_text()
     assert "beta bounds 9 distinct probe operator(s)" in text
     assert "so the bound holds at the probe times only" in text
+
+
+def test_coverage_note_reads_time_invariant():
+    # the note follows the fuel's time_invariant property: a perturbed still
+    # fuel and a one-node table hold at every time; a table of equal rows
+    # does not promise bitwise equal samples, so it stays at the probe times
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    y0 = prob.fuel.sample(prob.grid, 0.0)
+    every = "the fuel is time-invariant on the span, so the bound holds at every time"
+    probes = "the fuel is tabulated or varies in time, so the bound holds at the probe times only"
+    for fuel, note in ((PerturbedFuel(prob.fuel, np.ones_like(y0), -0.1), every),
+                       (TabulatedFuel([0.0], y0[None]), every),
+                       (TabulatedFuel([0.0, T], np.stack([y0, y0])), probes)):
+        assert fuel.time_invariant == (note == every)
+        notes = audit_problem(replace(prob, fuel=fuel), T).notes
+        assert f"coverage: {note}" in notes
 
 
 def test_audit_all_shipped_fixtures_pass():

@@ -120,13 +120,12 @@ def test_config_accepts_all_solver_knobs():
         picard_tol = 1e-8
         picard_max_iters = 30
         blowup_ceiling = 1e6
-        max_window = 0.05
     """)
     cfg = parse_config(text)
     s = cfg.solver
     assert (s.theta, s.scheme, s.window_mode) == (1.0, "upwind", "contraction")
     assert s.picard_tol == 1e-8 and s.picard_max_iters == 30
-    assert s.blowup_ceiling == 1e6 and s.max_window == 0.05
+    assert s.blowup_ceiling == 1e6
 
 
 def test_experiment_perturbations_are_assembled():
@@ -168,6 +167,7 @@ def test_experiment_perturbations_are_assembled():
     (lambda t: t + "window_mode = adaptive\n",
      r"\[run\] window_mode: must be one of continuation, contraction$"),
     (lambda t: t + "seed_mode = initial\n", r"unknown key 'seed_mode' in \[run\]"),
+    (lambda t: t + "max_window = 0.05\n", r"unknown key 'max_window' in \[run\]"),
 ])
 def test_config_errors_are_located(mangle, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -311,8 +311,6 @@ def test_nonfinite_function_spec_argument_is_a_located_config_error(
     ("coupled_outer_tol = nan", "[run]: coupled_outer_tol must be positive and finite"),
     ("blowup_ceiling = nan", "[run]: blowup_ceiling must be positive and finite"),
     ("blowup_ceiling = -1", "[run]: blowup_ceiling must be positive and finite"),
-    ("max_window = 0", "[run]: max_window must be positive and finite"),
-    ("max_window = inf", "[run]: max_window must be positive and finite"),
     ("coupled_outer_max = 0", "[run]: coupled_outer_max must be at least 1"),
     ("coupled_outer_max = -3", "[run]: coupled_outer_max must be at least 1"),
     ("[experiment]\noracle_newton_tol = nan",

@@ -485,6 +485,57 @@ def test_array_time_sample_equals_stacked_scalar_samples():
             _assert_bitwise(got, ref)
 
 
+def test_time_invariant_per_fuel_class():
+    g = make_grid(-1.0, 1.0, 11)
+    assert ConstantFuel(0.3).time_invariant
+    assert LogisticFrontFuel(0.0, 0.0, 1.0).time_invariant
+    assert not LogisticFrontFuel(0.0, 0.2, 1.0).time_invariant
+    assert GaussianDecayFuel(0.0, 1.0, 0.0).time_invariant
+    assert not GaussianDecayFuel(0.0, 1.0, 0.1).time_invariant
+    still = PrescribedFuel([ConstantFuel(0.3), LogisticFrontFuel(0.0, 0.0, 1.0),
+                            GaussianDecayFuel(0.0, 1.0, 0.0)])
+    moving = PrescribedFuel([ConstantFuel(0.3), LogisticFrontFuel(0.0, 0.2, 1.0)])
+    assert still.time_invariant and not moving.time_invariant
+    # a table is time-invariant only with one node: between two equal nodes
+    # the interpolant can round away from them
+    table = np.full((2, 1, g.m), 0.1)
+    assert TabulatedFuel([0.2], table[:1]).time_invariant
+    two = TabulatedFuel([0.0, 1.0], table)
+    assert not two.time_invariant
+    assert not np.array_equal(two.sample(g, 0.3), table[0])
+    direction = np.ones((3, g.m))
+    assert PerturbedFuel(still, direction, 0.1).time_invariant
+    assert not PerturbedFuel(moving, direction[:2], 0.1).time_invariant
+    # a gridded fuel forwards the spec's answer; a spec that does not say varies
+    assert GriddedFuel(still, g).time_invariant
+    assert not GriddedFuel(moving, g).time_invariant
+    assert not GriddedFuel(object(), g).time_invariant
+
+
+def test_time_invariant_sample_is_a_read_only_broadcast():
+    # at an array of times a time-invariant fuel returns one field broadcast
+    # over the times; it is bitwise the samples taken one time at a time,
+    # signed zeros included, and cannot be written
+    g = make_grid(-5.0, 5.0, 41)
+    rng = np.random.default_rng(14)
+    still = PrescribedFuel([ConstantFuel(-0.0), LogisticFrontFuel(0.5, 0.0, 1.3),
+                            GaussianDecayFuel(-1.0, 2.0, 0.0)])
+    table = rng.uniform(-1.0, 1.0, (1, 3, g.m))
+    table[0, 1, :5] = -0.0
+    fuels = [still, TabulatedFuel([0.4], table),
+             PerturbedFuel(still, rng.standard_normal((3, g.m)), 0.3)]
+    times = np.array([-1.0, 0.0, 0.3, 0.4, 2.5, 1e3])
+    for fuel in fuels:
+        got = fuel.sample(g, times)
+        assert got.strides[0] == 0
+        _assert_bitwise(got, np.stack([fuel.sample(g, float(t)) for t in times]))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[2, 0, 0] = 1.0
+        # a sample at one time stays an array of its own
+        assert fuel.sample(g, 0.3).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
