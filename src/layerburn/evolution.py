@@ -34,16 +34,16 @@ each layer's result is the per-layer solve.
 build_propagators assembles all steps of a time lattice: fuel samples,
 coefficients, stencils and bands are computed over blocks of time steps at
 once, shape (steps, n, m), and dgttrf factors one step at a time.  A step's
-operator depends only on its fuel sample and dt, so steps that share both
-are assembled and factored once and their Propagators share one set of
-factors.  When U(t, s) is a semigroup T(t - s), that is for a time-invariant
-fuel, the fuel is sampled once and steps share by their dt bit pattern
-wherever they fall: a lattice dt*k, whose steps round to a few distinct dt
-values, holds a handful of operators (8 for 500 steps of 1e-3).  Otherwise
-a fuel is sampled once per block, and a run of steps that repeat the
-previous step's sample and dt bit for bit shares the factors of its head; a
-time-dependent fuel makes every step a head.  The arithmetic is elementwise,
-so each operator is bitwise the one a single-step build_propagator gives.
+operator depends only on its fuel sample and dt, so each step is keyed by
+its run of bitwise-equal adjacent fuel samples and its dt bit pattern, and
+the steps of a key share one set of factors, assembled once.  A
+time-invariant fuel samples as one broadcast field, so its whole lattice is
+one run and its keys are its dt patterns: a lattice dt*k, whose steps round
+to a few distinct dt values, holds a handful of operators (8 for 500 steps
+of 1e-3).  A table whose samples repeat, such as the coupled solver's
+all-y0 first pass, shares the same way within each run; a time-dependent
+fuel makes every step a run of its own.  The arithmetic is elementwise, so each operator is bitwise the one a single-step
+build_propagator gives.
 Blocks hold about grid.BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
 the method-of-lines oracle uses per block of nodes and the audit's growth
@@ -118,17 +118,12 @@ class Propagator:
     Holds the dgttrf factors of A = I + theta*dt*L_h for all layers stacked
     into one tridiagonal of size n*m, and applies the step as
     v + (A^{-1} v - v)/theta (module docstring).  No explicit band is kept.
-    The factors are not written after assembly, so the Propagators of a run
-    of equal steps share them.
+    The factors are not written after assembly, so the Propagators of steps
+    with one key (build_propagators) share them.
     """
 
-    grid: Grid
     lu: tuple  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
     theta: float
-
-    @property
-    def n(self) -> int:
-        return self.lu[1].size // self.grid.m
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         v = values.ravel()
@@ -144,12 +139,10 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                       scheme: str = "auto") -> list[Propagator]:
     """Step operators for every interval [times[k], times[k+1]] of a lattice.
 
-    Assembly runs over blocks of steps_per_block steps, and only the first
-    step of each key is assembled and factored; the Propagators of a key
-    share its factors, across blocks too.  A time-invariant fuel is sampled
-    once and a step's key is its dt bit pattern, so equal steps share
-    wherever they fall.  Otherwise the key is the run of adjacent steps whose
-    fuel sample and dt repeat the step before bit for bit.
+    A step's key is its run of bitwise-equal adjacent fuel samples and its
+    dt bit pattern.  Assembly runs over blocks of steps_per_block steps, and
+    only the first step of each key is assembled and factored; the
+    Propagators of a key share its factors, across blocks too.
     """
     check_theta(theta)
     times = np.asarray(times, dtype=float)
@@ -158,26 +151,17 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
         raise ValueError("t_to must not precede t_from")
     grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
-    invariant = fuel.time_invariant
-    y_all = fuel.sample(mids) if invariant else None  # a read-only broadcast
-    factors: dict[int, tuple] = {}
+    factors: dict[tuple, tuple] = {}
     props: list[Propagator] = []
     block = steps_per_block(p.n * grid.m)
-    run = 0
-    last_y = last_dt = None
+    run, last_y = 0, None
     for a in range(0, dts.size, block):
         dt = dts[a : a + block]
-        if invariant:
-            ys = y_all[a : a + block]
-            keys = dt.view(np.uint64).tolist()
-        else:
-            ys = fuel.sample(mids[a : a + block])
-            same = repeats(ys, last_y) & repeats(dt, last_dt)
-            last_y, last_dt = ys[-1], dt[-1]
-            runs = run + np.cumsum(~same)
-            run = int(runs[-1])
-            keys = runs.tolist()
-        new: dict[int, int] = {}  # key -> the block step that builds it
+        ys = fuel.sample(mids[a : a + block])
+        runs = run + np.cumsum(~repeats(ys, last_y))
+        run, last_y = int(runs[-1]), ys[-1]
+        keys = list(zip(runs.tolist(), dt.view(np.uint64).tolist()))
+        new: dict[tuple, int] = {}  # key -> the block step that builds it
         for j, key in enumerate(keys):
             if key not in factors and key not in new:
                 new[key] = j
@@ -205,7 +189,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                     raise RuntimeError(
                         f"dgttrf failed on the implicit step matrix (info {info})")
                 factors[key] = tuple(lu)
-        props.extend(Propagator(grid, factors[key], theta) for key in keys)
+        props.extend(Propagator(factors[key], theta) for key in keys)
     return props
 
 
@@ -313,15 +297,6 @@ class GriddedFuel:
     @property
     def mode(self) -> str:
         return self.spec.mode
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def time_invariant(self) -> bool:
-        """The spec's own answer; a spec that does not say is taken to vary."""
-        return getattr(self.spec, "time_invariant", False)
 
     def sample(self, t) -> np.ndarray:
         return self.spec.sample(self.grid, t)

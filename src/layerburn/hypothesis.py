@@ -45,7 +45,8 @@ BETA_PROBES = 9  # beta is probed on BETA_PROBES steps of length T/512
 
 
 class GrowthBoundError(RuntimeError):
-    """The theta-step growth bound does not exist: theta*omega*h >= 1."""
+    """No certificate can be formed: the theta-step growth bound does not
+    exist (theta*omega*h >= 1), or rho, R, kappa or mu is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +267,9 @@ def contraction_step(kappa: float, beta: float, mu: float, rho: float, R: float,
     """Certified contraction window 0.9*min{T, 1/(kappa e^{beta T}), (R/e^{beta T}-rho)/mu}."""
     if T <= 0:
         raise ValueError("T must be positive")
+    if not all(map(math.isfinite, (rho, R, kappa, mu))):
+        raise GrowthBoundError(f"no certificate: rho = {rho:.6g}, R = {R:.6g}, "
+                               f"kappa = {kappa:.6g} and mu = {mu:.6g} must be finite")
     if kappa < 0 or mu < 0 or rho < 0 or beta < 0:
         raise ValueError("constants must be nonnegative")
     grow = math.exp(beta * T)
@@ -384,7 +388,7 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
         f"{BETA_PROBES} probe steps of h={h:.6g}")
     report.notes.append("log-norm omega per layer: "
                         + ", ".join(format(w, ".17g") for w in omega.max(axis=0)))
-    if fuel.time_invariant:
+    if problem.fuel.time_invariant:
         report.notes.append("coverage: the fuel is time-invariant on the span, "
                             "so the bound holds at every time")
     else:

@@ -695,17 +695,18 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
         # free this rung's trajectories: the finer rung's solves then hold only
         # its guess, and the peak memory stays that of a cold ladder
         del res, mild, reference
-    orders = refinement_orders(gaps)
+    # a zero gap (zero data, so both solutions vanish) has no order: its cell stays empty
+    orders = ["" if ga <= 0 or gb <= 0 else _fmt(refinement_orders([ga, gb])[0])
+              for ga, gb in zip(gaps, gaps[1:])]
 
     csv_path = prefix.parent / f"{prefix.name}_oracle.csv"
     with open(csv_path, "w") as fh:
         fh.write("dt,relative_gap,observed_order\n")
-        for j, (dt, gap) in enumerate(zip(ladder, gaps)):
-            order = _fmt(orders[j - 1]) if j > 0 else ""
+        for dt, gap, order in zip(ladder, gaps, [""] + orders):
             fh.write(f"{_fmt(dt)},{_fmt(gap)},{order}\n")
     write_manifest(prefix, "oracle-compare", config_path, config, [str(csv_path)])
     print(f"oracle-compare: finest relative gap {_fmt(gaps[-1])}, "
-          f"orders {', '.join(_fmt(o) for o in orders)} -> {csv_path}")
+          f"orders {', '.join(o or 'n/a' for o in orders)} -> {csv_path}")
     return 0
 
 

@@ -17,7 +17,7 @@ Every fuel's sample takes one time, giving (n, m), or a 1-D array of k times,
 giving (k, n, m) in one call with each slice bitwise the scalar sample.  Every
 fuel also says whether it is time_invariant, every sample bitwise its t = 0
 sample; such a fuel samples an array of times as a read-only broadcast of
-that one field, and the solver builds one operator per step length for it.  In
+that one field, so all its samples are one run of bitwise-equal samples.  In
 coupled runs the fuel obeys dy/dt = -A*y*g(u); fuel_step integrates it exactly
 along a temperature trajectory.
 """
@@ -226,7 +226,9 @@ class _Fuel:
     one that cannot promise that says False.  sample(grid, t) gives the field
     at time t, shape (n, m), or at a 1-D array of k times, shape (k, n, m),
     each slice bitwise the scalar sample.  For a time-invariant spec the
-    array case is a read-only broadcast of the one t = 0 field.
+    array case is a read-only broadcast of the one t = 0 field, which costs
+    one field however many times are asked for; build_propagators then finds
+    every sample equal to the one before and keys the steps by dt alone.
     """
 
     time_invariant = False

@@ -300,25 +300,25 @@ def test_stacked_layers_are_decoupled_at_the_seams():
         assert not np.array_equal(out[i], base[i])
 
 
-def test_propagator_layer_count_from_grid():
+def test_propagator_factors_stack_every_layer():
     grid = make_grid(-10.0, 10.0, 33)
     for n in (2, 3, 4):
         p = LayerParams.constants(grid, n, a=1.0, c=0.5, lam=1.0)
         fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * n), grid)
         prop = build_propagator(p, fuel, 0.0, 0.01)
         assert prop.lu[1].shape == (n * grid.m,)
-        assert prop.n == n
         _assert_layer_steps(prop, _generator(p, fuel, 0.005), 0.5 * 0.01, 0.5,
                             np.ones((n, grid.m)))
     # one layer: the first layer's slice of the stacked factors, which the
     # zero seam entries leave without a pivot across the seam
     m = grid.m
     dl, d, du, du2, ipiv = prop.lu
-    one = Propagator(grid, (dl[: m - 1], d[:m], du[: m - 1], du2[: m - 2], ipiv[:m]), 0.5)
-    assert one.n == 1
+    one = Propagator((dl[: m - 1], d[:m], du[: m - 1], du2[: m - 2], ipiv[:m]), 0.5)
+    assert one.lu[1].shape == (m,)
     v = np.random.default_rng(11).standard_normal((n, m))
     assert np.array_equal(one.apply_values(v[:1]), prop.apply_values(v)[:1])
-    assert build_propagator(p, fuel, 0.2, 0.2).n == n  # a zero-length step too
+    # a zero-length step too
+    assert build_propagator(p, fuel, 0.2, 0.2).lu[1].shape == (n * m,)
 
 
 def test_batched_build_equals_per_step_builds():
@@ -392,11 +392,11 @@ def _shared(a, b):
 
 def _check_runs(p, fuel, times, theta=0.5):
     """Each operator is bitwise its single-step build, and steps share factors
-    exactly when they share a key: for a time-invariant fuel the step's dt bit
-    pattern, otherwise the run of adjacent steps whose fuel sample and dt
-    repeat the step before bit for bit.  The step that builds a key's factors
-    also applies bitwise as the per-layer step from its generator bands.
-    Returns the props and the indices of those building steps."""
+    exactly when they share a key: the run of adjacent steps whose fuel
+    samples are bitwise equal, and the step's dt bit pattern.  The step that
+    builds a key's factors also applies bitwise as the per-layer step from
+    its generator bands.  Returns the props and the indices of those building
+    steps."""
     props = build_propagators(p, fuel, times, theta)
     assert len(props) == times.size - 1
     mids = 0.5 * (times[:-1] + times[1:])
@@ -406,17 +406,14 @@ def _check_runs(p, fuel, times, theta=0.5):
     v = np.random.default_rng(12).standard_normal((p.n, fuel.grid.m))
     owner = {}  # key -> the step that built its factors
     heads = []
+    run = 0
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
         for got, ref in zip(prop.lu, one.lu):
             assert np.array_equal(got, ref)
-        if fuel.time_invariant:
-            key = dt_bits[k]
-        else:
-            repeat = k > 0 and dt_bits[k] == dt_bits[k - 1] and np.array_equal(
-                samples[k], samples[k - 1])
-            key = heads[-1] if repeat else k
-        j = owner.setdefault(key, k)
+        if k and not np.array_equal(samples[k], samples[k - 1]):
+            run += 1
+        j = owner.setdefault((run, dt_bits[k]), k)
         assert all(_shared(prop, props[j]))
         if j == k:
             heads.append(k)
@@ -445,7 +442,7 @@ def test_time_invariant_fuel_shares_one_operator_per_run():
     # rate 0: a Gaussian in x that does not move in t
     fuel = GriddedFuel(PrescribedFuel([ConstantFuel(0.8), GaussianDecayFuel(0.5, 2.0, 0.0)]),
                        grid)
-    assert fuel.time_invariant
+    assert fuel.spec.time_invariant
     block = steps_per_block(n * m)
     exact = np.arange(2 * block + 7) * 2.0**-9  # every dt the same bits
     _, heads = _check_runs(p, fuel, exact)
@@ -528,6 +525,25 @@ def test_drift_window_factors_once_per_step_length():
                               cfg.theta, cfg.scheme)
     assert len(props) == 500
     assert len({id(prop.lu) for prop in props}) <= np.unique(dt_bits).size < runs == 46
+
+
+def test_all_y0_table_factors_once_per_step_length():
+    # the coupled ignition run's first pass tabulates y0 at every node, so its
+    # samples are one run and its 500 steps take one operator per distinct dt
+    # bit pattern (8), not one per run of equal adjacent steps (46)
+    config = shipped_config("ignition_coupled")
+    prob, cfg = config.problem(), config.solver
+    times = time_lattice(config.T, cfg.dt)
+    y0 = prob.fuel.sample(prob.grid, 0.0)
+    table = TabulatedFuel(times, np.repeat(y0[None], times.size, axis=0))
+    assert not table.time_invariant
+    dt_bits = _bits(np.diff(times))
+    runs = 1 + np.count_nonzero(dt_bits[1:] != dt_bits[:-1])
+    props = build_propagators(prob.params, GriddedFuel(table, prob.grid), times,
+                              cfg.theta, cfg.scheme)
+    assert len(props) == 500
+    assert len({id(prop.lu) for prop in props}) == np.unique(dt_bits).size == 8
+    assert runs == 46
 
 
 def test_shared_factors_still_guard_forced_central_dominance():

@@ -582,6 +582,18 @@ def test_cli_oracle_compare(tmp_path, capsys):
     assert "oracle-compare: finest relative gap" in capsys.readouterr().out
 
 
+def test_cli_oracle_compare_zero_data_leaves_orders_empty(tmp_path, capsys):
+    # zero data keeps both solutions at zero, so every gap is 0 and has no order
+    text = BASE_CFG.replace("d_1 = bump(0, 0.4, 0, 2)", "d_1 = constant(0)")
+    text = text.replace("phi_1 = bump(0, 1.2, 0, 1)", "phi_1 = constant(0)")
+    cfg = _write(tmp_path, text)
+    assert cli(["oracle-compare", cfg, "--out", str(tmp_path / "orc")]) == 0
+    rows = (tmp_path / "orc_oracle.csv").read_text().strip("\n").splitlines()
+    assert rows[0] == "dt,relative_gap,observed_order"
+    assert [row.split(",")[1:] for row in rows[1:]] == [["0", ""]] * 3
+    assert "orders n/a, n/a ->" in capsys.readouterr().out
+
+
 def test_refine_in_time_is_exact_on_even_nodes():
     coarse = np.random.default_rng(3).standard_normal((6, 2, 9))
     fine = _refine_in_time(coarse)
@@ -657,6 +669,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "lat.cfg")
     assert cli(["simulate", lattice, "--out", str(tmp_path / "c")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check-hypotheses", "simulate"])
+def test_cli_overflowing_phi_norm_exits_3(tmp_path, capsys, command):
+    # ||phi|| overflows to inf, so rho and R are not finite: no certificate
+    cfg = _write(tmp_path, BASE_CFG.replace("phi_1 = bump(0, 1.2, 0, 1)",
+                                            "phi_1 = bump(0, 1e200, 0, 1)"))
+    with np.errstate(over="ignore"):
+        assert cli([command, cfg, "--out", str(tmp_path / "h")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: no certificate: rho = inf" in err
+    assert "Traceback" not in err
 
 
 def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):

@@ -506,10 +506,6 @@ def test_time_invariant_per_fuel_class():
     direction = np.ones((3, g.m))
     assert PerturbedFuel(still, direction, 0.1).time_invariant
     assert not PerturbedFuel(moving, direction[:2], 0.1).time_invariant
-    # a gridded fuel forwards the spec's answer; a spec that does not say varies
-    assert GriddedFuel(still, g).time_invariant
-    assert not GriddedFuel(moving, g).time_invariant
-    assert not GriddedFuel(object(), g).time_invariant
 
 
 def test_time_invariant_sample_is_a_read_only_broadcast():
