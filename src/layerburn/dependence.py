@@ -43,6 +43,7 @@ from .mild_solver import (
     PicardDivergenceError,
     SolveResult,
     SolverConfig,
+    WindowBelowStepError,
     solve_global,
 )
 from .model import PerturbedFuel, Problem, central_gradient
@@ -202,8 +203,8 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
 
     Base and perturbed runs share the cfg.dt lattice, so the displacement sup
     runs over identical nodes.  Levels whose perturbed problem fails its audit
-    (or whose solve diverges) are recorded as skipped rather than aborting the
-    sweep.
+    (or whose solve diverges, or whose certified window is shorter than dt)
+    are recorded as skipped rather than aborting the sweep.
     """
     base = solve_global(problem, T, cfg)
     beta = base.report.beta
@@ -216,7 +217,7 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
         pert = build_perturbed(problem, spec.directions, float(s))
         try:
             res = solve_global(pert, T, cfg)
-        except (AuditError, BlowUpError, PicardDivergenceError) as err:
+        except (AuditError, BlowUpError, PicardDivergenceError, WindowBelowStepError) as err:
             out.append(LevelResult(float(s), math.nan, {}, math.nan, False, False,
                                    skipped=f"{type(err).__name__}: {err}"))
             continue

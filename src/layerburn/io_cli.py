@@ -57,6 +57,7 @@ from .mild_solver import (
     SolveResult,
     SolverConfig,
     SolverError,
+    check_window,
     solve_coupled,
     solve_global,
 )
@@ -595,8 +596,8 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
 
 def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> str:
     """The run's summary; result is the (last) temperature solve, and a coupled
-    run adds its pass count and the Picard sweeps and worst gap ratio of every
-    pass."""
+    run adds its pass count and the Picard sweeps, worst gap ratio and Picard
+    tolerance of every pass."""
     lines = ["[run summary]"]
     lines.append(f"windows: {len(result.windows)}")
     lines.append(f"max_picard_iterations: {result.max_iterations}")
@@ -614,6 +615,8 @@ def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> 
                      + ",".join(str(n) for n in coupled.pass_iterations))
         lines.append("pass_worst_gap_ratio: "
                      + ",".join(_fmt(r) for r in coupled.pass_worst_ratios))
+        lines.append("pass_picard_tol: "
+                     + ",".join(_fmt(t) for t in coupled.pass_picard_tols))
     return "\n".join(lines) + "\n"
 
 
@@ -653,6 +656,8 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
     for key in ("kappa", "mu", "beta", "T_prime"):
         val = getattr(report, key)
         print(f"{key}: {'n/a' if val is None else _fmt(val)}")
+    if report.ok:  # a contraction step below dt certifies no window of the solve
+        check_window(report.T_prime, 0.0, config.solver.dt)
     print(f"hypotheses: {'pass' if report.ok else 'FAIL'} -> {report_path}")
     return 0 if report.ok else 2
 

@@ -46,7 +46,10 @@ Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures, repeat until neither field
 moves.  The restep rewrites the table in place, one fuel_step call per block
 of steps, so a pass holds its trajectory, the previous pass's and one table.
-Each pass after the first starts from the previous pass's trajectory.
+Each pass after the first starts from the previous pass's trajectory.  A pass
+solves only as far as its frozen fuel deserves: to FORCING times the fuel
+change of the restep before it, never below picard_tol, and the run ends only
+after a pass solved to picard_tol itself.
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ from .model import Problem, TabulatedFuel, fuel_step, source_f
 APRIORI_SLACK = 1e-8
 # Halvings of one window's step count before PicardDivergenceError propagates.
 MAX_HALVINGS = 10
+# Forcing term of a coupled pass: it solves to FORCING times the fuel change of
+# the restep before it, and never below picard_tol.
+FORCING = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -92,6 +98,10 @@ class AprioriViolationError(SolverError):
     """A finished run violated the a-priori growth bound."""
 
 
+class WindowBelowStepError(SolverError):
+    """The certified window is shorter than one lattice step."""
+
+
 class AuditError(RuntimeError):
     """Admissibility audit failed; carries the report."""
 
@@ -108,8 +118,12 @@ class SolverConfig:
     whole number of its steps, and so is every window.  theta lies in
     [1/2, 1], the A-stable range of the theta-scheme.  window_mode picks
     one of the two certified window rules, "continuation" (epsilon(t0)) or
-    "contraction" (T').  A run whose trajectory
+    "contraction" (T'); a certified window shorter than dt raises
+    WindowBelowStepError.  A run whose trajectory
     exceeds the a-priori growth bound always raises AprioriViolationError.
+    picard_tol is the Picard tolerance of a solve_global call, and of the
+    last pass of a coupled run; the earlier passes solve to a looser,
+    forced tolerance (solve_coupled).
     """
 
     dt: float
@@ -178,6 +192,7 @@ class CoupledResult:
     last_solve: SolveResult
     pass_iterations: list[int]  # total Picard sweeps of each outer pass
     pass_worst_ratios: list[float]  # largest gap ratio of each pass, 0 if none
+    pass_picard_tols: list[float]  # Picard tolerance each pass solved to
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +279,10 @@ def _continuation_eps(p, fuel: GriddedFuel, t0: float, phi_norm: float,
 
 def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
                    report: HypothesisReport, p, fuel: GriddedFuel, T: float) -> dict:
-    """Growth-bound consistency: sup||u|| <= e^{bT}(||phi|| + mu T)e^{k e^{bT} T}."""
+    """Growth-bound consistency: sup||u|| <= e^{bT}(||phi|| + mu T)e^{k e^{bT} T}.
+
+    A bound beyond the float range is inf, and the check it makes is vacuous.
+    """
     observed = trajectory.sup_norm()
     kappa, mu, rho = report.kappa, report.mu, report.rho
     if observed > rho:
@@ -272,8 +290,11 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
         rho = 2.0 * observed
         kappa = lipschitz_kappa(p, fuel, rho, (0.0, T))
         mu = bound_mu(p, fuel, rho, (0.0, T))
-    grow = math.exp(report.beta * T)
-    bound = grow * (phi_norm + mu * T) * math.exp(kappa * grow * T)
+    try:
+        grow = math.exp(report.beta * T)
+        bound = grow * (phi_norm + mu * T) * math.exp(kappa * grow * T)
+    except OverflowError:  # the bound exceeds the float range: the check is vacuous
+        bound = math.inf
     return {
         "observed": observed,
         "bound": bound,
@@ -283,6 +304,15 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
         "beta": report.beta,
         "rho": rho,
     }
+
+
+def check_window(w: float, t0: float, dt: float) -> None:
+    """Raise WindowBelowStepError when a certified window w at t0 holds no
+    whole step of length dt (up to the rounding the window sizing forgives)."""
+    if not w / dt * (1.0 + 1e-12) >= 1.0:
+        raise WindowBelowStepError(
+            f"certified window {w:.6g} at t0 = {t0:.6g} is shorter than the step "
+            f"dt = {dt:.6g}; a dt of at most {w:.6g} would certify it")
 
 
 def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
@@ -323,6 +353,7 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
         else:
             w = report.T_prime
+        check_window(w, t0, cfg.dt)
         w = min(w, remaining)
         # every window advances at least one step, so at most K windows
         n_sub = min(K - k0, max(1, int(math.floor(w / cfg.dt * (1.0 + 1e-12)))))
@@ -366,6 +397,12 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     nonincreasing in time and stays in [0, y0] by construction.  Pass k >= 2
     seeds its solve with pass k-1's trajectory, which already lies within the
     outer gap of its fixed point.
+
+    A pass's frozen fuel is only as good as the restep before it, so the pass
+    solves to an inexact Picard tolerance (Eisenstat & Walker, SIAM J. Sci.
+    Comput. 17, 1996): FORCING times that restep's fuel change, max(y0) before
+    the first pass, and never below picard_tol.  The loop stops only after a
+    pass solved at picard_tol.
     """
     p = problem.params
     lattice = time_lattice(T, cfg.dt)
@@ -374,16 +411,20 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     block = steps_per_block(y0.size)
 
     prev_traj = None
+    dy = float(np.max(y0))
     u_gaps: list[float] = []
     y_gaps: list[float] = []
     pass_iterations: list[int] = []
     pass_worst_ratios: list[float] = []
+    pass_picard_tols: list[float] = []
     for outer in range(1, cfg.coupled_outer_max + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice, table))
         guess = None if prev_traj is None else prev_traj.values
-        res = solve_global(frozen, T, cfg, guess=guess)
+        pass_tol = max(cfg.picard_tol, FORCING * dy)
+        res = solve_global(frozen, T, replace(cfg, picard_tol=pass_tol), guess=guess)
         pass_iterations.append(res.total_iterations)
         pass_worst_ratios.append(res.worst_ratio)
+        pass_picard_tols.append(pass_tol)
         traj = res.trajectory
 
         # restep the table in place a block of steps at a time: each block's
@@ -403,10 +444,10 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
         prev_traj = traj
 
         tol = cfg.coupled_outer_tol
-        if dy <= tol or du <= tol * (1.0 + traj.sup_norm()):
+        if pass_tol == cfg.picard_tol and (dy <= tol or du <= tol * (1.0 + traj.sup_norm())):
             return CoupledResult(traj, TabulatedFuel(lattice, table), outer,
                                  u_gaps, y_gaps, res, pass_iterations,
-                                 pass_worst_ratios)
+                                 pass_worst_ratios, pass_picard_tols)
     raise PicardDivergenceError(
         f"coupled outer iteration did not settle in {cfg.coupled_outer_max} passes "
         f"(last du {u_gaps[-1]:.3e}, dy {y_gaps[-1]:.3e})"

@@ -21,12 +21,17 @@ lattice nodes at once, as build_propagators does for the marcher, and builds
 the parts of each step's Jacobian that do not depend on the Newton iterate
 (the capacities a + b*y, the exchange bands, the (dt/2) L_h stencil bands
 and 1 + (dt/2) diag L_h) only when the fuel sample changes bit for bit from
-the previous node's, so a time-invariant fuel builds them once per run; a
-Newton iteration only refreshes the reaction diagonal.  All of it is
-elementwise, so every iterate is bitwise that of assembling each node on its
-own inside every iteration.  Each Newton
-system goes straight to LAPACK's dgbsv, the routine scipy's solve_banded
-calls for these bandwidths, on the same padded band layout.
+the previous node's, so a time-invariant fuel builds them once per run.
+
+Each step solves its trapezoid equation by a chord (simplified) Newton
+iteration (Hairer & Wanner, Solving ODEs II, IV.8): the Newton matrix is
+those bands plus the reaction diagonal of df/du at the step's Euler
+predictor, LU-factored once by LAPACK's dgbtrf, and every iteration is one
+dgbtrs solve with those factors.  The factors last for the whole run of
+bitwise-equal fuel samples and are rebuilt at the current iterate only when
+an update fails to shrink tenfold from the one before it.  A step still ends
+by adding a correction below newton_tol, so the chord changes the
+trajectory only within that tolerance of the full Newton iteration.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
 from .grid import SolutionTrajectory, layer_l2, steps_per_block, time_lattice
@@ -86,12 +91,12 @@ def _coupling_diag(p) -> np.ndarray:
 
 
 def _newton_bands(p, L_tri: np.ndarray, den: np.ndarray, half_dt: float):
-    """The iterate-free part of the Newton matrix of one step, dgbsv layout.
+    """The iterate-free part of the Newton matrix of one step, dgbtrf layout.
 
     Returns the (3n+1, N) banded matrix of J = I + (dt/2) L - (dt/2) df/du
-    with kl = ku = n: n zero rows that dgbsv fills in while factoring, then
+    with kl = ku = n: n zero rows that dgbtrf fills in while factoring, then
     every band but the main diagonal (row 2n), and 1 + (dt/2) diag L, from
-    which each iteration forms that diagonal.
+    which each factorization forms that diagonal.
     """
     n, m = den.shape
     N = n * m
@@ -148,13 +153,24 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
                 raise StabilityError(f"explicit step produced non-finite values at t={te:.6g}")
         return SolutionTrajectory(times, values, grid)
 
-    # implicit trapezoid with full Newton per step
+    # implicit trapezoid with a chord Newton iteration per step
     half_dt = 0.5 * cfg.dt
     kb = p.K * p.b
     neg_cx = -p.c_x
     coupling = _coupling_diag(p)
-    # dgbsv factors in place, so each Newton iteration works on a fresh copy
-    work = np.empty((3 * n + 1, n * m), order="F")
+
+    def factor(v, t):
+        """LU factors of the Newton matrix at v, with the current run's bands."""
+        # reaction and exchange diagonal of df/du at v
+        g = arrhenius_g(v, p.E)
+        gp = arrhenius_g_prime(v, p.E)
+        df_diag = (neg_cx + kby * g + (kb * v + p.d) * y_next * gp + coupling) / den
+        ab[2 * n] = _flat(main - half_dt * df_diag)
+        lu, piv, info = dgbtrf(ab, n, n)
+        if info != 0:
+            raise NewtonError(f"singular Newton matrix at t={t:.6g} (dgbtrf info {info})")
+        return lu, piv
+
     block = steps_per_block(n * m)
     y_next = None  # fuel sample at the last node of the previous block
     for a in range(0, total + 1, block):
@@ -165,10 +181,11 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
         for j in range(ys.shape[0]):
             L_next, y_next = Ls[j], ys[j]
             if not same[j]:
-                # each iteration rewrites only row 2n, so the bands last while y does
+                # a factorization rewrites only row 2n, so the bands last while y does
                 den = p.a + p.b * y_next
                 ab, main = _newton_bands(p, L_next, den, half_dt)
                 kby = kb * y_next
+                lu = None  # the run's first step factors at its predictor
             if a + j == 0:
                 L_k, y_k = L_next, y_next
                 continue
@@ -178,29 +195,22 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             rhs_k = rhs(float(times[k]), u, L_k, y_k)
 
             v = u + cfg.dt * rhs_k  # Euler predictor
-            converged = False
+            if lu is None:
+                lu, piv = factor(v, t_next)
+            last = math.inf
             for _ in range(cfg.newton_max):
                 G = v - u - half_dt * (rhs_k + rhs(t_next, v, L_next, y_next))
-                # reaction and exchange diagonal of df/du at v
-                g = arrhenius_g(v, p.E)
-                gp = arrhenius_g_prime(v, p.E)
-                df_diag = (neg_cx + kby * g + (kb * v + p.d) * y_next * gp + coupling) / den
-                ab[2 * n] = _flat(main - half_dt * df_diag)
-                work[...] = ab
-                _, _, delta, info = dgbsv(n, n, work, -_flat(G), overwrite_ab=1, overwrite_b=1)
-                if info != 0:
-                    raise NewtonError(
-                        f"singular Newton matrix at t={t_next:.6g} (dgbsv info {info})")
+                delta, _ = dgbtrs(lu, n, n, -_flat(G), piv, overwrite_b=1)
                 v = v + _unflat(delta, n, m)
-                tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(v))))
-                if float(np.max(np.abs(delta))) <= tol:
-                    converged = True
+                size = float(np.max(np.abs(delta)))
+                if size <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
                     break
-            if not converged:
+                if size > 0.1 * last:  # the chord stalls: refactor at the iterate
+                    lu, piv = factor(v, t_next)
+                last = size
+            else:
                 raise NewtonError(
-                    f"Newton stalled at t={t_next:.6g} "
-                    f"(last update {float(np.max(np.abs(delta))):.3e})"
-                )
+                    f"Newton stalled at t={t_next:.6g} (last update {size:.3e})")
             values[k + 1] = v
             L_k, y_k = L_next, y_next
     return SolutionTrajectory(times, values, grid)

@@ -150,6 +150,18 @@ def test_inadmissible_levels_are_skipped_not_fatal():
     assert len(study.ratios) == 1
 
 
+def test_levels_with_a_window_below_dt_are_skipped():
+    # a large heat release shrinks the level's certified window below dt: the
+    # level is skipped with the solver's reason, the milder levels still run
+    prob, T = shipped_problem("dependence_study", m=201)
+    spec = PerturbationSpec({"K": np.full((2, prob.grid.m), 1000.0)},
+                            levels=[1.0, 1e-3, 5e-4])
+    study = dependence_study(prob, T, spec, SolverConfig(dt=0.004))
+    assert study.levels[0].skipped.startswith("WindowBelowStepError: certified window")
+    assert math.isnan(study.levels[0].delta)
+    assert all(lv.skipped is None for lv in study.levels[1:])
+
+
 def test_gronwall_factor_formula():
     assert gronwall_factor(0.0, 0.5) == pytest.approx(1.0 + 0.5 * 2.0 * math.exp(1.0))
     c = 1.0 + math.exp(0.3 * 0.5)

@@ -4,6 +4,7 @@ contract, exercised end to end through cli()."""
 import json
 import math
 import re
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
@@ -25,6 +26,8 @@ from layerburn.io_cli import (
     write_trajectory,
 )
 from layerburn.mild_solver import solve_global
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CFG = dedent("""\
     [grid]
@@ -554,6 +557,12 @@ def test_cli_coupled_summary_lists_every_pass(tmp_path):
     assert len(ratios) == len(passes)  # one value per pass
     assert ratios[-1] == float(summary["worst_gap_ratio"])
     assert 0.0 < max(ratios) < 0.5  # the first, cold pass records contraction
+    tols = [float(v) for v in summary["pass_picard_tol"].split(",")]
+    assert len(tols) == len(passes)  # one value per pass
+    assert tols[-1] == parse_config(text).solver.picard_tol  # the last pass is exact
+    assert tols[0] > tols[-1]  # the first pass is forced
+    keys = list(summary)
+    assert keys.index("pass_picard_tol") == keys.index("pass_worst_gap_ratio") + 1
 
     plain = _write(tmp_path, BASE_CFG, "plain.cfg")
     assert cli(["simulate", plain, "--out", str(tmp_path / "plain")]) == 0
@@ -681,6 +690,20 @@ def test_cli_overflowing_phi_norm_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "solver failure: no certificate: rho = inf" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-hypotheses", "simulate"])
+def test_cli_window_shorter_than_dt_exits_3(tmp_path, capsys, command):
+    # at E = 1e-4 the reaction is stiff enough that the certified window
+    # (T' = 4.6e-4 for check-hypotheses) is shorter than dt = 1e-3
+    text = (CONFIGS / "reactive_two_layer.cfg").read_text()
+    cfg = _write(tmp_path, re.sub(r"(?m)^E = .*$", "E = 1e-4", text))
+    assert cli([command, cfg, "--out", str(tmp_path / "w")]) == 3
+    captured = capsys.readouterr()
+    assert "hypotheses: pass" not in captured.out
+    assert re.search(r"solver failure: certified window \S+ at t0 = 0 is shorter "
+                     r"than the step dt = 0\.001", captured.err)
+    assert "Traceback" not in captured.err
 
 
 def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):

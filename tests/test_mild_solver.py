@@ -33,6 +33,8 @@ from layerburn.mild_solver import (
     PicardDivergenceError,
     SolverConfig,
     SolverError,
+    WindowBelowStepError,
+    _apriori_check,
     solve_coupled,
     solve_global,
 )
@@ -273,6 +275,32 @@ def test_apriori_violation_raises():
     report = audit_problem(prob, T, theta=cfg.theta, scheme=cfg.scheme)
     with pytest.raises(AprioriViolationError, match="exceeds the growth bound"):
         solve_global(prob, T, cfg, report=replace(report, kappa=0.0, mu=0.0, beta=0.0))
+
+
+def test_apriori_bound_that_overflows_is_inf():
+    # kappa e^{beta T} T > 710 overflows exp: the bound is inf (a vacuous
+    # check that passes), not an OverflowError
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    res = solve_global(prob, T, SolverConfig(dt=0.002))
+    report = replace(res.report, kappa=1500.0 / T)
+    assert report.kappa * math.exp(report.beta * T) * T > 710.0
+    fuel = GriddedFuel(prob.fuel, prob.grid)
+    ap = _apriori_check(res.trajectory, l2_norm(prob.phi), report, prob.params, fuel, T)
+    assert ap["bound"] == math.inf
+    assert ap["ok"]
+
+
+def test_window_shorter_than_dt_is_a_solver_error():
+    # a certified window below one step is refused, not rounded up to a step
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    cfg = SolverConfig(dt=0.002, window_mode="contraction")
+    with pytest.raises(WindowBelowStepError,
+                       match=r"certified window 0\.0015 at t0 = 0 is shorter than the "
+                             r"step dt = 0\.002"):
+        solve_global(prob, T, cfg, report=_audit_with_T_prime(prob, T, 0.0015))
+    # a window equal to dt up to rounding still takes its one step
+    one = solve_global(prob, T, cfg, report=_audit_with_T_prime(prob, T, 0.002 * (1 - 1e-14)))
+    assert len(one.windows) == int(round(T / 0.002))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +546,31 @@ def test_coupled_warm_start_matches_cold_passes(monkeypatch):
     assert warm.pass_worst_ratios[-1] == warm.last_solve.worst_ratio
     for got, ref in ((warm.trajectory.values, cold.trajectory.values),
                      (warm.fuel.table, cold.fuel.table)):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_coupled_passes_are_forced_by_the_fuel_change(monkeypatch):
+    # pass k solves to FORCING times the previous restep's fuel change
+    # (max y0 before the first pass), never below picard_tol, and the run
+    # stops only after a pass at picard_tol; solving every pass at
+    # picard_tol takes more sweeps to the same fixed point
+    prob, T = shipped_problem("ignition_coupled", m=201)
+    cfg = SolverConfig(dt=0.004)
+    forced = solve_coupled(prob, T, cfg)
+    y0 = prob.fuel.sample(prob.grid, 0.0)
+    dys = [float(np.max(y0))] + forced.y_gaps[:-1]
+    assert forced.pass_picard_tols == [max(cfg.picard_tol, mild_solver.FORCING * dy)
+                                       for dy in dys]
+    assert len(forced.pass_picard_tols) == forced.outer_iterations
+    assert forced.pass_picard_tols[-1] == cfg.picard_tol
+    assert forced.pass_picard_tols[0] > cfg.picard_tol
+
+    monkeypatch.setattr(mild_solver, "FORCING", 0.0)
+    exact = solve_coupled(prob, T, cfg)
+    assert exact.pass_picard_tols == [cfg.picard_tol] * exact.outer_iterations
+    assert sum(exact.pass_iterations) > sum(forced.pass_iterations)
+    for got, ref in ((forced.trajectory.values, exact.trajectory.values),
+                     (forced.fuel.table, exact.fuel.table)):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from conftest import constant_problem, shipped_problem
 from layerburn import oracle
@@ -98,14 +98,35 @@ def test_newton_budget_exhaustion_raises():
 
 
 def test_singular_newton_matrix_is_a_newton_error(monkeypatch):
-    # a nonzero dgbsv info is a solver failure (exit 3), not a config error
-    def singular(kl, ku, ab, b, **kw):
-        return ab, None, b, 3
+    # a nonzero dgbtrf info is a solver failure (exit 3), not a config error
+    def singular(ab, kl, ku, **kw):
+        return ab, None, 3
 
-    monkeypatch.setattr(oracle, "dgbsv", singular)
+    monkeypatch.setattr(oracle, "dgbtrf", singular)
     prob, _ = shipped_problem("reactive_two_layer", m=101)
-    with pytest.raises(NewtonError, match="singular Newton matrix.*info 3"):
+    with pytest.raises(NewtonError, match="singular Newton matrix.*dgbtrf info 3"):
         mol_solve(prob, 0.05, OracleConfig(dt=0.01))
+
+
+def test_reactive_mol_solve_factors_once(monkeypatch):
+    # a time-invariant fuel is one run of equal samples: the chord iteration
+    # factors its Newton matrix once, at the first step's predictor, and
+    # every step converges on those factors
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "dgbtrf", counted("dgbtrf", oracle.dgbtrf))
+    monkeypatch.setattr(oracle, "dgbtrs", counted("dgbtrs", oracle.dgbtrs))
+    prob, T = shipped_problem("reactive_two_layer", m=101)
+    mol_solve(prob, T, OracleConfig(dt=2e-3))
+    steps = int(round(T / 2e-3))
+    assert calls["dgbtrf"] == 1
+    assert steps <= calls["dgbtrs"] <= 2 * steps
 
 
 def test_explicit_guard_rejects_large_steps():
@@ -170,9 +191,13 @@ def test_config_validation():
         mol_solve(shipped_problem("reactive_two_layer", m=101)[0], 0.05, OracleConfig(dt=0.003))
 
 
-def _mol_solve_per_step(problem, T, cfg):
+def _mol_solve_per_step(problem, T, cfg, chord=True):
     """Implicit trapezoid assembled one node at a time, with the whole Newton
-    matrix rebuilt in every iteration: the oracle before it was blocked."""
+    matrix rebuilt whenever it is factored.  The chord iteration (the
+    oracle's) factors it at the predictor of each step whose fuel sample
+    differs bit for bit from the node before, and at the iterate after an
+    update that did not shrink tenfold from the one before it; full Newton
+    (chord=False, the oracle before the chord) factors it at every iterate."""
     p, grid = problem.params, problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     n, m = problem.phi.values.shape
@@ -194,22 +219,25 @@ def _mol_solve_per_step(problem, T, cfg):
         out[-1] = -p.q[n - 2] - p.qhat2
         return out
 
-    def newton_matrix(L_tri, den, y, v, half_dt):
+    def factor(L_tri, den, y, v, half_dt):
+        # dgbtrf layout: n rows of fill-in above the 2n+1 bands
         g = arrhenius_g(v, p.E)
         gp = arrhenius_g_prime(v, p.E)
         df_diag = (-p.c_x + p.K * p.b * y * g + (p.K * p.b * v + p.d) * y * gp
                    + coupling()) / den
-        ab = np.zeros((2 * n + 1, N))
-        ab[n] = flat(1.0 + half_dt * L_tri[:, 1] - half_dt * df_diag)
-        ab[0, n:] = half_dt * flat(L_tri[:, 2])[:-n]
-        ab[2 * n, : N - n] = half_dt * flat(L_tri[:, 0])[n:]
+        ab = np.zeros((3 * n + 1, N))
+        ab[2 * n] = flat(1.0 + half_dt * L_tri[:, 1] - half_dt * df_diag)
+        ab[n, n:] = half_dt * flat(L_tri[:, 2])[:-n]
+        ab[3 * n, : N - n] = half_dt * flat(L_tri[:, 0])[n:]
         cup = np.zeros((n, m))
         cup[:-1] = p.q / den[:-1]
-        ab[n - 1, 1:] = -half_dt * flat(cup)[:-1]
+        ab[2 * n - 1, 1:] = -half_dt * flat(cup)[:-1]
         cdn = np.zeros((n, m))
         cdn[1:] = p.q / den[1:]
-        ab[n + 1, : N - 1] = -half_dt * flat(cdn)[1:]
-        return ab
+        ab[2 * n + 1, : N - 1] = -half_dt * flat(cdn)[1:]
+        lu, piv, info = dgbtrf(ab, n, n)
+        assert info == 0
+        return lu, piv
 
     values = np.empty((total + 1, n, m))
     values[0] = problem.phi.values
@@ -224,19 +252,33 @@ def _mol_solve_per_step(problem, T, cfg):
         L_next = generator_bands(p, y_next, grid.dx, cfg.scheme)
         den = p.a + p.b * y_next
         v = u + cfg.dt * rhs_k
+        if chord and (k == 0 or y_next.tobytes() != y_k.tobytes()):
+            lu, piv = factor(L_next, den, y_next, v, half_dt)
+        last = math.inf
         for _ in range(cfg.newton_max):
+            if not chord:
+                lu, piv = factor(L_next, den, y_next, v, half_dt)
             G = v - u - half_dt * (rhs_k + rhs(v, L_next, y_next))
-            ab = newton_matrix(L_next, den, y_next, v, half_dt)
-            delta = solve_banded((n, n), ab, -flat(G), check_finite=False)
+            delta, _ = dgbtrs(lu, n, n, -flat(G), piv)
             v = v + delta.reshape(m, n).T
-            if float(np.max(np.abs(delta))) <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
+            size = float(np.max(np.abs(delta)))
+            if size <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
                 break
+            if chord and size > 0.1 * last:
+                lu, piv = factor(L_next, den, y_next, v, half_dt)
+            last = size
         else:
-            raise NewtonError(f"Newton stalled at t={t_next:.6g} "
-                              f"(last update {float(np.max(np.abs(delta))):.3e})")
+            raise NewtonError(f"Newton stalled at t={t_next:.6g} (last update {size:.3e})")
         values[k + 1] = v
         L_k, y_k = L_next, y_next
     return SolutionTrajectory(times, values, grid)
+
+
+def _assert_near_full_newton(got, problem, T, cfg):
+    # the chord iteration ends each step with a correction below newton_tol,
+    # as full Newton does, so the two agree far below the tolerance
+    full = _mol_solve_per_step(problem, T, cfg, chord=False).values
+    assert np.max(np.abs(got.values - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def _three_layer_problem(m, fuel):
@@ -279,6 +321,7 @@ def test_blocked_implicit_trapezoid_equals_per_step_reference():
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.values, ref.values)
         assert np.max(np.abs(got.values[-1] - got.values[0])) > 1e-3  # it moved
+        _assert_near_full_newton(got, prob, T, cfg)
 
         stalled = OracleConfig(dt=dt, newton_max=1)
         with pytest.raises(NewtonError) as blocked:
@@ -289,7 +332,7 @@ def test_blocked_implicit_trapezoid_equals_per_step_reference():
 
 
 def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
-    # the reference rebuilds the whole Newton matrix in every iteration; the
+    # the reference rebuilds the whole Newton matrix whenever it factors; the
     # oracle builds its iterate-free bands only when y changes bit for bit
     prob, _ = shipped_problem("reactive_two_layer", m=101)  # time-invariant fuel: built once
     cfg = OracleConfig(dt=2e-3)
@@ -297,6 +340,7 @@ def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
     assert int(round(T / cfg.dt)) + 1 > steps_per_block(2 * 101)  # over a block boundary
     got = mol_solve(prob, T, cfg)
     assert np.array_equal(got.values, _mol_solve_per_step(prob, T, cfg).values)
+    _assert_near_full_newton(got, prob, T, cfg)
 
     # constant before the first table node and after the last, changing between
     grid = prob.grid
@@ -305,3 +349,4 @@ def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
     moving = Problem(grid, prob.params, TabulatedFuel([0.1, 0.25], table), prob.phi)
     got = mol_solve(moving, T, cfg)
     assert np.array_equal(got.values, _mol_solve_per_step(moving, T, cfg).values)
+    _assert_near_full_newton(got, moving, T, cfg)
