@@ -26,6 +26,18 @@ level then builds only its perturbed operators and runs the marcher's two
 recursions, evolution.evolve and evolution.duhamel, with them over the whole
 lattice.  The arithmetic per node is unchanged, so the terms are bitwise
 those of recomputing the base parts for every level, step by step.
+
+The ladder runs as a natural-parameter continuation (Allgower & Georg,
+Introduction to Numerical Continuation Methods, 2003): level s starts its
+Picard iteration from the secant predictor u + (s/s_p)(u_p - u), where u is
+the base solution and (s_p, u_p) the last solved level, or from u alone
+before any level is solved.  The predictor is formed in place in u_p's
+buffer, so it costs no trajectory-sized array; a level that is skipped
+leaves its predictor there, which lies on the same secant.  The fixed point
+of each level is unique, so the start changes only how many sweeps a level
+takes (LevelResult.sweeps), not where it converges (to within picard_tol).
+A skipped level records its reason as one line: the error type and the
+first line of its message.
 """
 
 from __future__ import annotations
@@ -171,7 +183,8 @@ class LevelResult:
     bound: float
     within_bound: bool
     above_floor: bool
-    skipped: str | None = None
+    skipped: str | None = None  # error type and first line of its message
+    sweeps: int | None = None  # Picard sweeps of the level's solve, None if skipped
 
 
 @dataclass
@@ -212,22 +225,37 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
     noise_floor = 100.0 * cfg.picard_tol * (1.0 + base.trajectory.sup_norm())
 
     base_terms = _base_terms(problem, base.trajectory, cfg)
+    u = base.trajectory.values
+    prev = None  # (s_p, u_p): the last solved level and its trajectory
     out: list[LevelResult] = []
     for s in spec.levels:
-        pert = build_perturbed(problem, spec.directions, float(s))
+        s = float(s)
+        pert = build_perturbed(problem, spec.directions, s)
+        if prev is None:
+            guess = u
+        else:  # secant predictor u + (s/s_p)(u_p - u), formed in u_p's buffer
+            s_p, guess = prev
+            guess -= u
+            guess *= s / s_p
+            guess += u
         try:
-            res = solve_global(pert, T, cfg)
+            res = solve_global(pert, T, cfg, guess=guess)
         except (AuditError, BlowUpError, PicardDivergenceError, WindowBelowStepError) as err:
-            out.append(LevelResult(float(s), math.nan, {}, math.nan, False, False,
-                                   skipped=f"{type(err).__name__}: {err}"))
+            first = (str(err).splitlines() or [""])[0]
+            out.append(LevelResult(s, math.nan, {}, math.nan, False, False,
+                                   skipped=f"{type(err).__name__}: {first}"))
+            if prev is not None:  # the predictor at s lies on the same secant
+                prev = (s, guess)
             continue
+        prev = (s, res.trajectory.values)
         delta = sup_metric(res.trajectory, base.trajectory)
         terms = _difference_terms(problem, pert, base.trajectory, cfg, base_terms)
         bound = terms["total"] * factor
         out.append(LevelResult(
-            float(s), delta, terms, bound,
+            s, delta, terms, bound,
             within_bound=bool(delta <= bound),
             above_floor=bool(delta >= noise_floor),
+            sweeps=res.total_iterations,
         ))
 
     ratios: list[float] = []

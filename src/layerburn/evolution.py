@@ -42,8 +42,8 @@ one run and its keys are its dt patterns: a lattice dt*k, whose steps round
 to a few distinct dt values, holds a handful of operators (8 for 500 steps
 of 1e-3).  A table whose samples repeat, such as the coupled solver's
 all-y0 first pass, shares the same way within each run; a time-dependent
-fuel makes every step a run of its own.  The arithmetic is elementwise, so each operator is bitwise the one a single-step
-build_propagator gives.
+fuel makes every step a run of its own.  The arithmetic is elementwise, so
+each operator is bitwise the one a single-step build_propagator gives.
 Blocks hold about grid.BLOCK_NODES values per array.
 generator_bands assembles L_h the same way for a stack of fuel samples, which
 the method-of-lines oracle uses per block of nodes and the audit's growth

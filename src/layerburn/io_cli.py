@@ -651,13 +651,13 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
     prefix = _resolve_prefix(args.out, config_path, "check_hypotheses")
     report = audit_problem(config.problem(), config.T, theta=config.solver.theta,
                            scheme=config.solver.scheme)
-    report_path = write_report(report, prefix.parent / f"{prefix.name}_hypotheses.txt")
-    write_manifest(prefix, "check-hypotheses", config_path, config, [report_path])
     for key in ("kappa", "mu", "beta", "T_prime"):
         val = getattr(report, key)
         print(f"{key}: {'n/a' if val is None else _fmt(val)}")
-    if report.ok:  # a contraction step below dt certifies no window of the solve
+    if report.ok:  # a contraction step below dt certifies no window: no report says pass
         check_window(report.T_prime, 0.0, config.solver.dt)
+    report_path = write_report(report, prefix.parent / f"{prefix.name}_hypotheses.txt")
+    write_manifest(prefix, "check-hypotheses", config_path, config, [report_path])
     print(f"hypotheses: {'pass' if report.ok else 'FAIL'} -> {report_path}")
     return 0 if report.ok else 2
 
@@ -722,7 +722,8 @@ def _cmd_dependence_study(args, config: ProblemConfig, config_path: str) -> int:
 
     csv_path = prefix.parent / f"{prefix.name}_dependence.csv"
     with open(csv_path, "w") as fh:
-        fh.write("level,s,delta,ratio,bound,within_bound,above_floor,skipped\n")
+        fh.write("level,s,delta,ratio,bound,within_bound,above_floor,picard_sweeps,"
+                 "skipped\n")
         prev = None
         for j, lv in enumerate(study.levels):
             ratio = ""
@@ -736,6 +737,7 @@ def _cmd_dependence_study(args, config: ProblemConfig, config_path: str) -> int:
                 "" if lv.skipped else _fmt(lv.bound),
                 str(lv.within_bound).lower(),
                 str(lv.above_floor).lower(),
+                "" if lv.skipped else str(lv.sweeps),
                 (lv.skipped or "").replace(",", ";"),
             ]) + "\n")
     write_manifest(prefix, "dependence-study", config_path, config, [str(csv_path)])

@@ -312,7 +312,8 @@ def check_window(w: float, t0: float, dt: float) -> None:
     if not w / dt * (1.0 + 1e-12) >= 1.0:
         raise WindowBelowStepError(
             f"certified window {w:.6g} at t0 = {t0:.6g} is shorter than the step "
-            f"dt = {dt:.6g}; a dt of at most {w:.6g} would certify it")
+            f"dt = {dt:.6g}; a dt of at most {w:.6g} certifies this window only, "
+            "and T must stay a whole number of steps")
 
 
 def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,

@@ -385,6 +385,14 @@ def coefficient_fields(p: LayerParams, y) -> tuple[np.ndarray, np.ndarray]:
     return p.lam / den, p.c / den
 
 
+def reaction(kb, d, y, u, E: float) -> np.ndarray:
+    """Pointwise reaction (kb*u + d)*y*g(u) with kb = K*b, before dividing by
+    the capacity a + b*y.  Elementwise, so any common shape or layout works."""
+    out = (kb * u + d) * y
+    out *= arrhenius_g(u, E)
+    return out
+
+
 def source_f(p: LayerParams, y, u) -> np.ndarray:
     """Reaction/exchange source per layer, divided by the capacity a + b*y.
 
@@ -399,10 +407,8 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
     den = p.a + p.b * yv
     if den.min() <= 0.0:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
-    g = arrhenius_g(uv, p.E)
     # in place where the operands allow; a + b is b + a bit for bit
-    out = (p.K * p.b * uv + p.d) * yv
-    out *= g
+    out = reaction(p.K * p.b, p.d, yv, uv, p.E)
     out += -p.c_x * uv
     first, last = uv[..., 0, :], uv[..., -1, :]
     out[..., 0, :] += p.q[0] * (uv[..., 1, :] - first) - p.qhat1 * (first - p.u_e)

@@ -12,26 +12,28 @@ marcher to second order in dt, so the cross-difference on a dt-refinement
 ladder must shrink at order about 2; that is what the oracle comparison
 asserts.
 
-The Newton system is ordered node-major (all layers of node j adjacent), so
-the Jacobian is banded with bandwidth n: layer coupling sits on the first
-off-diagonals and the spatial stencil on the n-th.
-
-The implicit trapezoid samples the fuel and assembles L_h over blocks of
-lattice nodes at once, as build_propagators does for the marcher, and builds
-the parts of each step's Jacobian that do not depend on the Newton iterate
-(the capacities a + b*y, the exchange bands, the (dt/2) L_h stencil bands
-and 1 + (dt/2) diag L_h) only when the fuel sample changes bit for bit from
-the previous node's, so a time-invariant fuel builds them once per run.
+The implicit trapezoid works node-major (all layers of node j adjacent), so
+its matrices are banded with bandwidth n: layer coupling sits on the first
+off-diagonals and the spatial stencil on the n-th.  It samples the fuel over
+blocks of lattice nodes at once, as build_propagators does for the marcher,
+and once per run of bitwise-equal fuel samples (so once per solve for a
+time-invariant fuel) assembles L_h and the right-hand side's linear part:
+the bands A of -L_h, layer exchange, -c_x and the exchange and ambient-loss
+diagonal, all over the capacity a + b*y, and the ambient constant c.  The
+right-hand side is then A v + c + R(v), where R is the pointwise reaction
+(K*b*v + d)*y*g(v)/(a + b*y), from model.reaction as source_f forms it.
 
 Each step solves its trapezoid equation by a chord (simplified) Newton
 iteration (Hairer & Wanner, Solving ODEs II, IV.8): the Newton matrix is
-those bands plus the reaction diagonal of df/du at the step's Euler
+I - (dt/2)(A + R'(v)) with R' the reaction diagonal at the step's Euler
 predictor, LU-factored once by LAPACK's dgbtrf, and every iteration is one
-dgbtrs solve with those factors.  The factors last for the whole run of
-bitwise-equal fuel samples and are rebuilt at the current iterate only when
-an update fails to shrink tenfold from the one before it.  A step still ends
-by adding a correction below newton_tol, so the chord changes the
-trajectory only within that tolerance of the full Newton iteration.
+residual and one dgbtrs solve with those factors.  The factors last for the
+whole run of bitwise-equal fuel samples and are rebuilt at the current
+iterate only when an update fails to shrink tenfold from the one before it.
+A step still ends by adding a correction below newton_tol, so the chord
+changes the trajectory only within that tolerance of the full Newton
+iteration.  The iterate stays node-major from step to step, and each
+accepted step is written straight into the trajectory.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
 from .grid import SolutionTrajectory, layer_l2, steps_per_block, time_lattice
-from .model import Problem, arrhenius_g, arrhenius_g_prime, source_f
+from .model import Problem, arrhenius_g, arrhenius_g_prime, reaction, source_f
 
 
 class NewtonError(RuntimeError):
@@ -75,43 +77,62 @@ def _flat(arr: np.ndarray) -> np.ndarray:
     return arr.T.ravel()
 
 
-def _unflat(vec: np.ndarray, n: int, m: int) -> np.ndarray:
-    return vec.reshape(m, n).T
+def _linear_part(p, L_tri: np.ndarray, den: np.ndarray):
+    """The right-hand side's linear part at one fuel sample, node-major.
 
-
-def _coupling_diag(p) -> np.ndarray:
-    """Per-node diagonal part of the exchange terms, before dividing by a+b*y."""
-    n, m = p.a.shape
-    out = np.zeros((n, m))
-    out[0] = -p.q[0] - p.qhat1
-    if n > 2:
-        out[1:-1] = -(p.q[: n - 2] + p.q[1 : n - 1])
-    out[-1] = -p.q[n - 2] - p.qhat2
-    return out
-
-
-def _newton_bands(p, L_tri: np.ndarray, den: np.ndarray, half_dt: float):
-    """The iterate-free part of the Newton matrix of one step, dgbtrf layout.
-
-    Returns the (3n+1, N) banded matrix of J = I + (dt/2) L - (dt/2) df/du
-    with kl = ku = n: n zero rows that dgbtrf fills in while factoring, then
-    every band but the main diagonal (row 2n), and 1 + (dt/2) diag L, from
-    which each factorization forms that diagonal.
+    Returns the bands A, (2n+1, N) in BLAS band layout (A[n + i - j, j] is
+    the (i, j) entry, kl = ku = n), and the constant c, (N,), with
+    -L_h v + [exchange, ambient loss and -c_x v] / (a + b*y) = A v + c:
+    the spatial stencil sits n off the diagonal, layer exchange one off, and
+    the ambient temperature u_e only in c.
     """
     n, m = den.shape
     N = n * m
-    ab = np.zeros((3 * n + 1, N))
+    diag = np.zeros((n, m))  # -c_x, exchange and ambient loss, before dividing
+    diag[0] = -p.q[0] - p.qhat1
+    if n > 2:
+        diag[1:-1] = -(p.q[: n - 2] + p.q[1 : n - 1])
+    diag[-1] = -p.q[n - 2] - p.qhat2
+    diag -= p.c_x
+    diag /= den
+    diag -= L_tri[:, 1]
+    A = np.zeros((2 * n + 1, N))
+    A[n] = _flat(diag)
     # spatial stencil: same layer, neighbouring node (offset n)
-    ab[n, n:] = half_dt * _flat(L_tri[:, 2])[:-n]
-    ab[3 * n, : N - n] = half_dt * _flat(L_tri[:, 0])[n:]
+    A[0, n:] = -_flat(L_tri[:, 2])[:-n]
+    A[2 * n, : N - n] = -_flat(L_tri[:, 0])[n:]
     # layer exchange: same node, neighbouring layer (offset 1)
     cup = np.zeros((n, m))
     cup[:-1] = p.q / den[:-1]
-    ab[2 * n - 1, 1:] = -half_dt * _flat(cup)[:-1]
+    A[n - 1, 1:] = _flat(cup)[:-1]
     cdn = np.zeros((n, m))
     cdn[1:] = p.q / den[1:]
-    ab[2 * n + 1, : N - 1] = -half_dt * _flat(cdn)[1:]
-    return ab, 1.0 + half_dt * L_tri[:, 1]
+    A[n + 1, : N - 1] = _flat(cdn)[1:]
+    c = np.zeros((n, m))
+    c[0] = p.qhat1 * p.u_e
+    c[-1] += p.qhat2 * p.u_e
+    c /= den
+    return A, _flat(c)
+
+
+def _rhs(run: tuple, kb: np.ndarray, d: np.ndarray, E: float, v: np.ndarray) -> np.ndarray:
+    """A v + c + R(v) for a node-major v, R the reaction over a + b*y.
+
+    run is (A, c, y, a + b*y) at one fuel sample, the last two node-major;
+    kb = K*b and d are node-major too.
+    """
+    A, c, y, den = run
+    n = (A.shape[0] - 1) // 2
+    out = A[n] * v
+    out[:-1] += A[n - 1, 1:] * v[1:]
+    out[1:] += A[n + 1, :-1] * v[:-1]
+    out[:-n] += A[0, n:] * v[n:]
+    out[n:] += A[2 * n, :-n] * v[:-n]
+    out += c
+    r = reaction(kb, d, y, v, E)
+    r /= den
+    out += r
+    return out
 
 
 def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
@@ -126,16 +147,15 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     fuel = GriddedFuel(problem.fuel, grid)
     n, m = problem.phi.values.shape
 
-    if cfg.integrator == "explicit-rk4":
-        _check_explicit_stability(p, fuel, T, cfg.dt)
-
-    def rhs(t: float, v: np.ndarray, L_tri: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return -generator_apply(L_tri, v) + source_f(p, y, v)
-
     values = np.empty((total + 1, n, m))
     values[0] = problem.phi.values
 
     if cfg.integrator == "explicit-rk4":
+        _check_explicit_stability(p, fuel, T, cfg.dt)
+
+        def rhs(v: np.ndarray, L_tri: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return -generator_apply(L_tri, v) + source_f(p, y, v)
+
         for k in range(total):
             t = float(times[k])
             dt = cfg.dt
@@ -144,66 +164,74 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             te = float(times[k + 1])
             ys = fuel.sample(np.array([t, tm, te]))
             L0, Lm, Le = generator_bands(p, ys, grid.dx, cfg.scheme)
-            k1 = rhs(t, u, L0, ys[0])
-            k2 = rhs(tm, u + 0.5 * dt * k1, Lm, ys[1])
-            k3 = rhs(tm, u + 0.5 * dt * k2, Lm, ys[1])
-            k4 = rhs(te, u + dt * k3, Le, ys[2])
+            k1 = rhs(u, L0, ys[0])
+            k2 = rhs(u + 0.5 * dt * k1, Lm, ys[1])
+            k3 = rhs(u + 0.5 * dt * k2, Lm, ys[1])
+            k4 = rhs(u + dt * k3, Le, ys[2])
             values[k + 1] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(values[k + 1])):
                 raise StabilityError(f"explicit step produced non-finite values at t={te:.6g}")
         return SolutionTrajectory(times, values, grid)
 
-    # implicit trapezoid with a chord Newton iteration per step
+    # implicit trapezoid with a chord Newton iteration per step, node-major
     half_dt = 0.5 * cfg.dt
-    kb = p.K * p.b
-    neg_cx = -p.c_x
-    coupling = _coupling_diag(p)
+    kb = _flat(p.K * p.b)
+    d = _flat(p.d)
+    E = p.E
 
     def factor(v, t):
-        """LU factors of the Newton matrix at v, with the current run's bands."""
-        # reaction and exchange diagonal of df/du at v
-        g = arrhenius_g(v, p.E)
-        gp = arrhenius_g_prime(v, p.E)
-        df_diag = (neg_cx + kby * g + (kb * v + p.d) * y_next * gp + coupling) / den
-        ab[2 * n] = _flat(main - half_dt * df_diag)
+        """LU factors of I - (dt/2)(A + R'(v)), with the current run's bands."""
+        _, _, y, den = run
+        g = arrhenius_g(v, E)
+        gp = arrhenius_g_prime(v, E)
+        ab[2 * n] = main - half_dt * ((kb * y * g + (kb * v + d) * y * gp) / den)
         lu, piv, info = dgbtrf(ab, n, n)
         if info != 0:
             raise NewtonError(f"singular Newton matrix at t={t:.6g} (dgbtrf info {info})")
         return lu, piv
 
     block = steps_per_block(n * m)
-    y_next = None  # fuel sample at the last node of the previous block
+    u = _flat(values[0])
+    sample = None  # fuel sample at the last node of the previous block
     for a in range(0, total + 1, block):
         # fuel and generator for a block of lattice nodes, as build_propagators does
         ys = fuel.sample(times[a : a + block])
-        Ls = generator_bands(p, ys, grid.dx, cfg.scheme)
-        same = repeats(ys, y_next)
+        same = repeats(ys, sample)
+        # L_h only at the nodes that start a run of equal samples
+        if not same.all():
+            Ls = iter(generator_bands(p, ys[~same], grid.dx, cfg.scheme))
         for j in range(ys.shape[0]):
-            L_next, y_next = Ls[j], ys[j]
+            sample = ys[j]
             if not same[j]:
                 # a factorization rewrites only row 2n, so the bands last while y does
-                den = p.a + p.b * y_next
-                ab, main = _newton_bands(p, L_next, den, half_dt)
-                kby = kb * y_next
+                den = p.a + p.b * sample
+                A, c = _linear_part(p, next(Ls), den)
+                run = A, c, _flat(sample), _flat(den)
+                ab = np.zeros((3 * n + 1, n * m))
+                ab[n:] = -half_dt * A
+                main = 1.0 - half_dt * A[n]
                 lu = None  # the run's first step factors at its predictor
             if a + j == 0:
-                L_k, y_k = L_next, y_next
+                run_k = run
                 continue
             k = a + j - 1
-            u = values[k]
             t_next = float(times[k + 1])
-            rhs_k = rhs(float(times[k]), u, L_k, y_k)
-
+            rhs_k = _rhs(run_k, kb, d, E, u)
             v = u + cfg.dt * rhs_k  # Euler predictor
+            base = u + half_dt * rhs_k
             if lu is None:
                 lu, piv = factor(v, t_next)
             last = math.inf
             for _ in range(cfg.newton_max):
-                G = v - u - half_dt * (rhs_k + rhs(t_next, v, L_next, y_next))
-                delta, _ = dgbtrs(lu, n, n, -_flat(G), piv, overwrite_b=1)
-                v = v + _unflat(delta, n, m)
-                size = float(np.max(np.abs(delta)))
-                if size <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
+                # -G(v) = u + (dt/2)(rhs_k + rhs(v)) - v
+                neg_G = _rhs(run, kb, d, E, v)
+                neg_G *= half_dt
+                neg_G += base
+                neg_G -= v
+                delta, _ = dgbtrs(lu, n, n, neg_G, piv, overwrite_b=1)
+                v += delta
+                size = float(np.abs(delta).max())
+                if size <= cfg.newton_tol * (1.0 + float(np.abs(v).max())):
                     break
                 if size > 0.1 * last:  # the chord stalls: refactor at the iterate
                     lu, piv = factor(v, t_next)
@@ -211,8 +239,8 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             else:
                 raise NewtonError(
                     f"Newton stalled at t={t_next:.6g} (last update {size:.3e})")
-            values[k + 1] = v
-            L_k, y_k = L_next, y_next
+            values[k + 1].T[...] = v.reshape(m, n)
+            u, run_k = v, run
     return SolutionTrajectory(times, values, grid)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import shipped_config, shipped_problem, smooth_bump
+from layerburn import dependence
 from layerburn.dependence import (
     PerturbationSpec,
     _base_terms,
@@ -16,7 +17,7 @@ from layerburn.dependence import (
     gronwall_factor,
 )
 from layerburn.evolution import GriddedFuel, build_propagators, steps_per_block
-from layerburn.grid import l2_norm, layer_l2
+from layerburn.grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric
 from layerburn.mild_solver import SolverConfig, solve_global
 from layerburn.model import central_gradient, source_f
 
@@ -229,3 +230,55 @@ def test_shared_base_terms_equal_per_level_recomputation():
         ref = _difference_terms_per_level(prob, pert, base, cfg)
         assert got == ref
         assert all(val > 0.0 for val in got.values())
+
+
+def _continued_and_cold(monkeypatch, prob, T, spec, cfg):
+    """The study, each level's trajectory as its solve returned it, and a cold
+    solve of every level that was solved."""
+    solved = []
+
+    def recording(problem, T, cfg, **kw):
+        res = solve_global(problem, T, cfg, **kw)
+        # the next level's guess is formed in this buffer, so keep a copy
+        solved.append((problem, res.trajectory.values.copy()))
+        return res
+
+    monkeypatch.setattr(dependence, "solve_global", recording)
+    study = dependence_study(prob, T, spec, cfg)
+    cold = [(values, solve_global(problem, T, cfg).trajectory) for problem, values in solved[1:]]
+    return study, cold
+
+
+def test_continued_ladder_saves_sweeps_and_lands_on_the_cold_solves(monkeypatch):
+    # each level starts from the secant through the base and the level before
+    # it; the fixed point is unique, so only the sweep counts move
+    cfg = shipped_config("dependence_study")
+    prob, T, spec = cfg.problem(), cfg.T, cfg.perturbation_spec()
+    study, cold = _continued_and_cold(monkeypatch, prob, T, spec, cfg.solver)
+    assert len(study.levels) == len(cold) == 9
+    sweeps = [lv.sweeps for lv in study.levels]
+    assert sweeps[0] == 7  # the first level starts from the base trajectory
+    assert sum(sweeps[1:]) <= 30  # 56 from cold starts
+    for values, ref in cold:
+        gap = sup_metric(SolutionTrajectory(ref.times, values, ref.grid), ref)
+        assert gap <= cfg.solver.picard_tol * (1.0 + ref.sup_norm())
+
+
+def test_a_skipped_level_keeps_the_secant(monkeypatch):
+    # the predictor of a skipped level lies on the secant of the last solved
+    # one, so the level after it still starts from that secant
+    prob, T = shipped_problem("dependence_study", m=201)
+    cfg = SolverConfig(dt=0.004)
+    dirn = np.full((2, prob.grid.m), -1.5)
+    spec = PerturbationSpec({"a": dirn}, levels=[0.25, 1.0, 0.125, 0.0625])
+    study, cold = _continued_and_cold(monkeypatch, prob, T, spec, cfg)
+    assert [lv.skipped is None for lv in study.levels] == [True, False, True, True]
+    assert study.levels[1].skipped == "AuditError: admissibility audit failed:"
+    assert study.levels[1].sweeps is None
+    assert study.decreasing
+    unskipped = PerturbationSpec(spec.directions, levels=[0.25, 0.125, 0.0625])
+    assert [lv.sweeps for lv in study.levels if lv.skipped is None] \
+        == [lv.sweeps for lv in dependence_study(prob, T, unskipped, cfg).levels]
+    for values, ref in cold:
+        gap = sup_metric(SolutionTrajectory(ref.times, values, ref.grid), ref)
+        assert gap <= cfg.picard_tol * (1.0 + ref.sup_norm())

@@ -651,6 +651,29 @@ def test_cli_dependence_study(tmp_path, capsys):
     assert cli(["dependence-study", plain]) == 1  # no perturb directions
 
 
+def test_cli_dependence_csv_keeps_a_skipped_level_on_one_line(tmp_path):
+    # a = 1 - 1.5 s is not positive at s = 1: the audit fails that level and
+    # its reason is one line, so every row parses to the header's columns
+    text = (CONFIGS / "dependence_study.cfg").read_text()
+    text, count = re.subn(r"(?m)^perturb_a_1 = .*$", "perturb_a_1 = constant(-1.5)", text)
+    assert count == 1
+    cfg = _write(tmp_path, text)
+    assert cli(["dependence-study", cfg, "--out", str(tmp_path / "dep")]) == 0
+    lines = (tmp_path / "dep_dependence.csv").read_text().splitlines()
+    assert len(lines) == 9 + 1
+    head = lines[0].split(",")
+    assert head == ["level", "s", "delta", "ratio", "bound", "within_bound",
+                    "above_floor", "picard_sweeps", "skipped"]
+    rows = [dict(zip(head, ln.split(","))) for ln in lines[1:]]
+    assert all(len(ln.split(",")) == len(head) for ln in lines[1:])
+    assert rows[0]["skipped"] == "AuditError: admissibility audit failed:"
+    assert rows[0]["delta"] == rows[0]["picard_sweeps"] == ""
+    for row in rows[1:]:
+        assert row["skipped"] == ""
+        assert int(row["picard_sweeps"]) >= 1
+        assert float(row["delta"]) > 0.0
+
+
 def test_cli_front_track(tmp_path):
     cfg = _write(tmp_path, BASE_CFG)
     assert cli(["front-track", cfg, "--out", str(tmp_path / "ft")]) == 0
@@ -702,8 +725,10 @@ def test_cli_window_shorter_than_dt_exits_3(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "hypotheses: pass" not in captured.out
     assert re.search(r"solver failure: certified window \S+ at t0 = 0 is shorter "
-                     r"than the step dt = 0\.001", captured.err)
+                     r"than the step dt = 0\.001; a dt of at most \S+ certifies this "
+                     r"window only, and T must stay a whole number of steps", captured.err)
     assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("w_*"))  # no report or manifest that says pass
 
 
 def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):

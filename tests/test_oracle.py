@@ -2,6 +2,7 @@
 other, and the fixed-point marcher."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,48 +194,70 @@ def test_config_validation():
 
 def _mol_solve_per_step(problem, T, cfg, chord=True):
     """Implicit trapezoid assembled one node at a time, with the whole Newton
-    matrix rebuilt whenever it is factored.  The chord iteration (the
-    oracle's) factors it at the predictor of each step whose fuel sample
+    matrix rebuilt whenever it is factored.  The iterate is node-major and
+    the residual is A v + c + R(v): A the right-hand side's linear part
+    (stencil, exchange, -c_x and ambient loss over a + b*y), c the ambient
+    constant and R the reaction.  The chord iteration (the oracle's) factors
+    I - (dt/2)(A + R'(v)) at the predictor of each step whose fuel sample
     differs bit for bit from the node before, and at the iterate after an
     update that did not shrink tenfold from the one before it; full Newton
-    (chord=False, the oracle before the chord) factors it at every iterate."""
+    (chord=False) factors it at every iterate."""
     p, grid = problem.params, problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     n, m = problem.phi.values.shape
     N = n * m
     total = int(round(T / cfg.dt))
     times = cfg.dt * np.arange(total + 1)
+    kb = (p.K * p.b).T.ravel()
+    d = p.d.T.ravel()
 
     def flat(arr):
         return arr.T.ravel()
 
-    def rhs(v, L_tri, y):
-        return -generator_apply(L_tri, v) + source_f(p, y, v)
-
-    def coupling():
-        out = np.zeros((n, m))
-        out[0] = -p.q[0] - p.qhat1
+    def terms(y):
+        """Per-offset entries of A, the constant c and the flat y and a + b*y."""
+        L_tri = generator_bands(p, y, grid.dx, cfg.scheme)
+        den = p.a + p.b * y
+        diag = np.zeros((n, m))
+        diag[0] = -p.q[0] - p.qhat1
         if n > 2:
-            out[1:-1] = -(p.q[: n - 2] + p.q[1 : n - 1])
-        out[-1] = -p.q[n - 2] - p.qhat2
-        return out
+            diag[1:-1] = -(p.q[: n - 2] + p.q[1 : n - 1])
+        diag[-1] = -p.q[n - 2] - p.qhat2
+        diag = (diag - p.c_x) / den - L_tri[:, 1]
+        cup = np.zeros((n, m))
+        cup[:-1] = p.q / den[:-1]
+        cdn = np.zeros((n, m))
+        cdn[1:] = p.q / den[1:]
+        c = np.zeros((n, m))
+        c[0] = p.qhat1 * p.u_e
+        c[-1] += p.qhat2 * p.u_e
+        return {"diag": flat(diag),
+                "up1": flat(cup)[:-1], "dn1": flat(cdn)[1:],  # (i, i+1) and (i+1, i)
+                "upn": -flat(L_tri[:, 2])[:-n], "dnn": -flat(L_tri[:, 0])[n:],
+                "c": flat(c / den), "y": flat(y), "den": flat(den)}
 
-    def factor(L_tri, den, y, v, half_dt):
+    def rhs(v, t):
+        out = t["diag"] * v
+        out[:-1] += t["up1"] * v[1:]
+        out[1:] += t["dn1"] * v[:-1]
+        out[:-n] += t["upn"] * v[n:]
+        out[n:] += t["dnn"] * v[:-n]
+        out += t["c"]
+        r = (kb * v + d) * t["y"]
+        r *= arrhenius_g(v, p.E)
+        return out + r / t["den"]
+
+    def factor(t, v, half_dt):
         # dgbtrf layout: n rows of fill-in above the 2n+1 bands
         g = arrhenius_g(v, p.E)
         gp = arrhenius_g_prime(v, p.E)
-        df_diag = (-p.c_x + p.K * p.b * y * g + (p.K * p.b * v + p.d) * y * gp
-                   + coupling()) / den
+        react = (kb * t["y"] * g + (kb * v + d) * t["y"] * gp) / t["den"]
         ab = np.zeros((3 * n + 1, N))
-        ab[2 * n] = flat(1.0 + half_dt * L_tri[:, 1] - half_dt * df_diag)
-        ab[n, n:] = half_dt * flat(L_tri[:, 2])[:-n]
-        ab[3 * n, : N - n] = half_dt * flat(L_tri[:, 0])[n:]
-        cup = np.zeros((n, m))
-        cup[:-1] = p.q / den[:-1]
-        ab[2 * n - 1, 1:] = -half_dt * flat(cup)[:-1]
-        cdn = np.zeros((n, m))
-        cdn[1:] = p.q / den[1:]
-        ab[2 * n + 1, : N - 1] = -half_dt * flat(cdn)[1:]
+        ab[2 * n] = (1.0 - half_dt * t["diag"]) - half_dt * react
+        ab[n, n:] = -half_dt * t["upn"]
+        ab[3 * n, : N - n] = -half_dt * t["dnn"]
+        ab[2 * n - 1, 1:] = -half_dt * t["up1"]
+        ab[2 * n + 1, : N - 1] = -half_dt * t["dn1"]
         lu, piv, info = dgbtrf(ab, n, n)
         assert info == 0
         return lu, piv
@@ -242,35 +265,35 @@ def _mol_solve_per_step(problem, T, cfg, chord=True):
     values = np.empty((total + 1, n, m))
     values[0] = problem.phi.values
     half_dt = 0.5 * cfg.dt
+    u = flat(values[0])
     y_k = fuel.sample(0.0)
-    L_k = generator_bands(p, y_k, grid.dx, cfg.scheme)
+    t_k = terms(y_k)
     for k in range(total):
-        u = values[k]
         t_next = float(times[k + 1])
-        rhs_k = rhs(u, L_k, y_k)
+        rhs_k = rhs(u, t_k)
         y_next = fuel.sample(t_next)
-        L_next = generator_bands(p, y_next, grid.dx, cfg.scheme)
-        den = p.a + p.b * y_next
+        t_nx = terms(y_next)
         v = u + cfg.dt * rhs_k
+        base = u + half_dt * rhs_k
         if chord and (k == 0 or y_next.tobytes() != y_k.tobytes()):
-            lu, piv = factor(L_next, den, y_next, v, half_dt)
+            lu, piv = factor(t_nx, v, half_dt)
         last = math.inf
         for _ in range(cfg.newton_max):
             if not chord:
-                lu, piv = factor(L_next, den, y_next, v, half_dt)
-            G = v - u - half_dt * (rhs_k + rhs(v, L_next, y_next))
-            delta, _ = dgbtrs(lu, n, n, -flat(G), piv)
-            v = v + delta.reshape(m, n).T
+                lu, piv = factor(t_nx, v, half_dt)
+            neg_G = half_dt * rhs(v, t_nx) + base - v
+            delta, _ = dgbtrs(lu, n, n, neg_G, piv)
+            v = v + delta
             size = float(np.max(np.abs(delta)))
             if size <= cfg.newton_tol * (1.0 + float(np.max(np.abs(v)))):
                 break
             if chord and size > 0.1 * last:
-                lu, piv = factor(L_next, den, y_next, v, half_dt)
+                lu, piv = factor(t_nx, v, half_dt)
             last = size
         else:
             raise NewtonError(f"Newton stalled at t={t_next:.6g} (last update {size:.3e})")
-        values[k + 1] = v
-        L_k, y_k = L_next, y_next
+        values[k + 1] = v.reshape(m, n).T
+        u, y_k, t_k = v, y_next, t_nx
     return SolutionTrajectory(times, values, grid)
 
 
@@ -350,3 +373,33 @@ def test_newton_bands_reused_while_fuel_repeats_equal_per_step_reference():
     got = mol_solve(moving, T, cfg)
     assert np.array_equal(got.values, _mol_solve_per_step(moving, T, cfg).values)
     _assert_near_full_newton(got, moving, T, cfg)
+
+
+def test_linear_part_and_reaction_equal_generator_and_source():
+    # the oracle's residual A v + c + R(v) is -L_h v + f(t, v) up to rounding,
+    # on two and three layers, prescribed and tabulated fuels, u_e = 0 and not
+    def tabulated(grid, n):
+        times = np.linspace(0.0, 0.4, 5)
+        phase = grid.x[None, None] + 3.0 * times[:, None, None] + np.arange(n)[None, :, None]
+        return TabulatedFuel(times, 0.5 + 0.4 * np.sin(phase))
+
+    reactive, _ = shipped_problem("reactive_two_layer", m=101)
+    three = _three_layer_problem(121, lambda grid: PrescribedFuel(
+        [LogisticFrontFuel(-1.0, 2.0, 0.7), GaussianDecayFuel(0.5, 2.0, 0.9),
+         LogisticFrontFuel(1.0, -1.5, 1.1)]))
+    problems = [reactive, replace(reactive, fuel=tabulated(reactive.grid, 2)),
+                three, replace(three, fuel=tabulated(three.grid, 3))]
+    rng = np.random.default_rng(3)
+    for prob in problems:
+        p, grid = prob.params, prob.grid
+        fuel = GriddedFuel(prob.fuel, grid)
+        kb, d = oracle._flat(p.K * p.b), oracle._flat(p.d)
+        for t in (0.0, 0.13, 0.4):
+            y = fuel.sample(t)
+            L_tri = generator_bands(p, y, grid.dx)
+            A, c = oracle._linear_part(p, L_tri, p.a + p.b * y)
+            for v in (prob.phi.values, prob.phi.values + rng.standard_normal(y.shape)):
+                run = (A, c, oracle._flat(y), oracle._flat(p.a + p.b * y))
+                got = oracle._rhs(run, kb, d, p.E, oracle._flat(v))
+                want = oracle._flat(-generator_apply(L_tri, v) + source_f(p, y, v))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
