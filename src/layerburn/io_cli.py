@@ -20,8 +20,10 @@ Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 admissibility audit failure, 3 solver divergence or blow-up, 4 I/O failure.
 Every run writes a JSON manifest (config echo, package version, resolved
 solver settings) next to its outputs; CSV numbers carry 17 significant digits
-('%.17g') so files round-trip bit-exactly.  Set LAYERBURN_OUTDIR to redirect
-relative output paths.
+('%.17g') so files round-trip bit-exactly.  Snapshot values are rendered a
+block at a time by a numpy kernel that writes exactly the bytes '%.17g' writes
+(layerburn.g17; it passes the few values it cannot decide to '%.17g'
+itself).  Set LAYERBURN_OUTDIR to redirect relative output paths.
 
 A trajectory is one `<prefix>_snap_NNNNN.csv` per stored time, a header then
 one row per grid node with columns x,u_1..u_n and, when a fuel table is
@@ -464,6 +466,59 @@ def parse_config(text: str) -> ProblemConfig:
 # trajectory serialization
 
 
+_RENDER_BLOCK = 4096  # values per block: a write peaks at ~420 B per value
+
+
+def _write_snapshots(folder: Path, names: list[str], header: list[str],
+                     x: np.ndarray, tables: list[np.ndarray]) -> None:
+    """Write each snapshot's CSV, rendering about _RENDER_BLOCK values at a time.
+
+    A block is a run of rows taken across snapshots in file order, so a
+    snapshot may straddle two blocks; its file stays open until its last row.
+    """
+    from .g17 import padded, records  # imported here: start-up does not compile it
+
+    m, cols = x.size, sum(t.shape[1] for t in tables)
+    rows = max(1, _RENDER_BLOCK // cols)
+    head = (",".join(header) + "\n").encode()
+    cells = padded([b"%.17g," % xi for xi in x.tolist()])  # the x column, once
+    seps = np.full(cols, ord(","), dtype="<u8")
+    seps[-1] = ord("\n")
+    seps = np.tile(seps << np.uint64(56), rows)
+    total = len(names) * m
+    fh = None
+    try:
+        for r0 in range(0, total, rows):
+            r1 = min(r0 + rows, total)
+            cuts = [r0, *range(r0 - r0 % m + m, r1, m), r1]  # at snapshot ends
+            block = np.empty((r1 - r0, cols))
+            rec = np.empty((r1 - r0, cols + 1, 4), dtype="<u8")
+            for a, b in zip(cuts, cuts[1:]):
+                k, i0 = divmod(a, m)
+                np.concatenate([t[k, :, i0 : i0 + b - a] for t in tables],
+                               out=block[a - r0 : b - r0].T)
+                rec[a - r0 : b - r0, 0] = cells[i0 : i0 + b - a]
+            recs = records(block.ravel())
+            recs[:, 3] |= seps[: recs.shape[0]]
+            rec[:, 1:] = recs.reshape(r1 - r0, cols, 4)
+            raw = rec.view(np.uint8).reshape(r1 - r0, -1)
+            text = memoryview(raw.tobytes().translate(None, b"\0"))
+            pos = 0
+            for a, b in zip(cuts, cuts[1:]):
+                if a % m == 0:
+                    fh = open(folder / names[a // m], "wb")
+                    fh.write(head)
+                size = np.count_nonzero(raw[a - r0 : b - r0])
+                fh.write(text[pos : pos + size])
+                pos += size
+                if b % m == 0:
+                    fh.close()
+                    fh = None
+    finally:
+        if fh is not None:
+            fh.close()
+
+
 def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[str]:
     """One snapshot CSV per stored time plus an index CSV; returns paths written."""
     prefix = Path(prefix)
@@ -476,18 +531,9 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
             raise ValueError("fuel table must align with the trajectory values")
         header += [f"y_{i + 1}" for i in range(n)]
         tables.append(fuel_table)
-    # '%.17g' % v runs the same CPython routine as _fmt(v), so one '%' over a
-    # whole snapshot writes the bytes a value-by-value _fmt loop would.  The
-    # grid column is the same in every snapshot: it is rendered once here and
-    # baked into the row template, so each snapshot formats its values only.
-    values_fmt = ",%.17g" * (len(header) - 1) + "\n"
-    template = ",".join(header) + "\n" + "".join(
-        "%.17g" % x + values_fmt for x in traj.grid.x.tolist())
     names = [f"{prefix.name}_snap_{k:05d}.csv" for k in range(traj.times.size)]
-    for k, name in enumerate(names):
-        cols = np.concatenate([table[k] for table in tables])
-        with open(prefix.parent / name, "w") as fh:
-            fh.write(template % tuple(cols.T.ravel().tolist()))
+    if names:
+        _write_snapshots(prefix.parent, names, header, traj.grid.x, tables)
 
     index_path = prefix.parent / f"{prefix.name}_index.csv"
     norms = layer_l2(traj.values, traj.grid.dx)

@@ -56,9 +56,12 @@ def arrhenius_g(theta, E: float):
     # smaller E every theta > 0 is computed.
     cut = E / 745.5
     live = th > (cut if cut >= _TINY else 0.0)
-    out = np.zeros(th.shape)
-    arg = np.divide(-E, th[live])
-    out[live] = np.exp(arg, out=arg)
+    if live.all():  # same bits as the masked path, without its gather and scatter
+        out = np.exp(np.divide(-E, th))
+    else:
+        out = np.zeros(th.shape)
+        arg = np.divide(-E, th[live])
+        out[live] = np.exp(arg, out=arg)
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -4,6 +4,7 @@ contract, exercised end to end through cli()."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from textwrap import dedent
 
@@ -369,7 +370,16 @@ def test_trajectory_round_trip_with_fuel(tmp_path):
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 9.999999999999999e-5, 1e-4,
-               1e16, 1e17, -1e300, 0.1, 1 / 3]
+               1e16, 1e17, -1e300, 0.1, 1 / 3,
+               # exact ties at the 17th digit, which round half to even
+               0.0010004043579101562, 1.0251998901367188e-05,
+               # 1e23 is 9.9999999999999992e+22; 9.9999999999999991e-06 has E = -6
+               1e23, 9.9999999999999991e-06,
+               # one ulp either side of 1e16 and 1e17, the last fixed-notation decade
+               9999999999999998.0, 1.0000000000000002e16,
+               9.999999999999998e16, 1.0000000000000002e17,
+               # the smallest normal and the largest finite double
+               2.2250738585072014e-308, 1.7976931348623157e308]
 
 
 def _edge_trajectory():
@@ -418,7 +428,7 @@ def test_trajectory_bytes_are_pinned(tmp_path, with_fuel):
 
 def test_trajectory_round_trip_smallest_grid(tmp_path):
     grid = make_grid(-2.5e-310, 1e17, 3)
-    values = np.array(EDGE_VALUES).reshape(2, 2, 3)
+    values = np.array(EDGE_VALUES[:12]).reshape(2, 2, 3)
     traj = SolutionTrajectory(np.array([1 / 3, 1.0]), values, grid)
     table = values[:, ::-1, ::-1]
     with np.errstate(over="ignore"):
@@ -428,6 +438,41 @@ def test_trajectory_round_trip_smallest_grid(tmp_path):
     assert back.times.tobytes() == traj.times.tobytes()
     assert back.values.tobytes() == values.tobytes()
     assert fuel.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("name", ["drift_benchmark", "ignition_coupled"])
+def test_simulate_snapshots_match_the_format_reference(tmp_path, name):
+    """Every snapshot of a shipped run has the bytes of one '%.17g' per value."""
+    assert cli(["simulate", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "run")]) == 0
+    traj, fuel = read_trajectory(tmp_path / "run")
+    assert (fuel is not None) == (name == "ignition_coupled")
+    header = ["x"] + [f"{c}_{i + 1}" for c in ("uy" if fuel is not None else "u")
+                      for i in range(traj.n)]
+    # snapshots are rendered _RENDER_BLOCK // cols rows at a time across
+    # files: the drift run's 1024-row snapshots fill its blocks exactly, the
+    # ignition run's 401-row snapshots straddle them
+    rows, m = io_cli._RENDER_BLOCK // (len(header) - 1), traj.grid.m
+    assert traj.times.size * m > 10 * rows
+    assert (rows % m != 0) == (name == "ignition_coupled")
+    for k in range(traj.times.size):
+        cols = [traj.grid.x, *traj.values[k]] + (list(fuel[k]) if fuel is not None else [])
+        assert (tmp_path / f"run_snap_{k:05d}.csv").read_text() == _csv_text(header, cols)
+
+
+def test_write_trajectory_peak_memory_is_one_render_block(tmp_path):
+    grid = make_grid(-1.0, 1.0, 1024)
+    values = np.random.default_rng(10).standard_normal((100, 2, grid.m))
+    traj = SolutionTrajectory(np.arange(100.0), values, grid)
+    write_trajectory(traj, tmp_path / "warm")  # the kernel's tables are built once
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, tmp_path / "mem", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 420 B per value of a 4096-value block; the text of the whole
+    # trajectory would take 11 MB
+    assert peak < 2.5e6 < 2 * values.nbytes
 
 
 def test_read_trajectory_accepts_crlf_and_trailing_blank_lines(tmp_path):

@@ -36,6 +36,24 @@ def test_g_vanishes_for_nonpositive_temperature():
     np.testing.assert_allclose(out, [0.0, 0.0, np.exp(-1.0)])
 
 
+def test_g_all_live_path_has_the_masked_paths_bits():
+    E = 0.7
+    theta = np.random.default_rng(3).uniform(1e-2, 5.0, 1001)  # odd: a SIMD tail
+    sel = np.ones(theta.size, dtype=bool)
+    masked = np.zeros(theta.size)
+    masked[sel] = np.exp(np.divide(-E, theta[sel]))
+    assert arrhenius_g(theta, E).tobytes() == masked.tobytes()
+
+    mixed = theta.copy()
+    mixed[::7] *= -1.0
+    mixed[3] = 0.0
+    mixed[5] = E / 1000.0  # below the cut E/745.5: set to 0 without exp
+    live = mixed > E / 745.5
+    out = arrhenius_g(mixed, E)  # the masked path
+    assert not live.all() and not out[~live].any()
+    assert out[live].tobytes() == arrhenius_g(mixed[live], E).tobytes()
+
+
 def test_g_at_activation_temperature():
     for E in (1.0, 0.5, 7.3):
         np.testing.assert_allclose(arrhenius_g(E, E), np.exp(-1.0), rtol=1e-15)
