@@ -27,16 +27,32 @@ A^{-1} v - v; a dt = 0 step has A = I and is exactly the identity.
 The n layers are decoupled, so the matrices A of all layers are stacked into
 one tridiagonal of size n*m whose seam entries (the first row's sub-diagonal
 and the last row's super-diagonal of each layer) are zero.  Each step factors
-it once with LAPACK's tridiagonal LU (dgttrf); every later application is
-one dgttrs call over the raveled layers.  The factors are block diagonal, so
-each layer's result is the per-layer solve.
+it once and every later application is one LAPACK solve over the raveled
+layers.  The factors are block diagonal, so each layer's result is the
+per-layer solve.
+
+The drift-diffusion generator is self-adjoint in an exponentially weighted
+L^2, and on the grid the same holds for A: when every opposite pair of
+off-diagonals A[i, i+1], A[i+1, i] of a layer is negative, A = D^{-1} S D
+with D = diag(s), s_0 = 1 and s_{i+1}/s_i = sqrt(A[i, i+1]/A[i+1, i]), and
+S symmetric tridiagonal with A's diagonal and off-diagonals
+e_i = -sqrt(A[i, i+1]*A[i+1, i]).  S has A's eigenvalues, which are positive
+as A is strictly diagonally dominant with a positive diagonal, so LAPACK's
+dpttrf factors S as L D L^T, and an apply solves A x = v as
+x = dpttrs(s*v)/s, at about half the cost of the general dgttrs.  D only
+changes how the system is solved, not the step.  An operator keeps the
+general tridiagonal LU (dgttrf, dgttrs) when some pair is not negative
+(central differences at a cell Peclet number of exactly 2, or above it when
+forced, no diffusion, or a dt = 0 step) or when s leaves the normal float
+range (the integral of |beta|/(2*alpha) across a layer beyond about 700, s
+spanning over 300 decades); the choice is read from each operator's bands.
 
 build_propagators assembles all steps of a time lattice: fuel samples,
 coefficients, stencils and bands are computed over blocks of time steps at
-once, shape (steps, n, m), and dgttrf factors one step at a time.  A step's
+once, shape (steps, n, m), and LAPACK factors one step at a time.  A step's
 operator depends only on its fuel sample and dt, so each step is keyed by
 its run of bitwise-equal adjacent fuel samples and its dt bit pattern, and
-the steps of a key share one set of factors, assembled once.  A
+the steps of a key share one Propagator, assembled once.  A
 time-invariant fuel samples as one broadcast field, so its whole lattice is
 one run and its keys are its dt patterns: a lattice dt*k, whose steps round
 to a few distinct dt values, holds a handful of operators (8 for 500 steps
@@ -66,10 +82,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .grid import Grid, steps_per_block
 from .model import LayerParams, coefficient_fields, source_f
+
+# the normal float range, which the scales of a symmetrized step stay in
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
 
 def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
     """Tridiagonals (sub, main, sup) of L_h for stacked layers, shape (..., n, m)."""
@@ -115,24 +135,82 @@ def check_theta(theta: float) -> None:
 class Propagator:
     """One theta-scheme step of the homogeneous evolution.
 
-    Holds the dgttrf factors of A = I + theta*dt*L_h for all layers stacked
-    into one tridiagonal of size n*m, and applies the step as
-    v + (A^{-1} v - v)/theta (module docstring).  No explicit band is kept.
-    The factors are not written after assembly, so the Propagators of steps
-    with one key (build_propagators) share them.
+    Holds the factors of A = I + theta*dt*L_h for all layers stacked into one
+    tridiagonal of size n*m, and applies the step as v + (A^{-1} v - v)/theta
+    (module docstring).  With a scale s, lu is dpttrf's (d, e) of the
+    symmetric S = D A D^{-1}, D = diag(s); without one it is dgttrf's
+    (dl, d, du, du2, ipiv) of A.  No explicit band is kept.  The factors are
+    not written after assembly, so the steps of one key (build_propagators)
+    share one Propagator.
     """
 
-    lu: tuple  # dgttrf factors (dl, d, du, du2, ipiv) of the stacked I + theta*dt*L
+    lu: tuple
     theta: float
+    scale: np.ndarray | None = None
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         v = values.ravel()
-        # dgttrs reports only illegal arguments, which the factor shapes rule out
-        x, _ = dgttrs(*self.lu, v)
+        # the solvers report only illegal arguments, which the factor shapes rule out
+        if self.scale is None:
+            x, _ = dgttrs(*self.lu, v)
+        else:
+            x, _ = dpttrs(*self.lu, self.scale * v, overwrite_b=True)
+            x /= self.scale
         x -= v
         x /= self.theta
         x += v
         return x.reshape(values.shape)
+
+
+def _symmetrizable(sup: np.ndarray, s: np.ndarray) -> bool:
+    """Whether the pairs whose upper entries are sup are all negative (a ratio
+    that is not positive and finite has made s NaN, 0 or inf) and the scales s
+    are normal floats."""
+    return sup.max() < 0.0 and s.min() >= _TINY and s.max() <= _HUGE
+
+
+def _factor(d: np.ndarray, dl: np.ndarray, du: np.ndarray,
+            theta: float) -> list[Propagator]:
+    """The Propagators of a block of heads from A's bands, each (heads, n, m).
+
+    dl[..., 0] and du[..., -1] are zero.  A symmetrizable head is factored by
+    dpttrf in place of its bands: e_i goes to dl[..., i+1], so each head's
+    stacked e is its raveled dl without the first entry, zero at the seams as
+    the stacked sub-diagonal was.  Any other head is factored by dgttrf from
+    copies.
+    """
+    heads = d.shape[0]
+    s = np.empty_like(d)
+    sub, sup, flat = dl.reshape(-1)[1:], du.reshape(-1)[:-1], s.reshape(-1)
+    dls, ds, dus = (dl.reshape(heads, -1)[:, 1:], d.reshape(heads, -1),
+                    du.reshape(heads, -1)[:, :-1])
+    scales = s.reshape(heads, -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # raveled pairs (du_i, dl_{i+1}); the pairs across a seam are 0/0
+        np.divide(sup, sub, out=flat[1:])
+        s[..., 0] = 1.0
+        np.sqrt(flat, out=flat)
+        np.cumprod(s, axis=-1, out=s)
+        every = _symmetrizable(du[..., :-1], s)
+        # dgttrf copies the bands, before e overwrites them
+        general = {h: dgttrf(dls[h], ds[h], dus[h]) for h in range(heads)
+                   if not (every or _symmetrizable(du[h, :, :-1], scales[h]))}
+        # e_i = -sqrt(du_i*dl_{i+1}) over dl_{i+1}; the pairs across a seam give -0.0
+        np.multiply(sub, sup, out=sub)
+        np.sqrt(sub, out=sub)
+        np.negative(sub, out=sub)
+    ops = []
+    for h in range(heads):
+        if h in general:
+            *lu, info = general[h]
+        else:
+            *lu, info = dpttrf(ds[h], dls[h], overwrite_d=True, overwrite_e=True)
+        if info != 0:
+            # unreachable: A is strictly diagonally dominant and S shares its
+            # positive spectrum, so not a config error
+            raise RuntimeError(f"LAPACK could not factor the step matrix (info {info})")
+        ops.append(Propagator(tuple(lu), theta, None if h in general else scales[h]))
+    return ops
 
 
 def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
@@ -141,8 +219,8 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
 
     A step's key is its run of bitwise-equal adjacent fuel samples and its
     dt bit pattern.  Assembly runs over blocks of steps_per_block steps, and
-    only the first step of each key is assembled and factored; the
-    Propagators of a key share its factors, across blocks too.
+    only the first step of each key is assembled and factored; the steps of
+    a key share its Propagator, across blocks too.
     """
     check_theta(theta)
     times = np.asarray(times, dtype=float)
@@ -151,7 +229,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
         raise ValueError("t_to must not precede t_from")
     grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
-    factors: dict[tuple, tuple] = {}
+    ops: dict[tuple, Propagator] = {}
     props: list[Propagator] = []
     block = steps_per_block(p.n * grid.m)
     run, last_y = 0, None
@@ -163,33 +241,24 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
         keys = list(zip(runs.tolist(), dt.view(np.uint64).tolist()))
         new: dict[tuple, int] = {}  # key -> the block step that builds it
         for j, key in enumerate(keys):
-            if key not in factors and key not in new:
+            if key not in ops and key not in new:
                 new[key] = j
         if new:
             heads = list(new.values())
-            alpha, beta = coefficient_fields(p, ys[heads])
-            sub, main, sup = _stencil(alpha, beta, grid.dx, scheme)
+            # A = I + theta*dt*L_h in place of L_h's bands
+            dl, d, du = _stencil(*coefficient_fields(p, ys[heads]), grid.dx, scheme)
             w_imp = theta * dt[heads, None, None]
-            d = 1.0 + w_imp * main
-            dl = w_imp * sub
-            du = w_imp * sup
-            if scheme == "central":
-                margin = d - np.abs(dl) - np.abs(du)
-                if margin.min() <= 0.0:
-                    raise ValueError(
-                        "forced-central implicit matrix lost diagonal dominance; "
-                        "reduce dt or use scheme='auto'/'upwind'"
-                    )
-            for h, key in enumerate(new):
-                # sub[..., 0] and sup[..., -1] are zero, so the stacked bands do not couple layers
-                *lu, info = dgttrf(dl[h].ravel()[1:], d[h].ravel(), du[h].ravel()[:-1],
-                                   overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-                if info != 0:
-                    # unreachable for a diagonally dominant matrix, so not a config error
-                    raise RuntimeError(
-                        f"dgttrf failed on the implicit step matrix (info {info})")
-                factors[key] = tuple(lu)
-        props.extend(Propagator(factors[key], theta) for key in keys)
+            dl *= w_imp
+            du *= w_imp
+            d *= w_imp
+            d += 1.0
+            if scheme == "central" and (d - np.abs(dl) - np.abs(du)).min() <= 0.0:
+                raise ValueError(
+                    "forced-central implicit matrix lost diagonal dominance; "
+                    "reduce dt or use scheme='auto'/'upwind'"
+                )
+            ops.update(zip(new, _factor(d, dl, du, theta)))
+        props.extend(ops[key] for key in keys)
     return props
 
 

@@ -314,17 +314,22 @@ class TabulatedFuel(_Fuel):
             return self._sample(grid, np.array([t]))[0]
         ts = self.times
         t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + self.table.shape[1:])
         first = t <= ts[0]
         last = ~first & (t >= ts[-1])
-        out[first] = self.table[0]
-        out[last] = self.table[-1]
         inner = ~(first | last)
+        k = np.searchsorted(ts, t)  # ts[k-1] < t <= ts[k] where inner
+        # the lower bracket, or the first or last field, is gathered as the output
+        out = self.table.take(np.where(first, 0, np.where(last, ts.size - 1, k - 1)), axis=0)
         if inner.any():
-            ti = t[inner]
-            k = np.searchsorted(ts, ti)
-            w = ((ti - ts[k - 1]) / (ts[k] - ts[k - 1]))[:, None, None]
-            out[inner] = (1.0 - w) * self.table[k - 1] + w * self.table[k]
+            # (1 - w)*table[k-1] + w*table[k] on the inner rows, with one temporary
+            ki = k[inner]
+            w = np.zeros(t.shape)
+            w[inner] = (t[inner] - ts[ki - 1]) / (ts[ki] - ts[ki - 1])
+            w, rows = w[..., None, None], inner[..., None, None]
+            np.multiply(out, 1.0 - w, out=out, where=rows)
+            upper = self.table.take(np.where(inner, k, 0), axis=0)
+            np.multiply(upper, w, out=upper, where=rows)
+            np.add(out, upper, out=out, where=rows)
         return out
 
     def envelope(self, grid: Grid, t0: float, t1: float):

@@ -4,6 +4,7 @@ scheme switching, and the conservative boundary closure."""
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from conftest import constant_problem, random_field, shipped_config
 from layerburn.evolution import (
@@ -44,20 +45,35 @@ def _banded(sub, main, sup):
     return ab
 
 
-def _layer_step(tri, w_imp, theta, v):
+def _layer_step(tri, w_imp, theta, v, symmetric):
     """One layer's step v + (A^{-1} v - v)/theta, A = I + w_imp*L_h from the
-    layer's generator bands tri (3, m), with one banded solve per layer."""
+    layer's generator bands tri (3, m), with one solve per layer: LAPACK's
+    L D L^T of S = D A D^{-1}, D = diag(s), when symmetric, else a banded LU."""
     sub, main, sup = tri
-    imp = (w_imp * sub, 1.0 + w_imp * main, w_imp * sup)
-    return v + (solve_banded((1, 1), _banded(*imp), v) - v) / theta
+    dl, d, du = w_imp * sub, 1.0 + w_imp * main, w_imp * sup
+    if symmetric:
+        s = np.concatenate([[1.0], np.cumprod(np.sqrt(du[:-1] / dl[1:]))])
+        d, e, info = dpttrf(d, -np.sqrt(dl[1:] * du[:-1]))
+        assert info == 0
+        x = dpttrs(d, e, s * v)[0] / s
+    else:
+        x = solve_banded((1, 1), _banded(dl, d, du), v)
+    return v + (x - v) / theta
 
 
 def _assert_layer_steps(prop, gen, w_imp, theta, v):
-    """prop applies, layer by layer, bitwise as the per-layer reference."""
+    """prop applies, layer by layer, bitwise as the per-layer reference of the
+    factorization it holds."""
     got = prop.apply_values(v)
     assert got.shape == v.shape
     for i in range(v.shape[0]):
-        assert np.array_equal(got[i], _layer_step(gen[i], w_imp, theta, v[i]))
+        ref = _layer_step(gen[i], w_imp, theta, v[i], prop.scale is not None)
+        assert np.array_equal(got[i], ref)
+
+
+def _arrays(prop):
+    """The arrays a Propagator holds: its factors, then its scale if it has one."""
+    return prop.lu if prop.scale is None else prop.lu + (prop.scale,)
 
 
 def _march(p, fuel, times, values, theta=0.5):
@@ -274,9 +290,56 @@ def test_stacked_kernel_matches_dense_per_layer_solve():
         assert np.linalg.norm(fwd[i] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_both_kernel_paths_match_dense_per_layer_solve():
+    # every layer of a step against np.linalg.solve on its dense A, within
+    # 1e-12 of the layer's norm, and the path each operator takes: the
+    # symmetrized dpttrs when every off-diagonal pair is negative and the
+    # scale stays in the float range, else the general dgttrs
+    smooth = make_grid(-10.0, 10.0, 64)
+    varied = _variable_params(smooth, 3)
+    varied.c[:, :16] *= 40.0  # cell Peclet above 2 there
+    decay = PrescribedFuel([GaussianDecayFuel(0.5 * k, 2.0, 0.9) for k in range(3)])
+    fine = make_grid(0.0, 1.0, 65)  # dx = 2**-6, alpha = 1: cell Peclet c/64
+    long = make_grid(0.0, 1.0, 1025)
+    steady = PrescribedFuel([ConstantFuel(1.0)] * 2)
+
+    def const(grid, c):
+        return LayerParams.constants(grid, 2, a=1.0, c=c, lam=1.0)
+
+    cases = [  # grid, params, fuel, scheme, dt, theta, symmetric
+        (smooth, varied, decay, "auto", 0.05, 0.5, True),
+        (smooth, varied, decay, "upwind", 0.05, 0.7, True),
+        (smooth, _variable_params(smooth, 3), decay, "central", 0.05, 1.0, True),
+        # forced central at cell Peclet 3: one off-diagonal positive, margin 0.59
+        (fine, const(fine, 192.0), steady, "central", 2e-4, 0.5, False),
+        # forced central at cell Peclet exactly 2: sup is exactly zero
+        (fine, const(fine, 128.0), steady, "central", 2e-4, 0.7, False),
+        # anti-diffusion (lam < 0, which the audit refuses): both off-diagonals
+        # of every pair are positive
+        (fine, LayerParams.constants(fine, 2, a=1.0, lam=-1.0), steady, "auto", 2e-5, 0.5,
+         False),
+        # upwind at cell Peclet 6 over 1,024 cells: s would fall to 7**-512
+        (long, const(long, 6144.0), steady, "upwind", 1e-4, 1.0, False),
+    ]
+    rng = np.random.default_rng(13)
+    for grid, p, spec, scheme, dt, theta, symmetric in cases:
+        fuel = GriddedFuel(spec, grid)
+        prop = build_propagator(p, fuel, 0.1, 0.1 + dt, theta, scheme)
+        assert (prop.scale is not None) == symmetric, (scheme, p.c.max())
+        gen = _generator(p, fuel, 0.1 + 0.5 * dt, scheme)
+        v = rng.standard_normal((p.n, grid.m))
+        got = prop.apply_values(v)
+        for i in range(p.n):
+            L = _dense(*gen[i])
+            A = np.eye(grid.m) + theta * dt * L
+            B = np.eye(grid.m) - (1.0 - theta) * dt * L
+            ref = np.linalg.solve(A, B @ v[i])
+            assert np.linalg.norm(got[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_stacked_kernel_equals_per_layer_banded_reference():
-    # one banded solve per layer, as the kernel did before the layers were
-    # stacked, for every admitted theta
+    # one solve per layer, as the kernel did before the layers were stacked,
+    # with the factorization the operator holds, for every admitted theta
     rng = np.random.default_rng(6)
     for theta in (0.5, 0.7, 1.0):
         prop, gen, w_imp, _ = _variable_kernel_case(theta=theta)
@@ -301,24 +364,34 @@ def test_stacked_layers_are_decoupled_at_the_seams():
 
 
 def test_propagator_factors_stack_every_layer():
+    # c = 0.5 symmetrizes; forced central at cell Peclet 2.5 (c = 4, still
+    # diagonally dominant) keeps the LU factors
     grid = make_grid(-10.0, 10.0, 33)
-    for n in (2, 3, 4):
-        p = LayerParams.constants(grid, n, a=1.0, c=0.5, lam=1.0)
-        fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * n), grid)
-        prop = build_propagator(p, fuel, 0.0, 0.01)
-        assert prop.lu[1].shape == (n * grid.m,)
-        _assert_layer_steps(prop, _generator(p, fuel, 0.005), 0.5 * 0.01, 0.5,
-                            np.ones((n, grid.m)))
-    # one layer: the first layer's slice of the stacked factors, which the
-    # zero seam entries leave without a pivot across the seam
     m = grid.m
-    dl, d, du, du2, ipiv = prop.lu
-    one = Propagator((dl[: m - 1], d[:m], du[: m - 1], du2[: m - 2], ipiv[:m]), 0.5)
-    assert one.lu[1].shape == (m,)
-    v = np.random.default_rng(11).standard_normal((n, m))
-    assert np.array_equal(one.apply_values(v[:1]), prop.apply_values(v)[:1])
-    # a zero-length step too
-    assert build_propagator(p, fuel, 0.2, 0.2).lu[1].shape == (n * m,)
+    for c, scheme in ((0.5, "auto"), (4.0, "central")):
+        for n in (2, 3, 4):
+            p = LayerParams.constants(grid, n, a=1.0, c=c, lam=1.0)
+            fuel = GriddedFuel(PrescribedFuel([ConstantFuel(1.0)] * n), grid)
+            prop = build_propagator(p, fuel, 0.0, 0.01, scheme=scheme)
+            if scheme == "auto":
+                d, e = prop.lu
+                assert d.shape == prop.scale.shape == (n * m,) and e.shape == (n * m - 1,)
+            else:
+                assert prop.scale is None and prop.lu[1].shape == (n * m,)
+            _assert_layer_steps(prop, _generator(p, fuel, 0.005, scheme), 0.5 * 0.01, 0.5,
+                                np.ones((n, m)))
+        # one layer: the first layer's slice of the stacked factors, which the
+        # zero seam entries leave without a coupling or a pivot across the seam
+        if scheme == "auto":
+            one = Propagator((d[:m], e[: m - 1]), 0.5, prop.scale[:m])
+        else:
+            dl, d, du, du2, ipiv = prop.lu
+            one = Propagator((dl[: m - 1], d[:m], du[: m - 1], du2[: m - 2], ipiv[:m]), 0.5)
+        v = np.random.default_rng(11).standard_normal((n, m))
+        assert np.array_equal(one.apply_values(v[:1]), prop.apply_values(v)[:1])
+    # a zero-length step has zero off-diagonals, so it keeps the stacked LU factors
+    zero = build_propagator(p, fuel, 0.2, 0.2)
+    assert zero.scale is None and zero.lu[1].shape == (n * m,)
 
 
 def test_batched_build_equals_per_step_builds():
@@ -340,8 +413,8 @@ def test_batched_build_equals_per_step_builds():
     v = rng.standard_normal((n, m))
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
-        assert len(prop.lu) == len(one.lu) == 5
-        for got, ref in zip(prop.lu, one.lu):
+        assert len(_arrays(prop)) == len(_arrays(one)) == 3  # symmetrized: d, e, s
+        for got, ref in zip(_arrays(prop), _arrays(one)):
             assert np.array_equal(got, ref)
         assert np.array_equal(prop.apply_values(v), one.apply_values(v))
         gen = _generator(p, fuel, 0.5 * (times[k] + times[k + 1]))
@@ -387,7 +460,7 @@ def _bits(a):
 
 def _shared(a, b):
     """Whether each of a's factor arrays overlaps b's."""
-    return [np.shares_memory(x, y) for x, y in zip(a.lu, b.lu)]
+    return [np.shares_memory(x, y) for x, y in zip(_arrays(a), _arrays(b))]
 
 
 def _check_runs(p, fuel, times, theta=0.5):
@@ -409,7 +482,8 @@ def _check_runs(p, fuel, times, theta=0.5):
     run = 0
     for k, prop in enumerate(props):
         one = build_propagator(p, fuel, float(times[k]), float(times[k + 1]), theta)
-        for got, ref in zip(prop.lu, one.lu):
+        assert len(_arrays(prop)) == len(_arrays(one))
+        for got, ref in zip(_arrays(prop), _arrays(one)):
             assert np.array_equal(got, ref)
         if k and not np.array_equal(samples[k], samples[k - 1]):
             run += 1
@@ -509,7 +583,8 @@ def test_signed_zero_fuel_samples_do_not_share():
     assert len(heads) == 3
     for k in heads[1:]:  # equal operators, built apart
         assert not any(_shared(props[k], props[k - 1]))
-        for got, ref in zip(props[k].lu, props[k - 1].lu):
+        assert len(_arrays(props[k])) == len(_arrays(props[k - 1]))
+        for got, ref in zip(_arrays(props[k]), _arrays(props[k - 1])):
             assert np.array_equal(got, ref)
 
 

@@ -402,7 +402,7 @@ def test_drift_solve_peak_stays_under_2_1_trajectories():
     # block-sized temporaries, the constant fuel is one broadcast field and
     # its operators are factored once per distinct dt, so the traced peak of
     # the 500-step m = 1024 drift solve stays under 2.1 trajectories; it
-    # measures 1.3
+    # measures 1.24
     res, peak = _traced_peak(solve_global, "drift_benchmark")
     assert res.trajectory.values.shape == (501, 2, 1024)
     assert peak < 2.1 * res.trajectory.values.nbytes
@@ -411,8 +411,9 @@ def test_drift_solve_peak_stays_under_2_1_trajectories():
 def test_coupled_ignition_peak_stays_under_4_6_trajectories():
     # a coupled pass holds its trajectory, the previous pass's (its guess)
     # and the fuel table, which the restep rewrites in place; on top of those
-    # three the largest window (77 steps) holds its step factors, 0.71
-    # trajectories, and its block temporaries; it measures 4.44
+    # three the largest window (77 steps) holds its step factors (d, e and
+    # the scale s per node), 0.46 trajectories, and its block temporaries; it
+    # measures 4.17
     res, peak = _traced_peak(solve_coupled, "ignition_coupled")
     assert res.trajectory.values.shape == (501, 2, 401)
     assert res.outer_iterations >= 2

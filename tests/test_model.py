@@ -1,12 +1,14 @@
 """Arrhenius nonlinearity, coefficient fields, the source term, and fuel
 models with the coupled-fuel restep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import shipped_problem, smooth_bump
+from conftest import shipped_config, shipped_problem, smooth_bump
 from layerburn.evolution import GriddedFuel
-from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
+from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid, time_lattice
 from layerburn.hypothesis import check_H2
 from layerburn.model import (
     ConstantFuel,
@@ -456,6 +458,28 @@ def test_scalar_tabulated_sample_equals_scalar_reference():
     for fuel in fuels:
         for t in times:
             _assert_bitwise(fuel.sample(g, t), _tabulated_scalar_reference(fuel, t))
+
+
+def test_tabulated_sample_of_the_ignition_lattice_holds_one_temporary():
+    # sampling a coupled pass's table at its 501 nodes gathers the lower
+    # brackets as the output and adds w*table[k] from one temporary, so the
+    # traced peak stays under 2.2 outputs; it measures 2.03 (4.01 when both
+    # brackets and both products were fancy-indexed copies)
+    config = shipped_config("ignition_coupled")
+    prob = config.problem()
+    times = time_lattice(config.T, config.solver.dt)
+    y0 = prob.fuel.sample(prob.grid, 0.0)
+    fuel = TabulatedFuel(times, y0 * np.linspace(1.0, 0.5, times.size)[:, None, None])
+    tracemalloc.start()
+    try:
+        out = fuel.sample(prob.grid, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (501, 2, 401)
+    assert peak < 2.2 * out.nbytes
+    for k in (0, 1, 250, 500):
+        _assert_bitwise(out[k], _tabulated_scalar_reference(fuel, times[k]))
 
 
 def test_array_time_sample_equals_stacked_scalar_samples():
