@@ -89,6 +89,7 @@ from .model import LayerParams, coefficient_fields, source_f
 
 # the normal float range, which the scales of a symmetrized step stay in
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+SCHEMES = ("auto", "central", "upwind")  # the advection stencils of _stencil
 
 
 def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):

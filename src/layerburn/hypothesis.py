@@ -19,6 +19,9 @@ continuation step epsilon(t0).
 
 kappa and mu are built from rigorous per-node fuel envelopes over the time
 span rather than probe-time sups, so the bounds hold for every t in the span.
+lipschitz_kappa takes the envelope once and returns kappa with
+mu0 = sup ||f(t, 0)||; the caller forms mu = kappa*rho + mu0.  A continuation
+radius beyond the float range is inf.
 beta is a closed-form upper bound per probe step: the log-norm of each
 layer's tridiagonal generator, turned into a step-norm bound by von Neumann's
 theorem for the A-stable theta-step (Soederlind, BIT 46 (2006) 631-652).  It
@@ -37,7 +40,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .evolution import GriddedFuel, check_theta, generator_bands, repeats
 from .grid import GUARD_BAND_TOL, Grid, guard_band_ratio, l2_norm, layer_l2
-from .model import LayerParams, Problem, central_gradient, g_prime_sup
+from .model import LayerParams, Problem, capacity, central_gradient, g_prime_sup
 
 
 H2_PROBES = 33  # fuel probe times of the H2 check, evenly spread over [0, T]
@@ -159,27 +162,21 @@ def check_H3(p: LayerParams, grid: Grid) -> CheckResult:
 # quantitative constants
 
 
-def _envelopes(p: LayerParams, fuel: GriddedFuel, t_span: tuple[float, float]):
-    ylo, yhi = fuel.envelope(float(t_span[0]), float(t_span[1]))
-    den_lo = p.a + p.b * ylo
-    den_hi = p.a + p.b * yhi
-    if min(den_lo.min(), den_hi.min()) <= 0.0:
-        raise ValueError("a + b*y must stay positive over the span (admissibility)")
-    return ylo, yhi, den_lo, den_hi
-
-
 def lipschitz_kappa(p: LayerParams, fuel: GriddedFuel, rho: float,
-                    t_span: tuple[float, float]) -> float:
-    """Lipschitz bound for the source on the radius-rho ball, valid on t_span.
+                    t_span: tuple[float, float]) -> tuple[float, float]:
+    """Source bounds (kappa, mu0) on the radius-rho ball, valid on t_span.
 
-    Per layer: sup|c_x|/den + sup|K b y/den|*(rho*||g'|| + ||g||)
-    + sup|d y/den|*||g'|| + 2*sum(adjacent sup|q|/den) + sup|qhat|/den,
-    maximized over the rigorous fuel envelope; the result is the max over
-    layers.  Monotone nondecreasing in rho.
+    kappa is the Lipschitz bound, per layer
+    sup|c_x|/den + sup|K b y/den|*(rho*||g'|| + ||g||) + sup|d y/den|*||g'||
+    + 2*sum(adjacent sup|q|/den) + sup|qhat|/den, maximized over the rigorous
+    fuel envelope and then over layers; it is monotone nondecreasing in rho.
+    mu0 = sup_t ||f(t, 0)||, so mu = kappa*rho + mu0 bounds the source's
+    magnitude on the ball.  The fuel envelope is taken once for both.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    ylo, yhi, den_lo, den_hi = _envelopes(p, fuel, t_span)
+    ylo, yhi = fuel.envelope(float(t_span[0]), float(t_span[1]))
+    den_lo, den_hi = capacity(p, ylo), capacity(p, yhi)
     gp = g_prime_sup(p.E)
     const1 = rho * gp + 1.0  # Lipschitz factor for theta*g(theta) on the ball
     n = p.n
@@ -205,18 +202,10 @@ def lipschitz_kappa(p: LayerParams, fuel: GriddedFuel, rho: float,
         if i == n - 1:
             om += float(np.max(np.abs(p.qhat2) / den_lo[i]))
         kappas.append(gam + dl * const1 + sg * gp + 2.0 * eps_sum + om)
-    return float(max(kappas))
-
-
-def bound_mu(p: LayerParams, fuel: GriddedFuel, rho: float,
-             t_span: tuple[float, float]) -> float:
-    """Source magnitude bound on the radius-rho ball: kappa*rho + sup||f(t, 0)||."""
-    kap = lipschitz_kappa(p, fuel, rho, t_span)
-    _, _, den_lo, _ = _envelopes(p, fuel, t_span)
     dx = fuel.grid.dx
     f0_first = float(layer_l2(np.abs(p.qhat1 * p.u_e) / den_lo[0], dx))
     f0_last = float(layer_l2(np.abs(p.qhat2 * p.u_e) / den_lo[-1], dx))
-    return kap * rho + max(f0_first, f0_last)
+    return float(max(kappas)), max(f0_first, f0_last)
 
 
 def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
@@ -284,7 +273,11 @@ def contraction_step(kappa: float, beta: float, mu: float, rho: float, R: float,
 
 
 def continuation_radius(t0: float, phi_norm: float, beta: float) -> float:
-    return 2.0 * phi_norm * math.exp(beta * (t0 + 1.0))
+    """R(t0) = 2*||phi||*e^{beta*(t0+1)}; inf where e^{beta*(t0+1)} overflows."""
+    try:
+        return 2.0 * phi_norm * math.exp(beta * (t0 + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def continuation_epsilon(t0: float, phi_norm: float, kappa: float, mu: float,
@@ -378,8 +371,8 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
     h = T / 512.0
     probe_times = np.linspace(0.0, T - h, BETA_PROBES)
     report.beta, omega = growth_beta(problem.params, fuel, probe_times, h, theta, scheme)
-    report.kappa = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
-    report.mu = bound_mu(problem.params, fuel, report.rho, (0.0, T))
+    report.kappa, mu0 = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
+    report.mu = report.kappa * report.rho + mu0
     report.R = 2.0 * report.rho * math.exp(report.beta * T)
     report.T_prime = contraction_step(report.kappa, report.beta, report.mu,
                                       report.rho, report.R, T)

@@ -2,9 +2,10 @@
 
 Config files are line-oriented `key = value` under `[section]` headers with
 `#` comments.  Sections: [grid] (x_min, x_max, m), [layers] (n plus per-layer
-function specs), [fuel] (mode and per-layer families), [run] (T and the step
-dt, both required, plus solver settings and phi_i), [experiment] (oracle and
-dependence options).  Spatial profiles are function specs
+function specs), [fuel] (mode and per-layer families), [run] (T, phi_i and
+one key per SolverConfig field, of its type and with its default; T and dt
+are required), [experiment] (oracle and dependence options).  Spatial
+profiles are function specs
 
     constant(v)
     bump(base, amplitude, center, width)      base + amplitude*exp(-((x-c)/w)^2)
@@ -21,8 +22,9 @@ Exit codes are a stable contract: 0 success, 1 usage or config error,
 Every run writes a JSON manifest (config echo, package version, resolved
 solver settings) next to its outputs; CSV numbers carry 17 significant digits
 ('%.17g') so files round-trip bit-exactly.  Snapshot values are rendered a
-block at a time by a numpy kernel that writes exactly the bytes '%.17g' writes
-(layerburn.g17; it passes the few values it cannot decide to '%.17g'
+block of whole snapshots at a time, each snapshot if it alone holds more than
+_RENDER_BLOCK values, by a numpy kernel that writes exactly the bytes '%.17g'
+writes (layerburn.g17; it passes the few values it cannot decide to '%.17g'
 itself).  Set LAYERBURN_OUTDIR to redirect relative output paths.
 
 A trajectory is one `<prefix>_snap_NNNNN.csv` per stored time, a header then
@@ -42,14 +44,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dependence import PerturbationSpec, dependence_study
-from .evolution import check_theta
+from .evolution import SCHEMES
 from .grid import (Grid, SolutionTrajectory, TemperatureField, layer_l2, make_grid,
                    time_lattice)
 from .hypothesis import GrowthBoundError, HypothesisReport, audit_problem
@@ -59,9 +62,10 @@ from .mild_solver import (
     SolveResult,
     SolverConfig,
     SolverError,
-    check_window,
+    WINDOW_MODES,
     solve_coupled,
     solve_global,
+    window_steps,
 )
 from .model import (
     ConstantFuel,
@@ -74,6 +78,7 @@ from .model import (
     check_activation,
 )
 from .oracle import (
+    INTEGRATORS,
     NewtonError,
     OracleConfig,
     StabilityError,
@@ -164,6 +169,7 @@ def _parse_fuel_family(text: str, where: str):
 
 
 _SECTIONS = ("grid", "layers", "fuel", "run", "experiment")
+_RUN_CHOICES = {"scheme": SCHEMES, "window_mode": WINDOW_MODES}
 
 
 def _tokenize(text: str) -> dict:
@@ -380,23 +386,16 @@ def parse_config(text: str) -> ProblemConfig:
         raise ConfigError(f"[run] T must be positive and finite, got {T}")
     phi_rows = [run.take_spec(f"phi_{i}", "constant(0)")(x) for i in range(1, n + 1)]
     phi = TemperatureField(np.stack(phi_rows), grid)
-    solver_kwargs = dict(
-        dt=run.take_float("dt", required=True),
-        theta=run.take_float("theta", default=0.5),
-        scheme=run.take_choice("scheme", ("auto", "central", "upwind"), "auto"),
-        picard_tol=run.take_float("picard_tol", default=1e-10),
-        picard_max_iters=run.take_int("picard_max_iters", default=15),
-        window_mode=run.take_choice("window_mode", ("continuation", "contraction"),
-                                    "continuation"),
-        blowup_ceiling=run.take_float("blowup_ceiling", default=1e12),
-        coupled_outer_tol=run.take_float("coupled_outer_tol", default=1e-8),
-        coupled_outer_max=run.take_int("coupled_outer_max", default=12),
-    )
+    # one key per SolverConfig field; a field without a default (dt) is required
+    solver_kwargs = {}
+    for f in dataclass_fields(SolverConfig):
+        if f.name in _RUN_CHOICES:
+            solver_kwargs[f.name] = run.take_choice(f.name, _RUN_CHOICES[f.name], f.default)
+        elif f.default is MISSING:
+            solver_kwargs[f.name] = run.take_float(f.name, required=True)
+        else:
+            solver_kwargs[f.name] = run.take_float(f.name, f.default, cast=type(f.default))
     run.reject_leftovers()
-    try:
-        check_theta(solver_kwargs["theta"])
-    except ValueError as err:
-        raise ConfigError(f"[run] {err}") from None
     try:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as err:
@@ -405,9 +404,8 @@ def parse_config(text: str) -> ProblemConfig:
 
     exp = _Section("experiment", tokens["experiment"], defaults)
     experiment = {
-        "oracle_integrator": exp.take_choice(
-            "oracle_integrator", ("implicit-trapezoid", "explicit-rk4"),
-            "implicit-trapezoid"),
+        "oracle_integrator": exp.take_choice("oracle_integrator", INTEGRATORS,
+                                             "implicit-trapezoid"),
         "oracle_dt": exp.take_float("oracle_dt", default=None),
         "oracle_newton_tol": exp.take_float("oracle_newton_tol", default=1e-10),
         "levels": exp.take_int("levels", default=9),
@@ -466,57 +464,35 @@ def parse_config(text: str) -> ProblemConfig:
 # trajectory serialization
 
 
-_RENDER_BLOCK = 4096  # values per block: a write peaks at ~420 B per value
+# a render block is max(1, _RENDER_BLOCK // (m*cols)) whole snapshots; a write
+# peaks at about 340 B per value of one block
+_RENDER_BLOCK = 4096
 
 
 def _write_snapshots(folder: Path, names: list[str], header: list[str],
                      x: np.ndarray, tables: list[np.ndarray]) -> None:
-    """Write each snapshot's CSV, rendering about _RENDER_BLOCK values at a time.
-
-    A block is a run of rows taken across snapshots in file order, so a
-    snapshot may straddle two blocks; its file stays open until its last row.
-    """
+    """Write each snapshot's CSV, rendering a block of whole snapshots at a time."""
     from .g17 import padded, records  # imported here: start-up does not compile it
 
     m, cols = x.size, sum(t.shape[1] for t in tables)
-    rows = max(1, _RENDER_BLOCK // cols)
+    per = max(1, _RENDER_BLOCK // (m * cols))
     head = (",".join(header) + "\n").encode()
     cells = padded([b"%.17g," % xi for xi in x.tolist()])  # the x column, once
     seps = np.full(cols, ord(","), dtype="<u8")
     seps[-1] = ord("\n")
-    seps = np.tile(seps << np.uint64(56), rows)
-    total = len(names) * m
-    fh = None
-    try:
-        for r0 in range(0, total, rows):
-            r1 = min(r0 + rows, total)
-            cuts = [r0, *range(r0 - r0 % m + m, r1, m), r1]  # at snapshot ends
-            block = np.empty((r1 - r0, cols))
-            rec = np.empty((r1 - r0, cols + 1, 4), dtype="<u8")
-            for a, b in zip(cuts, cuts[1:]):
-                k, i0 = divmod(a, m)
-                np.concatenate([t[k, :, i0 : i0 + b - a] for t in tables],
-                               out=block[a - r0 : b - r0].T)
-                rec[a - r0 : b - r0, 0] = cells[i0 : i0 + b - a]
-            recs = records(block.ravel())
-            recs[:, 3] |= seps[: recs.shape[0]]
-            rec[:, 1:] = recs.reshape(r1 - r0, cols, 4)
-            raw = rec.view(np.uint8).reshape(r1 - r0, -1)
-            text = memoryview(raw.tobytes().translate(None, b"\0"))
-            pos = 0
-            for a, b in zip(cuts, cuts[1:]):
-                if a % m == 0:
-                    fh = open(folder / names[a // m], "wb")
-                    fh.write(head)
-                size = np.count_nonzero(raw[a - r0 : b - r0])
-                fh.write(text[pos : pos + size])
-                pos += size
-                if b % m == 0:
-                    fh.close()
-                    fh = None
-    finally:
-        if fh is not None:
-            fh.close()
+    seps <<= np.uint64(56)
+    for k0 in range(0, len(names), per):
+        snaps = min(per, len(names) - k0)
+        block = np.empty((snaps, m, cols))
+        np.concatenate([t[k0 : k0 + snaps] for t in tables], axis=1,
+                       out=block.transpose(0, 2, 1))
+        recs = records(block.ravel()).reshape(snaps, m, cols, 4)
+        recs[..., 3] |= seps
+        rec = np.concatenate([np.broadcast_to(cells[:, None], (snaps, m, 1, 4)), recs], axis=2)
+        for name, snap in zip(names[k0 : k0 + per], rec):
+            with open(folder / name, "wb") as fh:
+                fh.write(head)
+                fh.write(snap.tobytes().translate(None, b"\0"))
 
 
 def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[str]:
@@ -701,7 +677,7 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
         val = getattr(report, key)
         print(f"{key}: {'n/a' if val is None else _fmt(val)}")
     if report.ok:  # a contraction step below dt certifies no window: no report says pass
-        check_window(report.T_prime, 0.0, config.solver.dt)
+        window_steps(report.T_prime, 0.0, config.solver.dt)
     report_path = write_report(report, prefix.parent / f"{prefix.name}_hypotheses.txt")
     write_manifest(prefix, "check-hypotheses", config_path, config, [report_path])
     print(f"hypotheses: {'pass' if report.ok else 'FAIL'} -> {report_path}")

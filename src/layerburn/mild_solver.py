@@ -63,9 +63,9 @@ from .evolution import GriddedFuel, build_propagators, check_theta, duhamel_bloc
 from .grid import (SolutionTrajectory, l2_norm, layer_l2, steps_per_block, sup_metric,
                    time_lattice)
 from .hypothesis import (
+    GrowthBoundError,
     HypothesisReport,
     audit_problem,
-    bound_mu,
     continuation_epsilon,
     continuation_radius,
     lipschitz_kappa,
@@ -73,6 +73,7 @@ from .hypothesis import (
 from .model import Problem, TabulatedFuel, fuel_step, source_f
 
 
+WINDOW_MODES = ("continuation", "contraction")  # the rules of SolverConfig.window_mode
 # Relative slack of the a-priori check: observed <= bound * (1 + APRIORI_SLACK).
 APRIORI_SLACK = 1e-8
 # Halvings of one window's step count before PicardDivergenceError propagates.
@@ -131,13 +132,13 @@ class SolverConfig:
     scheme: str = "auto"
     picard_tol: float = 1e-10
     picard_max_iters: int = 15
-    window_mode: str = "continuation"  # or "contraction"
+    window_mode: str = "continuation"
     blowup_ceiling: float = 1e12
     coupled_outer_tol: float = 1e-8
     coupled_outer_max: int = 12
 
     def __post_init__(self):
-        if self.window_mode not in ("continuation", "contraction"):
+        if self.window_mode not in WINDOW_MODES:
             raise ValueError(f"unknown window_mode {self.window_mode!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -261,15 +262,19 @@ def _continuation_eps(p, fuel: GriddedFuel, t0: float, phi_norm: float,
     """Certified continuation window at t0 for a state of the given norm.
 
     continuation_epsilon with kappa on the ball of radius R(t0) and mu taken
-    as sup_t ||f(t, 0)|| over the next unit of time.  A zero state norm is
+    as mu0 = sup_t ||f(t, 0)|| over the next unit of time.  A zero state norm is
     replaced by 1, which keeps a vanishing state from collapsing the window
-    to zero while still bounding the contraction factor by 1/2.
+    to zero while still bounding the contraction factor by 1/2.  A radius
+    beyond the float range certifies no window: GrowthBoundError.
     """
     span = (t0, min(t0 + 1.0, T))
     ref = phi_norm if phi_norm > 0.0 else 1.0
     R = continuation_radius(t0, ref, beta)
-    kap = lipschitz_kappa(p, fuel, R, span)
-    mu0 = bound_mu(p, fuel, 0.0, span)
+    if R == math.inf:
+        raise GrowthBoundError(
+            f"no continuation window at t0 = {t0:.6g}: the radius 2*||u||*e^(beta*(t0+1)) "
+            f"overflows (||u|| = {ref:.6g}, beta = {beta:.6g})")
+    kap, mu0 = lipschitz_kappa(p, fuel, R, span)
     return continuation_epsilon(t0, ref, kap, mu0, beta)
 
 
@@ -288,8 +293,8 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
     if observed > rho:
         # enlarge the ball so the Lipschitz constant covers the whole run
         rho = 2.0 * observed
-        kappa = lipschitz_kappa(p, fuel, rho, (0.0, T))
-        mu = bound_mu(p, fuel, rho, (0.0, T))
+        kappa, mu0 = lipschitz_kappa(p, fuel, rho, (0.0, T))
+        mu = kappa * rho + mu0
     try:
         grow = math.exp(report.beta * T)
         bound = grow * (phi_norm + mu * T) * math.exp(kappa * grow * T)
@@ -306,14 +311,16 @@ def _apriori_check(trajectory: SolutionTrajectory, phi_norm: float,
     }
 
 
-def check_window(w: float, t0: float, dt: float) -> None:
-    """Raise WindowBelowStepError when a certified window w at t0 holds no
-    whole step of length dt (up to the rounding the window sizing forgives)."""
-    if not w / dt * (1.0 + 1e-12) >= 1.0:
+def window_steps(w: float, t0: float, dt: float) -> int:
+    """The whole steps of length dt in a certified window w at t0, up to the
+    rounding the window sizing forgives; WindowBelowStepError when none."""
+    steps = w / dt * (1.0 + 1e-12)
+    if not steps >= 1.0:
         raise WindowBelowStepError(
             f"certified window {w:.6g} at t0 = {t0:.6g} is shorter than the step "
             f"dt = {dt:.6g}; a dt of at most {w:.6g} certifies this window only, "
             "and T must stay a whole number of steps")
+    return math.floor(steps)
 
 
 def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
@@ -348,16 +355,13 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     k0 = 0
     while k0 < K:
         t0 = float(lattice[k0])
-        remaining = lattice[-1] - lattice[k0]
         phi_norm = float(np.max(layer_l2(values[k0], problem.grid.dx)))
         if cfg.window_mode == "continuation":
             w = _continuation_eps(p, fuel, t0, phi_norm, report.beta, T)
         else:
             w = report.T_prime
-        check_window(w, t0, cfg.dt)
-        w = min(w, remaining)
         # every window advances at least one step, so at most K windows
-        n_sub = min(K - k0, max(1, int(math.floor(w / cfg.dt * (1.0 + 1e-12)))))
+        n_sub = min(K - k0, window_steps(w, t0, cfg.dt))
 
         halvings = 0
         while True:

@@ -173,10 +173,6 @@ class ConstantFuel:
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), self.level, dtype=float)
 
-    def time_envelope(self, x, t0, t1):
-        lo = self.profile(x, t0)
-        return lo, lo.copy()
-
 
 @dataclass(frozen=True)
 class LogisticFrontFuel:
@@ -197,10 +193,6 @@ class LogisticFrontFuel:
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(x - self.center - self.speed * t) / self.width))
 
-    def time_envelope(self, x, t0, t1):
-        y0, y1 = self.profile(x, t0), self.profile(x, t1)
-        return np.minimum(y0, y1), np.maximum(y0, y1)
-
 
 @dataclass(frozen=True)
 class GaussianDecayFuel:
@@ -217,9 +209,11 @@ class GaussianDecayFuel:
     def profile(self, x: np.ndarray, t) -> np.ndarray:
         return np.exp(-self.rate * t) * np.exp(-(((x - self.center) / self.width) ** 2))
 
-    def time_envelope(self, x, t0, t1):
-        y0, y1 = self.profile(x, t0), self.profile(x, t1)
-        return np.minimum(y0, y1), np.maximum(y0, y1)
+
+def time_envelope(family, x, t0: float, t1: float):
+    """Per-node (lo, hi) of a fuel family over [t0, t1]; every family is monotone in t."""
+    y0, y1 = family.profile(x, t0), family.profile(x, t1)
+    return np.minimum(y0, y1), np.maximum(y0, y1)
 
 
 class _Fuel:
@@ -270,11 +264,7 @@ class PrescribedFuel(_Fuel):
         return out
 
     def envelope(self, grid: Grid, t0: float, t1: float):
-        los, his = [], []
-        for fam in self.families:
-            lo, hi = fam.time_envelope(grid.x, t0, t1)
-            los.append(lo)
-            his.append(hi)
+        los, his = zip(*(time_envelope(fam, grid.x, t0, t1) for fam in self.families))
         return np.stack(los), np.stack(his)
 
 
@@ -385,11 +375,17 @@ def fuel_step(y0: np.ndarray, u: np.ndarray, p: LayerParams, dt: float) -> np.nd
 # coefficients and reaction function
 
 
-def coefficient_fields(p: LayerParams, y) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion and advection coefficients alpha = lam/(a+b*y), beta = c/(a+b*y)."""
+def capacity(p: LayerParams, y) -> np.ndarray:
+    """The heat capacity a + b*y at fuel fields y; a ValueError unless it is positive."""
     den = p.a + p.b * y
     if den.min() <= 0.0:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
+    return den
+
+
+def coefficient_fields(p: LayerParams, y) -> tuple[np.ndarray, np.ndarray]:
+    """Diffusion and advection coefficients alpha = lam/(a+b*y), beta = c/(a+b*y)."""
+    den = capacity(p, y)
     return p.lam / den, p.c / den
 
 
@@ -412,9 +408,7 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
     yv = np.asarray(y, dtype=float)
     uv = np.asarray(u, dtype=float)
     n = p.n
-    den = p.a + p.b * yv
-    if den.min() <= 0.0:
-        raise ValueError("a + b*y must stay positive (admissibility violated)")
+    den = capacity(p, yv)
     # in place where the operands allow; a + b is b + a bit for bit
     out = reaction(p.K * p.b, p.d, yv, uv, p.E)
     out += -p.c_x * uv

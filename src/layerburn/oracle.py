@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
 from .grid import SolutionTrajectory, layer_l2, steps_per_block, time_lattice
-from .model import Problem, arrhenius_g, arrhenius_g_prime, reaction, source_f
+from .model import Problem, arrhenius_g, arrhenius_g_prime, capacity, reaction, source_f
 
 
 class NewtonError(RuntimeError):
@@ -57,16 +57,19 @@ class StabilityError(RuntimeError):
     """Requested explicit step exceeds the parabolic stability limit."""
 
 
+INTEGRATORS = ("implicit-trapezoid", "explicit-rk4")  # OracleConfig.integrator
+
+
 @dataclass
 class OracleConfig:
-    integrator: str = "implicit-trapezoid"  # or "explicit-rk4"
+    integrator: str = "implicit-trapezoid"
     dt: float = 1e-3
     scheme: str = "auto"
     newton_tol: float = 1e-10
     newton_max: int = 25
 
     def __post_init__(self):
-        if self.integrator not in ("implicit-trapezoid", "explicit-rk4"):
+        if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -204,7 +207,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             sample = ys[j]
             if not same[j]:
                 # a factorization rewrites only row 2n, so the bands last while y does
-                den = p.a + p.b * sample
+                den = capacity(p, sample)
                 A, c = _linear_part(p, next(Ls), den)
                 run = A, c, _flat(sample), _flat(den)
                 ab = np.zeros((3 * n + 1, n * m))
@@ -247,11 +250,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
 def _check_explicit_stability(p, fuel: GriddedFuel, T: float, dt: float) -> None:
     """RK4 parabolic guard: dt <= 0.4 dx^2 / max(alpha), plus an advective CFL."""
     ylo, yhi = fuel.envelope(0.0, T)
-    den_lo = p.a + p.b * ylo
-    den_hi = p.a + p.b * yhi
-    den_min = np.minimum(den_lo, den_hi)
-    if den_min.min() <= 0.0:
-        raise ValueError("a + b*y must stay positive over the run")
+    den_min = np.minimum(capacity(p, ylo), capacity(p, yhi))
     alpha_max = float(np.max(p.lam / den_min))
     beta_max = float(np.max(np.abs(p.c) / den_min))
     dx = fuel.grid.dx

@@ -26,7 +26,7 @@ from layerburn.grid import (
     layer_l2,
     sup_metric,
 )
-from layerburn.hypothesis import audit_problem, bound_mu, lipschitz_kappa
+from layerburn.hypothesis import audit_problem, lipschitz_kappa
 from layerburn.io_cli import front_track
 from layerburn.mild_solver import SolverConfig, solve_coupled, solve_global
 from layerburn.model import (
@@ -184,7 +184,8 @@ def test_criterion_6_lipschitz_and_magnitude_bounds():
     rho, kappa = report.rho, report.kappa
     # nonzero ambient loss so the magnitude bound has something to dominate
     p_mu = replace(p, u_e=0.7)
-    mu = bound_mu(p_mu, fuel, rho, (0.0, T))
+    kappa_mu, mu0 = lipschitz_kappa(p_mu, fuel, rho, (0.0, T))
+    mu = kappa_mu * rho + mu0
 
     rng = np.random.default_rng(606)
 
@@ -209,8 +210,8 @@ def test_criterion_6_lipschitz_and_magnitude_bounds():
 
     dprob, dT = shipped_problem("drift_benchmark", m=256)
     dfuel = GriddedFuel(dprob.fuel, dprob.grid)
-    kappa_free = lipschitz_kappa(dprob.params, dfuel, rho, (0.0, dT))
-    mu_free = bound_mu(dprob.params, dfuel, rho, (0.0, dT))
+    kappa_free, mu0_free = lipschitz_kappa(dprob.params, dfuel, rho, (0.0, dT))
+    mu_free = kappa_free * rho + mu0_free
 
     scan = np.linspace(1e-9, 2e6, 400001)
     g_sup_err = abs(float(np.max(arrhenius_g(scan, p.E))) - 1.0)

@@ -20,7 +20,6 @@ from layerburn.hypothesis import (
     BETA_PROBES,
     GrowthBoundError,
     audit_problem,
-    bound_mu,
     check_H1,
     check_H2,
     check_H3,
@@ -135,17 +134,22 @@ def _gridded(problem):
     return GriddedFuel(problem.fuel, problem.grid)
 
 
+def _mu(p, fuel, rho, t_span):
+    kappa, mu0 = lipschitz_kappa(p, fuel, rho, t_span)
+    return kappa * rho + mu0
+
+
 def test_kappa_zero_for_source_free_problem():
     prob = constant_problem(a=1.0, lam=1.0)
-    kap = lipschitz_kappa(prob.params, _gridded(prob), 2.0, (0.0, 1.0))
+    kap, _ = lipschitz_kappa(prob.params, _gridded(prob), 2.0, (0.0, 1.0))
     assert kap == 0.0
 
 
 def test_kappa_linear_in_exchange():
     prob1 = constant_problem(q=0.25)
     prob2 = constant_problem(q=0.5)
-    k1 = lipschitz_kappa(prob1.params, _gridded(prob1), 1.0, (0.0, 1.0))
-    k2 = lipschitz_kappa(prob2.params, _gridded(prob2), 1.0, (0.0, 1.0))
+    k1, _ = lipschitz_kappa(prob1.params, _gridded(prob1), 1.0, (0.0, 1.0))
+    k2, _ = lipschitz_kappa(prob2.params, _gridded(prob2), 1.0, (0.0, 1.0))
     assert k1 > 0.0
     np.testing.assert_allclose(k2, 2.0 * k1, rtol=1e-14)
 
@@ -153,8 +157,8 @@ def test_kappa_linear_in_exchange():
 def test_kappa_monotone_in_radius():
     prob, T = shipped_problem("reactive_two_layer", m=101)
     fuel = _gridded(prob)
-    k_small = lipschitz_kappa(prob.params, fuel, 0.5, (0.0, T))
-    k_large = lipschitz_kappa(prob.params, fuel, 2.0, (0.0, T))
+    k_small, _ = lipschitz_kappa(prob.params, fuel, 0.5, (0.0, T))
+    k_large, _ = lipschitz_kappa(prob.params, fuel, 2.0, (0.0, T))
     assert k_small <= k_large
 
 
@@ -163,7 +167,7 @@ def test_kappa_bounds_empirical_ratio():
     p, grid = prob.params, prob.grid
     fuel = _gridded(prob)
     rho = 2.0
-    kap = lipschitz_kappa(p, fuel, rho, (0.0, T))
+    kap, _ = lipschitz_kappa(p, fuel, rho, (0.0, T))
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(1000):
@@ -182,14 +186,13 @@ def test_kappa_bounds_empirical_ratio():
 
 def test_mu_zero_for_source_free_problem():
     prob = constant_problem(a=1.0, lam=1.0)
-    assert bound_mu(prob.params, _gridded(prob), 2.0, (0.0, 1.0)) == 0.0
+    assert _mu(prob.params, _gridded(prob), 2.0, (0.0, 1.0)) == 0.0
 
 
 def test_mu_monotone_in_radius():
     prob, T = shipped_problem("reactive_two_layer", m=101)
     fuel = _gridded(prob)
-    assert bound_mu(prob.params, fuel, 2.0, (0.0, T)) >= \
-        bound_mu(prob.params, fuel, 1.0, (0.0, T))
+    assert _mu(prob.params, fuel, 2.0, (0.0, T)) >= _mu(prob.params, fuel, 1.0, (0.0, T))
 
 
 def test_mu_bounds_source_magnitude():
@@ -199,7 +202,7 @@ def test_mu_bounds_source_magnitude():
     p, grid = prob.params, prob.grid
     fuel = _gridded(prob)
     rho = 1.5
-    mu = bound_mu(p, fuel, rho, (0.0, T))
+    mu = _mu(p, fuel, rho, (0.0, T))
     rng = np.random.default_rng(22)
     for _ in range(1000):
         t = rng.uniform(0.0, T)

@@ -226,11 +226,11 @@ def test_nonpositive_or_nonfinite_dt_is_a_located_config_error(value, tmp_path, 
 @pytest.mark.parametrize("value", ["0", "0.3", "1.5", "nan"])
 def test_theta_outside_the_a_stable_range_is_a_located_config_error(value, tmp_path, capsys):
     text = BASE_CFG.replace("dt = 0.01", f"dt = 0.01\ntheta = {value}")
-    with pytest.raises(ConfigError, match=r"^\[run\] theta must lie in \[1/2, 1\], got"):
+    with pytest.raises(ConfigError, match=r"^\[run\]: theta must lie in \[1/2, 1\], got"):
         parse_config(text)
     path = _write(tmp_path, text)
     assert cli(["simulate", path, "--out", str(tmp_path / "theta")]) == 1
-    assert "config error: [run] theta must lie in [1/2, 1]" in capsys.readouterr().err
+    assert "config error: [run]: theta must lie in [1/2, 1]" in capsys.readouterr().err
     assert not list(tmp_path.glob("theta*"))
 
 
@@ -448,12 +448,10 @@ def test_simulate_snapshots_match_the_format_reference(tmp_path, name):
     assert (fuel is not None) == (name == "ignition_coupled")
     header = ["x"] + [f"{c}_{i + 1}" for c in ("uy" if fuel is not None else "u")
                       for i in range(traj.n)]
-    # snapshots are rendered _RENDER_BLOCK // cols rows at a time across
-    # files: the drift run's 1024-row snapshots fill its blocks exactly, the
-    # ignition run's 401-row snapshots straddle them
-    rows, m = io_cli._RENDER_BLOCK // (len(header) - 1), traj.grid.m
-    assert traj.times.size * m > 10 * rows
-    assert (rows % m != 0) == (name == "ignition_coupled")
+    # snapshots are rendered _RENDER_BLOCK // (m*cols) whole snapshots at a
+    # time: both runs' 501 snapshots at 2 per block leave a remainder block
+    per = io_cli._RENDER_BLOCK // (traj.grid.m * (len(header) - 1))
+    assert per == 2 and traj.times.size % per == 1
     for k in range(traj.times.size):
         cols = [traj.grid.x, *traj.values[k]] + (list(fuel[k]) if fuel is not None else [])
         assert (tmp_path / f"run_snap_{k:05d}.csv").read_text() == _csv_text(header, cols)
@@ -473,6 +471,40 @@ def test_write_trajectory_peak_memory_is_one_render_block(tmp_path):
     # about 420 B per value of a 4096-value block; the text of the whole
     # trajectory would take 11 MB
     assert peak < 2.5e6 < 2 * values.nbytes
+
+
+def test_snapshot_above_one_render_block_is_rendered_whole(tmp_path):
+    # 1100 rows of u_1, u_2, y_1, y_2 are 4400 values, more than _RENDER_BLOCK:
+    # each block is one snapshot
+    grid = make_grid(-1.0, 1.0, 1100)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((3, 2, grid.m)) * 10.0 ** rng.integers(-30, 30, (3, 2, grid.m))
+    table = rng.uniform(0.0, 1.0, values.shape)
+    assert 4 * grid.m > io_cli._RENDER_BLOCK
+    write_trajectory(SolutionTrajectory(np.arange(3.0), values, grid), tmp_path / "big", table)
+    header = ["x", "u_1", "u_2", "y_1", "y_2"]
+    for k in range(3):
+        assert (tmp_path / f"big_snap_{k:05d}.csv").read_text() == \
+            _csv_text(header, [grid.x, *values[k], *table[k]])
+
+
+def test_write_trajectory_peak_memory_of_the_ignition_shape(tmp_path):
+    # 501 snapshots of 401 nodes with two layers and a fuel table, as the
+    # ignition run writes them: a block is 2 snapshots, 3208 values
+    grid = make_grid(-8.0, 8.0, 401)
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((501, 2, grid.m))
+    table = rng.uniform(0.0, 1.0, values.shape)
+    traj = SolutionTrajectory(0.002 * np.arange(501), values, grid)
+    write_trajectory(traj, tmp_path / "warm")  # the kernel's tables are built once
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, tmp_path / "mem", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.07 MB measured: one block of 3208 values at about 340 B per value
+    assert peak < 1.3e6
 
 
 def test_read_trajectory_accepts_crlf_and_trailing_blank_lines(tmp_path):
@@ -774,6 +806,23 @@ def test_cli_window_shorter_than_dt_exits_3(tmp_path, capsys, command):
                      r"window only, and T must stay a whole number of steps", captured.err)
     assert "Traceback" not in captured.err
     assert not list(tmp_path.glob("w_*"))  # no report or manifest that says pass
+
+
+@pytest.mark.parametrize("command, code", [("check-hypotheses", 0), ("simulate", 3)])
+def test_cli_overflowing_continuation_radius_exits_3(tmp_path, capsys, recwarn, command, code):
+    # forced central differences at c = 103 on the drift grid give beta = 850,
+    # so the first continuation radius 2*||phi||*e^(beta*(t0+1)) overflows:
+    # the source-free audit passes, and simulate certifies no window
+    text = (CONFIGS / "drift_benchmark.cfg").read_text()
+    text = re.sub(r"(?m)^(c_[12]) = .*$", r"\1 = constant(103)", text)
+    cfg = _write(tmp_path, re.sub(r"(?m)^dt = .*$", "\\g<0>\nscheme = central", text))
+    assert cli([command, cfg, "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert re.search(r"solver failure: no continuation window at t0 = 0: the radius "
+                         r".* overflows \(\|\|u\|\| = \S+, beta = 849\.671\)", err)
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,6 @@ from layerburn.evolution import (
 from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
     audit_problem,
-    bound_mu,
     continuation_epsilon,
     continuation_radius,
     lipschitz_kappa,
@@ -221,8 +220,7 @@ def test_continuation_windows_follow_continuation_epsilon():
         assert win.t_start == t0
         phi_norm = float(np.max(layer_l2(res.trajectory.values[k0], prob.grid.dx)))
         span = (t0, min(t0 + 1.0, T))
-        kappa = lipschitz_kappa(p, fuel, continuation_radius(t0, phi_norm, beta), span)
-        mu0 = bound_mu(p, fuel, 0.0, span)
+        kappa, mu0 = lipschitz_kappa(p, fuel, continuation_radius(t0, phi_norm, beta), span)
         eps = continuation_epsilon(t0, phi_norm, kappa, mu0, beta)
         if j < len(res.windows) - 1:  # sized by epsilon, not by its cap or the horizon
             assert eps < min(1.0, T - t0)
@@ -231,6 +229,28 @@ def test_continuation_windows_follow_continuation_epsilon():
         assert win.t_end == times[k0 + n_sub]
         k0 += n_sub
     assert k0 == times.size - 1
+
+
+def test_continuation_window_takes_one_fuel_envelope(monkeypatch):
+    # kappa and mu0 of a window come from one envelope of its fuel over
+    # [t0, min(t0 + 1, T)]; the audit is passed in, and the a-priori check
+    # keeps the audit's ball, so every envelope taken is a window's
+    prob, _ = shipped_problem("reactive_two_layer", m=201)
+    prob = replace(prob, fuel=PrescribedFuel([LogisticFrontFuel(-2.0, 3.0, 0.5)] * 2))
+    T = 2.0
+    report = audit_problem(prob, T)
+    spans = []
+    envelope = GriddedFuel.envelope
+
+    def counted(self, t0, t1):
+        spans.append((t0, t1))
+        return envelope(self, t0, t1)
+
+    monkeypatch.setattr(GriddedFuel, "envelope", counted)
+    res = solve_global(prob, T, SolverConfig(dt=0.002), report=report)
+    assert res.apriori["rho"] == report.rho
+    assert len(res.windows) >= 3
+    assert spans == [(w.t_start, min(w.t_start + 1.0, T)) for w in res.windows]
 
 
 def test_solve_is_deterministic():

@@ -307,7 +307,7 @@ def test_source_lipschitz_on_ball():
     p, grid = problem.params, problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     rho = 2.0
-    kap = lipschitz_kappa(p, fuel, rho, (0.0, T))
+    kap, _ = lipschitz_kappa(p, fuel, rho, (0.0, T))
     y = fuel.sample(0.0)
     rng = np.random.default_rng(8)
     for _ in range(200):
