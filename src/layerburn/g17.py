@@ -1,4 +1,4 @@
-"""A numpy kernel that writes the bytes '%.17g' % v writes, a block of values at a time.
+"""Numpy kernels that write the bytes '%.17g' % v writes, and read such text back.
 
 Each value becomes a 32-byte record of four little-endian words holding its
 characters in order, with zero bytes between them; deleting the zero bytes of
@@ -24,20 +24,40 @@ whose fraction lies within MARGIN of one half, or that lies outside
 instead; so is every non-finite value.  The bytes are therefore those of
 '%.17g' for every float64.
 
-io_cli imports this module on its first trajectory write, and the tables are
-built then, so neither adds to start-up.
+parse() reads cells back, float(cell) bit for bit.  A cell -?m[e+-DD[D]]
+whose mantissa m is 1 to 24 bytes of digits and at most one point is read
+from three unaligned words that end at m's last byte: the bytes before m are
+masked, the bytes before the point move up one over it, and Lemire's
+multiply-shift steps turn each word's digits into an integer, so the cell is
+M 10^k with M < 10^17.  With a = fl(M), da = M - a exactly and a hi = prod + e
+exactly (Dekker), X = prod + (e + a lo + da hi) is within 2^-100 |M 10^k| of
+the cell's value, under 2^-46 of an ulp of r = fl(X), and the residual X - r
+is exact.  float(cell) decides the cell instead when that residual is within
+MARGIN of half an ulp on its side (below a power of two the ulp is half the
+one above), when k lies outside [-291, 290] (below -291 lo is subnormal, above
+290 M hi could overflow), when r is not zero and lies outside [1e-290, 1e290),
+and for any other form of cell; GRAMMAR says which of those float() and
+np.loadtxt read alike.  The values are therefore those of float(cell) for
+every cell.  (numpy shifts a uint64 by 64 or more bits to 0, which the masks
+rely on.)
+
+io_cli imports this module on its first trajectory write or read, and the
+tables are built then, so neither adds to start-up.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
-K_RANGE = (-280, 308)  # the 10^k table's exponents
+K_RANGE = (-291, 308)  # the 10^k table's exponents; below -291 lo is subnormal
 E_MAX = 300            # the exponent tables cover -E_MAX..E_MAX
 MARGIN = 2.0 ** -30
 SPLIT = 134217729.0    # 2^27 + 1, Veltkamp's splitter
+PAD = 32               # bytes parse() may read before a cell (29)
+CELL_BLOCK = 4096      # cells _decide() takes at a time
 
 
 @functools.cache
@@ -178,3 +198,131 @@ def padded(cells: list[bytes]) -> np.ndarray:
     """Byte strings of at most 32 bytes as (len(cells), 4) zero-padded records."""
     return np.frombuffer(b"".join(c.ljust(32, b"\0") for c in cells),
                          dtype="<u8").reshape(-1, 4)
+
+
+# the cells parse() reads: decimals that float() and np.loadtxt read alike
+GRAMMAR = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_U = np.uint64
+ZEROS, LOW7, HIGH = _U(0x30 * 0x0101010101010101), _U(0x7F7F7F7F7F7F7F7F), _U(0x8080808080808080)
+NINES, DOTS, ALL = _U(0x76 * 0x0101010101010101), _U(0x1E * 0x0101010101010101), _U(2**64 - 1)
+EXPONENT = _U(0x7FF0000000000000)
+OFFSETS = np.array([[-24], [-16], [-8]])  # the mantissa's words, from its end
+WORD_BITS = np.array([[0], [64], [128]])
+
+
+def _eight(x: np.ndarray) -> np.ndarray:
+    """Words holding eight digit values, the first the most significant, as
+    integers, in place (Lemire's multiply-shift steps)."""
+    t = x >> _U(8)
+    x *= _U(10)
+    x += t
+    np.right_shift(x, _U(16), out=t)
+    t &= _U(0xFF000000FF)
+    t *= _U(1 + (10**4 << 32))
+    x &= _U(0xFF000000FF)
+    x *= _U(100 + (10**6 << 32))
+    x += t
+    x >>= _U(32)
+    return x
+
+
+def _fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(M, k, neg, ok): where a cell reads -?mantissa[e+-DD[D]], its mantissa
+    1 to 24 bytes of digits with at most one point that make an integer
+    M < 10^17, ok holds and the cell is -1^neg M 10^k."""
+    words = np.ndarray((data.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+    tail = words[ends - 8]
+    # the exponent: "e" and a sign 4 or 5 bytes from the end, then 2 or 3 digits
+    e4 = tail & _U(0xFF << 32) == _U(ord("e") << 32)
+    e5 = (tail & _U(0xFF << 24) == _U(ord("e") << 24)) & ~e4
+    ex = e4 * 4 + e5 * 5
+    sign = tail >> (72 - 8 * ex).astype(_U) & _U(0xFF)
+    neg = data[starts] == ord("-")
+    mend = ends - ex
+    mlen = mend - starts - neg
+
+    # four words of digit values: the mantissa's last 24 bytes, the bytes
+    # before it zero, and the exponent's digits
+    x = np.empty((4, ends.size), dtype=_U)
+    m = x[:3]
+    np.bitwise_xor(words[mend + OFFSETS], ZEROS, out=m)
+    m &= ALL << np.maximum(192 - 8 * mlen - WORD_BITS, 0).view(_U)
+    x[3] = (tail ^ ZEROS) & (e4 * _U(0xFFFF << 48) | e5 * _U(0xFFFFFF << 40))
+    # the point: dot holds the top bit of its byte; after, -(dot << 1) over
+    # 192 bits, the bytes after it, or all of them when there is none
+    dot = m ^ DOTS
+    dot = ~((dot & LOW7) + LOW7 | dot) & HIGH
+    has = (dot[0] | dot[1] | dot[2]) != 0
+    after = dot << _U(1)
+    after[1:] |= dot[:-1] >> _U(63)
+    after[0] |= ~has
+    c1 = after[0] == 0
+    c2 = c1 & (after[1] == 0)
+    np.invert(after, out=after)
+    after[0] += _U(1)
+    after[1] += c1
+    after[2] += c2
+    p = np.bitwise_count(after).sum(axis=0, dtype=np.int64) >> 3
+    # close the gap: the bytes before the point move up one
+    up = np.left_shift(m, _U(8), out=dot)
+    up[1:] |= m[:-1] >> _U(56)
+    m ^= up
+    m &= after
+    m ^= up
+
+    ok = np.bitwise_or.reduce((x & LOW7) + NINES | x, axis=0) & HIGH == 0
+    d = _eight(x)
+    ok &= (d[0] < 10) & (mlen >= 1) & (mlen - has >= 1) & (mlen <= 24)
+    ok &= (ex == 0) | (sign == ord("+")) | (sign == ord("-"))
+    k = d[3].astype(np.int64)
+    k[sign == ord("-")] *= -1
+    k -= p * has
+    return (d[0] * _U(10**8) + d[1]) * _U(10**8) + d[2], k, neg, ok
+
+
+def _decide(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(values, fast): the cells data[starts:ends] that the kernel decides, and
+    their values, bit for bit those of float(cell).  A cell is decided when
+    _fields reads it, 10^k is in the table, the value lies in [1e-290, 1e290)
+    or is zero, and its residual is not within MARGIN of half an ulp."""
+    M, k, neg, fast = _fields(data, starts, ends)
+    k -= K_RANGE[0]
+    fast &= (k >= 0) & (k <= 290 - K_RANGE[0])
+    M *= fast
+    k *= fast
+    # M 10^k as a double-double prod + t (Dekker), rounded once to r
+    hi, lo, hh, hl = (t[k] for t in tables()[0])
+    a = M.astype(np.float64)
+    da = (M.view(np.int64) - a.astype(np.int64)).astype(np.float64)
+    c = a * SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    prod = a * hi
+    t = ((ah * hh - prod) + ah * hl + al * hh) + al * hl + (a * lo + da * hi)
+    r = prod + t
+    err = t - (r - prod)  # exact: |prod| >= |t|
+    # half an ulp on err's side: below a power of two the ulp halves
+    half = (r.view(_U) & EXPONENT).view(np.float64)
+    half *= np.where((r == half) & (err < 0), 2.0**-54, 2.0**-53)
+    fast &= (np.abs(err) <= half * (1 - MARGIN)) & ((r >= 1e-290) & (r < 1e290) | (M == 0))
+    r[neg] *= -1
+    return r, fast
+
+
+def parse(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(values, foreign): each cell data[starts[i]:ends[i]] as the float64
+    float(cell) reads, and where the cell is outside GRAMMAR (value 0).  The
+    uint8 array data holds PAD bytes before the first cell."""
+    values = np.empty(ends.size)
+    fast = np.empty(ends.size, dtype=bool)
+    for j in range(0, ends.size, CELL_BLOCK):  # a block's temporaries stay in cache
+        cut = slice(j, j + CELL_BLOCK)
+        values[cut], fast[cut] = _decide(data, starts[cut], ends[cut])
+    foreign = np.zeros(values.size, dtype=bool)
+    for j in np.flatnonzero(~fast).tolist():
+        cell = data[starts[j] : ends[j]].tobytes()
+        if GRAMMAR.fullmatch(cell):
+            values[j] = float(cell)
+        else:
+            values[j], foreign[j] = 0.0, True
+    return values, foreign

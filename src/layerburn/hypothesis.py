@@ -272,12 +272,17 @@ def contraction_step(kappa: float, beta: float, mu: float, rho: float, R: float,
     return 0.9 * min(cands)
 
 
-def continuation_radius(t0: float, phi_norm: float, beta: float) -> float:
-    """R(t0) = 2*||phi||*e^{beta*(t0+1)}; inf where e^{beta*(t0+1)} overflows."""
+def _radius(norm: float, exponent: float) -> float:
+    """2*norm*e^exponent; inf where e^exponent overflows."""
     try:
-        return 2.0 * phi_norm * math.exp(beta * (t0 + 1.0))
+        return 2.0 * norm * math.exp(exponent)
     except OverflowError:
         return math.inf
+
+
+def continuation_radius(t0: float, phi_norm: float, beta: float) -> float:
+    """R(t0) = 2*||phi||*e^{beta*(t0+1)}; inf where e^{beta*(t0+1)} overflows."""
+    return _radius(phi_norm, beta * (t0 + 1.0))
 
 
 def continuation_epsilon(t0: float, phi_norm: float, kappa: float, mu: float,
@@ -373,7 +378,7 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
     report.beta, omega = growth_beta(problem.params, fuel, probe_times, h, theta, scheme)
     report.kappa, mu0 = lipschitz_kappa(problem.params, fuel, report.rho, (0.0, T))
     report.mu = report.kappa * report.rho + mu0
-    report.R = 2.0 * report.rho * math.exp(report.beta * T)
+    report.R = _radius(report.rho, report.beta * T)  # inf: contraction_step refuses it
     report.T_prime = contraction_step(report.kappa, report.beta, report.mu,
                                       report.rho, report.R, T)
     report.notes.append(

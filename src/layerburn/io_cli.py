@@ -32,13 +32,20 @@ one row per grid node with columns x,u_1..u_n and, when a fuel table is
 written, y_1..y_n; plus `<prefix>_index.csv` with columns
 time,filename,norm_1..norm_n, one row per snapshot (per-layer L2 norms).
 Every snapshot carries the same header and grid column; the reader takes the
-grid from the first snapshot and rejects a later one whose header differs.
+grid and the layout from the first snapshot, read by np.loadtxt, and rejects
+a later one whose header differs.  Later snapshots are read a block of files,
+about _READ_BLOCK bytes, at a time and their value cells parsed by
+layerburn.g17.parse, bit for bit as float() reads them; a file that is not
+exactly the header, then m rows of cells each ended by ',' or (the last)
+'\n', or that holds a cell outside g17.GRAMMAR (nan, inf, CRLF, a blank
+line), is read by np.loadtxt as every snapshot was, errors included.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -521,6 +528,86 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
     return [str(prefix.parent / name) for name in names] + [str(index_path)]
 
 
+# later snapshots are read a block of files, about _READ_BLOCK bytes, at a
+# time; a block's separator mask and cell arrays take about 4 B per byte
+_READ_BLOCK = 1 << 19
+
+
+def _loadtxt_snapshot(path: Path, header: list[str] | None) -> tuple[list[str], np.ndarray]:
+    """A snapshot's header and columns by np.loadtxt.  A later snapshot (header
+    given) must repeat `header`, and its grid column, the first one's, is not
+    parsed."""
+    with open(path) as fh:
+        line = fh.readline().strip().split(",")
+        if header is not None and line != header:
+            raise ValueError(f"{path}: header {','.join(line)!r} differs from "
+                             f"the first snapshot's {','.join(header)!r}")
+        cols = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True,
+                          usecols=range(1, len(line)) if header is not None else None)
+    return line, cols
+
+
+def _parse_files(data: np.ndarray, edges: list[int], head: bytes, m: int) -> dict:
+    """The value columns, (m, cells per row - 1), of each file f =
+    data[edges[f]:edges[f + 1]] whose text is head, then m rows of as many
+    cells, each but the last ended by ',' and the last by '\n', and whose
+    cells g17.parse reads, keyed by f."""
+    from .g17 import parse  # imported here: start-up does not compile it
+
+    fields = head.count(b",") + 1
+    pattern = np.full((m + 1, fields), ord(","), dtype=np.uint8)
+    pattern[:, -1] = ord("\n")
+    seps = data == ord(",")
+    seps |= data == ord("\n")
+    seps = np.flatnonzero(seps)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    first = np.searchsorted(seps, lo)
+    files = np.flatnonzero(np.searchsorted(seps, hi) - first == pattern.size).tolist()
+    files = [f for f in files if data[lo[f] : lo[f] + len(head)].tobytes() == head]
+    seps = seps[first[files, None] + np.arange(pattern.size)].reshape(len(files), m + 1, fields)
+    good = (data[seps] == pattern).all(axis=(1, 2)) & (seps[:, -1, -1] == hi[files] - 1)
+    # a value cell of the body runs from one separator to the next
+    starts, ends = seps[good, 1:, :-1].ravel() + 1, seps[good, 1:, 1:].ravel()
+    del seps
+    values, foreign = parse(data, starts, ends)
+    shape = (int(good.sum()), m, fields - 1)
+    clean = ~foreign.reshape(shape).any(axis=(1, 2))
+    return dict(zip(np.array(files, dtype=int)[good][clean].tolist(),
+                    values.reshape(shape)[clean]))
+
+
+def _later_snapshots(paths: list[Path], header: list[str], m: int):
+    """Yield each later snapshot's value columns, (len(header) - 1, m), in order.
+
+    Files are read about _READ_BLOCK bytes at a time into one buffer and
+    parsed together by _parse_files; a file it does not parse is read by
+    np.loadtxt, which raises its errors."""
+    from .g17 import PAD
+
+    head = (",".join(header) + "\n").encode()
+    buf = np.zeros(PAD + _READ_BLOCK, dtype=np.uint8)
+    k = 0
+    while k < len(paths):
+        edges = [PAD]  # file f is buf[edges[f]:edges[f + 1]], empty if unreadable
+        while k + len(edges) - 1 < len(paths):
+            pos = edges[-1]
+            try:
+                with open(paths[k + len(edges) - 1], "rb") as fh:
+                    size = os.fstat(fh.fileno()).st_size
+                    if pos + size > buf.size:
+                        if pos > PAD:
+                            break
+                        buf = np.zeros(PAD + size, dtype=np.uint8)
+                    pos += fh.readinto(memoryview(buf)[pos : pos + size])
+            except OSError:
+                pass
+            edges.append(pos)
+        parsed = _parse_files(buf[: edges[-1]], edges, head, m)
+        for f in range(len(edges) - 1):
+            yield parsed[f].T if f in parsed else _loadtxt_snapshot(paths[k + f], header)[1]
+        k += len(edges) - 1
+
+
 def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
     """Load what write_trajectory wrote; returns (trajectory, fuel table or None)."""
     prefix = Path(prefix)
@@ -529,23 +616,15 @@ def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
         rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
     if not rows:
         raise ValueError(f"{index_path}: empty trajectory with no snapshots")
-    for k, row in enumerate(rows):
-        path = prefix.parent / row[1]
-        with open(path) as fh:
-            line = fh.readline().strip().split(",")
-            if k and line != header:
-                raise ValueError(f"{path}: header {','.join(line)!r} differs from "
-                                 f"the first snapshot's {','.join(header)!r}")
-            # later snapshots repeat the first one's grid column: not parsed
-            cols = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True,
-                              usecols=range(1, len(line)) if k else None)
-        if k == 0:  # the first snapshot fixes the grid and the layout
-            header = line
-            n = sum(1 for h in header if h.startswith("u_"))
-            grid = make_grid(cols[0, 0], cols[0, -1], cols.shape[1])
-            values = np.empty((len(rows), n, grid.m))
-            fuel = np.empty_like(values) if any(h.startswith("y_") for h in header) else None
-            cols = cols[1:]
+    paths = [prefix.parent / row[1] for row in rows]
+    # the first snapshot fixes the grid and the layout
+    header, cols = _loadtxt_snapshot(paths[0], None)
+    n = sum(1 for h in header if h.startswith("u_"))
+    grid = make_grid(cols[0, 0], cols[0, -1], cols.shape[1])
+    values = np.empty((len(rows), n, grid.m))
+    fuel = np.empty_like(values) if any(h.startswith("y_") for h in header) else None
+    later = _later_snapshots(paths[1:], header, grid.m)
+    for k, cols in enumerate(itertools.chain([cols[1:]], later)):
         values[k] = cols[:n]
         if fuel is not None:
             fuel[k] = cols[n : 2 * n]

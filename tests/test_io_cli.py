@@ -535,6 +535,64 @@ def test_read_trajectory_rejects_a_later_header_that_differs(tmp_path, header):
         read_trajectory(tmp_path / "toy")
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("missing cell", r"invalid column index 2 at row 4 with 2 columns"),
+    ("extra cell", None),  # np.loadtxt reads the columns it uses and ignores the rest
+    ("one row short", r"could not broadcast input array from shape \(2,10\)"),
+    ("one row long", r"could not broadcast input array from shape \(2,12\)"),
+    ("abc cell", r"could not convert string 'abc' to float64 at row 3, column 2"),
+])
+def test_read_trajectory_reads_a_damaged_later_snapshot_as_loadtxt(tmp_path, damage, message):
+    # a later snapshot that is not m rows of whole cells, or holds a cell
+    # outside the parser's grammar, is read by np.loadtxt, as every snapshot was
+    traj = _toy_trajectory()
+    write_trajectory(traj, tmp_path / "toy")
+    bad = tmp_path / "toy_snap_00001.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    x, u_1, u_2 = lines[4].split(",")
+    lines[4] = {"missing cell": f"{x},{u_1}\n", "extra cell": f"{x},{u_1},{u_2[:-1]},0.5\n",
+                "abc cell": f"{x},abc,{u_2}"}.get(damage, lines[4])
+    lines = {"one row short": lines[:-1], "one row long": lines + lines[-1:]}.get(damage, lines)
+    bad.write_text("".join(lines))
+    if message is None:
+        back, _ = read_trajectory(tmp_path / "toy")
+        assert back.values.tobytes() == traj.values.tobytes()
+    else:
+        with pytest.raises(ValueError, match=message):
+            read_trajectory(tmp_path / "toy")
+
+
+def test_read_trajectory_files_larger_than_the_read_block(tmp_path, monkeypatch):
+    # each later snapshot then fills a block of its own, in a grown buffer
+    monkeypatch.setattr(io_cli, "_READ_BLOCK", 64)
+    traj = _toy_trajectory()
+    table = np.random.default_rng(15).uniform(0.0, 1.0, traj.values.shape)
+    write_trajectory(traj, tmp_path / "toy", table)
+    assert (tmp_path / "toy_snap_00001.csv").stat().st_size > 64
+    back, fuel = read_trajectory(tmp_path / "toy")
+    assert back.values.tobytes() == traj.values.tobytes()
+    assert fuel.tobytes() == table.tobytes()
+
+
+def test_read_trajectory_peak_memory_of_the_drift_shape(tmp_path):
+    # 501 snapshots of 1024 nodes with two layers, as the drift run writes
+    # them: 31 MB of text, read a block of files at a time
+    grid = make_grid(-10.0, 10.0, 1024)
+    values = np.random.default_rng(14).standard_normal((501, 2, grid.m))
+    traj = SolutionTrajectory(0.001 * np.arange(501), values, grid)
+    write_trajectory(traj, tmp_path / "drift")
+    read_trajectory(tmp_path / "drift")  # the kernel's tables are built once
+    tracemalloc.start()
+    try:
+        back, _ = read_trajectory(tmp_path / "drift")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == values.tobytes()
+    # 2.3 MB above the 8.2 MB output measured; the text itself would be 35 MB
+    assert peak < values.nbytes + 3e6
+
+
 def test_read_empty_trajectory_raises(tmp_path):
     grid = make_grid(0.0, 1.0, 5)
     empty = SolutionTrajectory(np.zeros(0), np.zeros((0, 2, 5)), grid)
@@ -821,6 +879,21 @@ def test_cli_overflowing_continuation_radius_exits_3(tmp_path, capsys, recwarn, 
     if code == 3:
         assert re.search(r"solver failure: no continuation window at t0 = 0: the radius "
                          r".* overflows \(\|\|u\|\| = \S+, beta = 849\.671\)", err)
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["check-hypotheses", "simulate"])
+def test_cli_overflowing_audit_radius_exits_3(tmp_path, capsys, recwarn, command):
+    # the same drift run to T = 1: beta*T = 850 overflows the audit's radius
+    # R = 2*rho*e^(beta*T) itself, so no contraction window is certified
+    text = (CONFIGS / "drift_benchmark.cfg").read_text()
+    text = re.sub(r"(?m)^(c_[12]) = .*$", r"\1 = constant(103)", text)
+    text = re.sub(r"(?m)^T = .*$", "T = 1.0", text)
+    cfg = _write(tmp_path, re.sub(r"(?m)^dt = .*$", "\\g<0>\nscheme = central", text))
+    assert cli([command, cfg, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"solver failure: no certificate: rho = \S+, R = inf, ", err)
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
