@@ -30,7 +30,7 @@ for mode in ("continuation", "contraction"):
 # phi homogeneously; the guess holds phi constant on the lattice
 solver = SolverConfig(dt=1e-3)
 hom = solve_global(problem, T, solver)
-frozen = np.repeat(problem.phi.values[None], hom.trajectory.times.size, axis=0)
+frozen = np.repeat(problem.phi[None], hom.trajectory.times.size, axis=0)
 ini = solve_global(problem, T, solver, report=hom.report, guess=frozen)
 print(f"seed disagreement (homogeneous vs frozen initial): "
       f"{sup_metric(hom.trajectory, ini.trajectory):.3e}")

@@ -10,11 +10,11 @@ lives in layerburn.io_cli.
 
 __version__ = "0.1.0"
 
-from .grid import TemperatureField, make_grid
+from .grid import make_grid
 from .model import ConstantFuel, LayerParams, PrescribedFuel, Problem
 from .mild_solver import SolverConfig, solve_global
 
 __all__ = [
     "ConstantFuel", "LayerParams", "PrescribedFuel", "Problem", "SolverConfig",
-    "TemperatureField", "make_grid", "solve_global",
+    "make_grid", "solve_global",
 ]

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import GriddedFuel, build_propagators, duhamel, evolve, source_along
-from .grid import SolutionTrajectory, TemperatureField, layer_l2, sup_metric
+from .grid import SolutionTrajectory, layer_l2, sup_metric
 from .mild_solver import (
     AuditError,
     BlowUpError,
@@ -99,9 +99,7 @@ def build_perturbed(problem: Problem, directions: dict, s: float) -> Problem:
         if name == "fuel":
             fuel = PerturbedFuel(problem.fuel, np.asarray(dirn, dtype=float), s)
         elif name == "phi":
-            phi = TemperatureField(
-                problem.phi.values + s * np.asarray(dirn, dtype=float), problem.grid
-            )
+            phi = problem.phi + s * np.asarray(dirn, dtype=float)
         elif name == "u_e":
             updates["u_e"] = p.u_e + s * float(dirn)
         elif name == "c":
@@ -132,7 +130,7 @@ def _base_terms(base_problem: Problem, base_traj: SolutionTrajectory,
     times = base_traj.times
     props = build_propagators(pb, fb, times, cfg.theta, cfg.scheme)
     f = source_along(pb, fb.sample(times), base_traj.values)
-    return f, evolve(props, base_problem.phi.values), duhamel(props, times, f, 0.0)
+    return f, evolve(props, base_problem.phi), duhamel(props, times, f, 0.0)
 
 
 def _difference_terms(base_problem: Problem, pert_problem: Problem,
@@ -153,7 +151,7 @@ def _difference_terms(base_problem: Problem, pert_problem: Problem,
     times = base_traj.times
     props = build_propagators(pj, fj, times, cfg.theta, cfg.scheme)
     df = source_along(pj, fj.sample(times), base_traj.values) - f
-    dphi = pert_problem.phi.values - base_problem.phi.values
+    dphi = pert_problem.phi - base_problem.phi
     terms = {
         "d0": layer_l2(evolve(props, dphi), dx),
         "d1": layer_l2(evolve(props, hb[0]) - hb, dx),
@@ -194,10 +192,6 @@ class DependenceStudy:
     ratios: list[float]
     crossover: int | None
     noise_floor: float
-
-    @property
-    def deltas(self) -> list[float]:
-        return [lv.delta for lv in self.levels if lv.skipped is None]
 
     @property
     def decreasing(self) -> bool:

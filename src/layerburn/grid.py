@@ -1,4 +1,4 @@
-"""Spatial grid, field containers, and the discrete norms used by every solver.
+"""Spatial grid, the trajectory container, and the discrete norms and metric.
 
 The continuum problem lives on the whole real line.  Computations truncate to
 [x_min, x_max] and assume the interesting data is negligible inside a guard
@@ -7,10 +7,11 @@ quantifies a violation.  The audit's H3 check is the only guard-band check: it
 holds the ambient exchange profiles qhat1/qhat2 to GUARD_BAND_TOL.  No solver
 checks the trajectory or the fuel table against the guard bands.
 
-Norms: the discrete L2 norm of one layer is the rectangle rule
-sqrt(dx * sum(psi**2)) with weight dx at every node.  The norm of an n-layer
-field is the maximum of the per-layer norms, and the metric between two
-trajectories on identical time nodes is the sup over time of that norm.
+A state is a float (n, m) array, one row per layer.  Norms: the discrete L2
+norm of one layer is the rectangle rule sqrt(dx * sum(psi**2)) with weight dx
+at every node.  The norm of a state is the maximum of the per-layer norms, and
+`sup_metric`, the sup over time of the norm of the difference, is the one
+distance between two trajectories; they must share their time nodes.
 """
 
 from __future__ import annotations
@@ -56,25 +57,6 @@ def make_grid(x_min: float, x_max: float, m: int) -> Grid:
     if m < 3:
         raise ValueError(f"need at least 3 nodes, got m={m}")
     return Grid(float(x_min), float(x_max), int(m))
-
-
-@dataclass
-class TemperatureField:
-    """Stacked per-layer temperatures, shape (n_layers, m)."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.m:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid with m={self.grid.m}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -132,17 +114,29 @@ def layer_l2(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def l2_norm(psi: TemperatureField) -> float:
-    if not np.all(np.isfinite(psi.values)):
+def l2_norm(values: np.ndarray, dx: float) -> float:
+    """Max-over-layers L2 norm of a finite (n, m) state.
+
+    A row whose sum of squares overflows is summed again scaled by its max, so
+    the norm is finite whenever it is a float; every other row keeps the bits
+    of `layer_l2`.
+    """
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
         raise ValueError("non-finite values in field")
-    return float(np.max(layer_l2(psi.values, psi.grid.dx)))
+    with np.errstate(over="ignore"):
+        norms = layer_l2(v, dx)
+        for i in np.flatnonzero(np.isinf(norms)):
+            top = np.max(np.abs(v[i]))
+            norms[i] = top * np.sqrt(dx * np.sum((v[i] / top) ** 2))
+    return float(np.max(norms))
 
 
 def sup_metric(u: SolutionTrajectory, v: SolutionTrajectory) -> float:
     """Sup over shared time nodes of the max-layer L2 distance.
 
     Both trajectories must use identical time nodes, grids, and layer counts;
-    comparing unlike discretizations is the oracle module's job.
+    to compare nested lattices, restrict the finer one to the coarse nodes.
     """
     if u.grid != v.grid or u.n != v.n:
         raise ValueError("trajectories live on different discretizations")

@@ -371,7 +371,7 @@ def audit_problem(problem: Problem, T: float, *, theta: float = 0.5,
     if not report.ok:
         return report
 
-    phi_norm = l2_norm(problem.phi)
+    phi_norm = l2_norm(problem.phi, problem.grid.dx)
     report.rho = max(1.0, 2.0 * phi_norm)
     h = T / 512.0
     probe_times = np.linspace(0.0, T - h, BETA_PROBES)

@@ -60,8 +60,7 @@ import numpy as np
 from . import __version__
 from .dependence import PerturbationSpec, dependence_study
 from .evolution import SCHEMES
-from .grid import (Grid, SolutionTrajectory, TemperatureField, layer_l2, make_grid,
-                   time_lattice)
+from .grid import Grid, SolutionTrajectory, layer_l2, make_grid, time_lattice
 from .hypothesis import GrowthBoundError, HypothesisReport, audit_problem
 from .mild_solver import (
     AuditError,
@@ -282,7 +281,7 @@ class ProblemConfig:
     params: LayerParams
     fuel: PrescribedFuel
     fuel_mode: str
-    phi: TemperatureField
+    phi: np.ndarray
     T: float
     solver: SolverConfig
     experiment: dict
@@ -392,7 +391,7 @@ def parse_config(text: str) -> ProblemConfig:
     if not 0.0 < T < math.inf:
         raise ConfigError(f"[run] T must be positive and finite, got {T}")
     phi_rows = [run.take_spec(f"phi_{i}", "constant(0)")(x) for i in range(1, n + 1)]
-    phi = TemperatureField(np.stack(phi_rows), grid)
+    phi = np.stack(phi_rows)
     # one key per SolverConfig field; a field without a default (dt) is required
     solver_kwargs = {}
     for f in dataclass_fields(SolverConfig):

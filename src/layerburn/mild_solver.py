@@ -341,16 +341,16 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
 
     p = problem.params
     fuel = GriddedFuel(problem.fuel, problem.grid)
-    phi_norm0 = l2_norm(problem.phi)
+    phi_norm0 = l2_norm(problem.phi, problem.grid.dx)
     K = lattice.size - 1
-    shape = (K + 1,) + problem.phi.values.shape
+    shape = (K + 1,) + problem.phi.shape
     if guess is not None and guess.shape != shape:
         raise SolverError(f"Picard guess has shape {guess.shape}, the dt lattice needs {shape}")
 
     # every window solves in place in its slice of one trajectory buffer;
     # row k0 of a window is the last row of the window before it
     values = np.empty(shape)
-    values[0] = problem.phi.values
+    values[0] = problem.phi
     windows: list[WindowRecord] = []
     k0 = 0
     while k0 < K:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, TemperatureField
+from .grid import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +430,18 @@ def source_f(p: LayerParams, y, u) -> np.ndarray:
 
 @dataclass
 class Problem:
+    """Grid, coefficients, fuel and the initial state phi, a float (n, m) array."""
+
     grid: Grid
     params: LayerParams
     fuel: object
-    phi: TemperatureField
+    phi: np.ndarray
+
+    def __post_init__(self):
+        self.phi = np.asarray(self.phi, dtype=float)
+        if self.phi.shape != (self.params.n, self.grid.m):
+            raise ValueError(f"phi has shape {self.phi.shape}, "
+                             f"need (n, m) = {(self.params.n, self.grid.m)}")
 
     def with_params(self, **updates) -> "Problem":
         return replace(self, params=replace(self.params, **updates))

@@ -10,7 +10,8 @@ trapezoid solved by a banded Newton iteration, and an explicit RK4 with a
 hard parabolic step-size guard.  Either path agrees with the fixed-point
 marcher to second order in dt, so the cross-difference on a dt-refinement
 ladder must shrink at order about 2; that is what the oracle comparison
-asserts.
+asserts.  `relative_gap` takes that difference as `grid.sup_metric` over the
+reference's sup norm, so both trajectories of a rung share one time lattice.
 
 The implicit trapezoid works node-major (all layers of node j adjacent), so
 its matrices are banded with bandwidth n: layer coupling sits on the first
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
-from .grid import SolutionTrajectory, layer_l2, steps_per_block, time_lattice
+from .grid import SolutionTrajectory, steps_per_block, sup_metric, time_lattice
 from .model import Problem, arrhenius_g, arrhenius_g_prime, capacity, reaction, source_f
 
 
@@ -148,10 +149,10 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     p = problem.params
     grid = problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
-    n, m = problem.phi.values.shape
+    n, m = problem.phi.shape
 
     values = np.empty((total + 1, n, m))
-    values[0] = problem.phi.values
+    values[0] = problem.phi
 
     if cfg.integrator == "explicit-rk4":
         _check_explicit_stability(p, fuel, T, cfg.dt)
@@ -268,36 +269,9 @@ def _check_explicit_stability(p, fuel: GriddedFuel, T: float, dt: float) -> None
 # trajectory comparison
 
 
-def compare(a: SolutionTrajectory, b: SolutionTrajectory) -> float:
-    """Sup over the coarser trajectory's nodes of the max-layer L2 distance.
-
-    The finer trajectory is interpolated linearly in time, so ladders with
-    non-nested steps still compare; identical lattices compare node-for-node.
-    """
-    if a.grid != b.grid or a.n != b.n:
-        raise ValueError("trajectories live on different discretizations")
-    coarse, fine = (a, b) if a.times.size <= b.times.size else (b, a)
-    lo, hi = fine.times[0], fine.times[-1]
-    if coarse.times[0] < lo - 1e-12 or coarse.times[-1] > hi + 1e-12:
-        raise ValueError("time ranges do not overlap; cannot compare")
-    idx = np.clip(np.searchsorted(fine.times, coarse.times), 1, fine.times.size - 1)
-    t0 = fine.times[idx - 1]
-    t1 = fine.times[idx]
-    w = np.clip((coarse.times - t0) / (t1 - t0), 0.0, 1.0)[:, None, None]
-    # a block of coarse nodes at a time, so no temporary is trajectory-sized
-    block = steps_per_block(coarse.values[0].size)
-    gaps = []
-    for a in range(0, coarse.times.size, block):
-        s = slice(a, a + block)
-        diff = (1.0 - w[s]) * fine.values[idx[s] - 1] + w[s] * fine.values[idx[s]]
-        diff -= coarse.values[s]
-        gaps.append(np.max(layer_l2(diff, coarse.grid.dx)))
-    return float(np.max(gaps))
-
-
 def relative_gap(a: SolutionTrajectory, reference: SolutionTrajectory) -> float:
-    sup = reference.sup_norm()
-    return compare(a, reference) / max(sup, np.finfo(float).tiny)
+    """sup_metric(a, reference) over the reference's sup norm; same time nodes."""
+    return sup_metric(a, reference) / max(reference.sup_norm(), np.finfo(float).tiny)
 
 
 def refinement_orders(gaps) -> list[float]:

@@ -11,7 +11,6 @@ from layerburn import (
     LayerParams,
     PrescribedFuel,
     Problem,
-    TemperatureField,
     make_grid,
 )
 from layerburn.io_cli import parse_config
@@ -40,7 +39,7 @@ def constant_problem(m=201, n=2, span=(-10.0, 10.0), phi_amp=1.0,
     grid = make_grid(span[0], span[1], m)
     p = LayerParams.constants(grid, n, **params)
     row = phi_amp * np.exp(-grid.x ** 2)
-    phi = TemperatureField(np.tile(row, (n, 1)), grid)
+    phi = np.tile(row, (n, 1))
     fuel = PrescribedFuel([ConstantFuel(fuel_val)] * n)
     return Problem(grid, p, fuel, phi)
 

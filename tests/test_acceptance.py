@@ -83,7 +83,7 @@ def test_criterion_3_uniqueness_across_seeds():
     prob, T = shipped_problem("reactive_two_layer")
     cfg = SolverConfig(dt=1e-3)
     cold = solve_global(prob, T, cfg)
-    frozen = np.repeat(prob.phi.values[None], cold.trajectory.times.size, axis=0)
+    frozen = np.repeat(prob.phi[None], cold.trajectory.times.size, axis=0)
     held = solve_global(prob, T, cfg, report=cold.report, guess=frozen)
     gap = sup_metric(cold.trajectory, held.trajectory)
     _verdict(3, "uniqueness across seeds", gap <= 1e-9,

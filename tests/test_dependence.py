@@ -50,14 +50,14 @@ def test_build_perturbed_shifts_only_the_targets():
                                atol=1e-15)
     np.testing.assert_allclose(p1.qhat1 - p0.qhat1,
                                0.25 * spec.directions["qhat1"], atol=1e-15)
-    np.testing.assert_allclose(pert.phi.values - prob.phi.values,
+    np.testing.assert_allclose(pert.phi - prob.phi,
                                0.25 * spec.directions["phi"], atol=1e-15)
     # untouched fields are passed through
     np.testing.assert_array_equal(p1.b, p0.b)
     np.testing.assert_array_equal(p1.c, p0.c)
 
     same = build_perturbed(prob, spec.directions, 0.0)
-    np.testing.assert_array_equal(same.phi.values, prob.phi.values)
+    np.testing.assert_array_equal(same.phi, prob.phi)
     np.testing.assert_array_equal(same.params.a, p0.a)
 
 
@@ -178,8 +178,8 @@ def _difference_terms_per_level(base_problem, pert_problem, base_traj, cfg):
     fb = GriddedFuel(base_problem.fuel, grid)
     fj = GriddedFuel(pert_problem.fuel, grid)
     times = base_traj.times
-    e0 = pert_problem.phi.values - base_problem.phi.values
-    hb = base_problem.phi.values.copy()
+    e0 = pert_problem.phi - base_problem.phi
+    hb = base_problem.phi.copy()
     hp = hb.copy()
     acc3 = np.zeros_like(hb)
     acc_p = np.zeros_like(hb)
@@ -221,7 +221,7 @@ def test_shared_base_terms_equal_per_level_recomputation():
     directions["u_e"] = -0.3
     cfg = SolverConfig(dt=0.004)
     base = solve_global(prob, T, cfg).trajectory
-    assert base.times.size - 1 > steps_per_block(prob.phi.values.size)
+    assert base.times.size - 1 > steps_per_block(prob.phi.size)
     base_terms = _base_terms(prob, base, cfg)
     assert all(arr.shape == base.values.shape for arr in base_terms)
     for s in (0.5, 0.125, 1.0 / 64.0):

@@ -15,7 +15,7 @@ from conftest import (
     smooth_bump,
 )
 from layerburn.evolution import GriddedFuel, generator_bands
-from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid
+from layerburn.grid import layer_l2, make_grid
 from layerburn.hypothesis import (
     BETA_PROBES,
     GrowthBoundError,

@@ -18,7 +18,7 @@ from layerburn.evolution import (
     build_propagators,
     steps_per_block,
 )
-from layerburn.grid import SolutionTrajectory, TemperatureField, l2_norm, layer_l2, sup_metric
+from layerburn.grid import SolutionTrajectory, l2_norm, layer_l2, sup_metric
 from layerburn.hypothesis import (
     audit_problem,
     continuation_epsilon,
@@ -75,15 +75,15 @@ def test_batched_window_equals_unbatched_sweeps():
     traj = res.trajectory
     k1 = int(np.searchsorted(traj.times, first.t_end)) + 1
     times = traj.times[:k1]
-    assert times.size - 1 > 2 * steps_per_block(prob.phi.values.size)
+    assert times.size - 1 > 2 * steps_per_block(prob.phi.size)
     fuel = GriddedFuel(prob.fuel, prob.grid)
-    u = np.empty((times.size,) + prob.phi.values.shape)
-    u[0] = prob.phi.values
+    u = np.empty((times.size,) + prob.phi.shape)
+    u[0] = prob.phi
     for k in range(times.size - 1):
         u[k + 1] = build_propagator(prob.params, fuel, float(times[k]), float(times[k + 1]),
                                     cfg.theta, cfg.scheme).apply_values(u[k])
     for _ in range(first.iterations):
-        u = _phi_map(prob.params, fuel, times, prob.phi.values, u, cfg)
+        u = _phi_map(prob.params, fuel, times, prob.phi, u, cfg)
     assert np.array_equal(u, traj.values[:k1])
 
 
@@ -93,11 +93,11 @@ def test_source_free_solve_is_homogeneous_evolution():
     res = solve_global(prob, T, cfg)
     # the integral term vanishes, so every window settles in one sweep
     assert all(w.iterations == 1 for w in res.windows)
-    direct = prob.phi.values
+    direct = prob.phi
     for prop in build_propagators(prob.params, GriddedFuel(prob.fuel, prob.grid),
                                   res.trajectory.times):
         direct = prop.apply_values(direct)
-    gap = l2_norm(TemperatureField(res.trajectory.values[-1] - direct, prob.grid))
+    gap = l2_norm(res.trajectory.values[-1] - direct, prob.grid.dx)
     assert gap <= 1e-12
 
 
@@ -110,7 +110,7 @@ def test_source_free_map_ignores_input_trajectory():
     outs = []
     for _ in range(2):
         traj = rng.standard_normal((11, 2, prob.grid.m))
-        outs.append(_phi_map(prob.params, fuel, times, prob.phi.values, traj, cfg))
+        outs.append(_phi_map(prob.params, fuel, times, prob.phi, traj, cfg))
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -144,8 +144,8 @@ def test_map_contracts_random_trajectory_pairs():
             sup = float(np.max(layer_l2(vals, prob.grid.dx)))
             pair.append(vals * (0.8 * report.R / sup))
         u, v = pair
-        fu = _phi_map(prob.params, fuel, times, prob.phi.values, u, cfg)
-        fv = _phi_map(prob.params, fuel, times, prob.phi.values, v, cfg)
+        fu = _phi_map(prob.params, fuel, times, prob.phi, u, cfg)
+        fv = _phi_map(prob.params, fuel, times, prob.phi, v, cfg)
         num = float(np.max(layer_l2(fu - fv, prob.grid.dx)))
         den = float(np.max(layer_l2(u - v, prob.grid.dx)))
         assert num <= 0.9 * den
@@ -165,7 +165,7 @@ def test_seed_choice_does_not_move_the_fixed_point():
     prob, T = shipped_problem("reactive_two_layer", m=201)
     cfg = SolverConfig(dt=0.002, picard_tol=1e-10)
     cold = solve_global(prob, T, cfg)
-    frozen = np.repeat(prob.phi.values[None], cold.trajectory.times.size, axis=0)
+    frozen = np.repeat(prob.phi[None], cold.trajectory.times.size, axis=0)
     held = solve_global(prob, T, cfg, report=cold.report, guess=frozen)
     assert sup_metric(cold.trajectory, held.trajectory) <= 10.0 * cfg.picard_tol
 
@@ -266,7 +266,7 @@ def test_apriori_growth_bound_reported_and_satisfied():
     ap = res.apriori
     assert ap["ok"]
     grow = math.exp(ap["beta"] * T)
-    expected = grow * (l2_norm(prob.phi) + ap["mu"] * T) * math.exp(
+    expected = grow * (l2_norm(prob.phi, prob.grid.dx) + ap["mu"] * T) * math.exp(
         ap["kappa"] * grow * T)
     np.testing.assert_allclose(ap["bound"], expected, rtol=1e-12)
     assert ap["observed"] <= ap["bound"]
@@ -305,7 +305,7 @@ def test_apriori_bound_that_overflows_is_inf():
     report = replace(res.report, kappa=1500.0 / T)
     assert report.kappa * math.exp(report.beta * T) * T > 710.0
     fuel = GriddedFuel(prob.fuel, prob.grid)
-    ap = _apriori_check(res.trajectory, l2_norm(prob.phi), report, prob.params, fuel, T)
+    ap = _apriori_check(res.trajectory, l2_norm(prob.phi, prob.grid.dx), report, prob.params, fuel, T)
     assert ap["bound"] == math.inf
     assert ap["ok"]
 
@@ -385,7 +385,7 @@ def test_guess_follows_halved_windows():
     tol = 1e-10
     ref = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
     cfg = SolverConfig(dt=0.002, picard_tol=tol, picard_max_iters=5)
-    rough = 1.5 * np.repeat(prob.phi.values[None], ref.trajectory.times.size, axis=0)
+    rough = 1.5 * np.repeat(prob.phi[None], ref.trajectory.times.size, axis=0)
     res = solve_global(prob, T, cfg, report=ref.report, guess=rough)
     assert sum(w.halvings for w in res.windows) > 0
     assert sup_metric(res.trajectory, ref.trajectory) <= 10.0 * tol
@@ -444,7 +444,7 @@ def test_guess_off_the_lattice_is_a_solver_error():
     prob, T = shipped_problem("reactive_two_layer", m=201)
     report = audit_problem(prob, T)
     cfg = SolverConfig(dt=0.01)
-    on_lattice = np.zeros((int(round(T / cfg.dt)) + 1,) + prob.phi.values.shape)
+    on_lattice = np.zeros((int(round(T / cfg.dt)) + 1,) + prob.phi.shape)
     for bad in (on_lattice[:-1], on_lattice[:, :, :-1], on_lattice[0]):
         with pytest.raises(SolverError, match="Picard guess has shape"):
             solve_global(prob, T, cfg, report=report, guess=bad)
@@ -523,7 +523,7 @@ def test_coupled_burned_out_fuel_converges_immediately():
 
 def test_coupled_cold_run_leaves_fuel_untouched():
     prob, T = shipped_problem("ignition_coupled", m=201)
-    phi = TemperatureField(-np.abs(prob.phi.values), prob.grid)
+    phi = -np.abs(prob.phi)
     cold = type(prob)(prob.grid, prob.params, prob.fuel, phi)
     res = solve_coupled(cold, T, SolverConfig(dt=0.004))
     # temperatures never cross 0 (beyond scheme wiggle), the reaction is frozen

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import shipped_config, shipped_problem, smooth_bump
 from layerburn.evolution import GriddedFuel
-from layerburn.grid import TemperatureField, l2_norm, layer_l2, make_grid, time_lattice
+from layerburn.grid import l2_norm, layer_l2, make_grid, time_lattice
 from layerburn.hypothesis import check_H2
 from layerburn.model import (
     ConstantFuel,
@@ -17,6 +17,7 @@ from layerburn.model import (
     LogisticFrontFuel,
     PerturbedFuel,
     PrescribedFuel,
+    Problem,
     TabulatedFuel,
     arrhenius_g,
     arrhenius_g_prime,
@@ -313,8 +314,8 @@ def test_source_lipschitz_on_ball():
     for _ in range(200):
         v = rng.standard_normal((2, grid.m))
         w = rng.standard_normal((2, grid.m))
-        v *= rho * rng.uniform() / max(l2_norm(TemperatureField(v, grid)), 1e-30)
-        w *= rho * rng.uniform() / max(l2_norm(TemperatureField(w, grid)), 1e-30)
+        v *= rho * rng.uniform() / max(l2_norm(v, grid.dx), 1e-30)
+        w *= rho * rng.uniform() / max(l2_norm(w, grid.dx), 1e-30)
         fv = source_f(p, y, v)
         fw = source_f(p, y, w)
         lhs = float(np.max(layer_l2(fv - fw, grid.dx)))
@@ -592,3 +593,12 @@ def test_central_gradient_exact_on_linear():
     grad = central_gradient(vals, g.dx)
     np.testing.assert_allclose(grad[0], 3.0, rtol=1e-12)
     np.testing.assert_allclose(grad[1], -0.5, rtol=1e-12)
+
+
+def test_problem_phi_shape_must_be_n_by_m():
+    prob, _ = shipped_problem("reactive_two_layer", m=11)
+    n, m = prob.params.n, prob.grid.m
+    assert Problem(prob.grid, prob.params, prob.fuel, np.zeros((n, m), dtype=int)).phi.dtype == float
+    for shape in ((n, m - 1), (m,), (n + 1, m), (1, n, m)):
+        with pytest.raises(ValueError, match="phi has shape"):
+            Problem(prob.grid, prob.params, prob.fuel, np.zeros(shape))

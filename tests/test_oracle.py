@@ -12,7 +12,7 @@ from conftest import constant_problem, shipped_problem
 from layerburn import oracle
 from layerburn.evolution import GriddedFuel, generator_apply, generator_bands, steps_per_block
 from layerburn.fixtures import drift_exact
-from layerburn.grid import SolutionTrajectory, TemperatureField, make_grid
+from layerburn.grid import SolutionTrajectory, make_grid, sup_metric
 from layerburn.mild_solver import SolverConfig, solve_global
 from layerburn.model import (
     GaussianDecayFuel,
@@ -29,7 +29,6 @@ from layerburn.oracle import (
     NewtonError,
     OracleConfig,
     StabilityError,
-    compare,
     mol_solve,
     refinement_orders,
     relative_gap,
@@ -51,7 +50,7 @@ def test_implicit_matches_drifting_gaussian():
 def test_zero_data_stays_exactly_zero():
     prob, _ = shipped_problem("reactive_two_layer", m=101)
     zero = Problem(prob.grid, prob.params, prob.fuel,
-                   TemperatureField(np.zeros_like(prob.phi.values), prob.grid))
+                   np.zeros_like(prob.phi))
     for integ in ("implicit-trapezoid", "explicit-rk4"):
         traj = mol_solve(zero, 0.02, OracleConfig(dt=0.002, integrator=integ))
         np.testing.assert_array_equal(traj.values, 0.0)
@@ -62,7 +61,7 @@ def test_ambient_equilibrium_is_preserved():
     prob = constant_problem(m=101, c=0.7, u_e=0.7, d=0.5, qhat1=0.0,
                             fuel_val=0.0)
     prob = Problem(prob.grid, prob.params, prob.fuel,
-                   TemperatureField(np.full((2, 101), 0.7), prob.grid))
+                   np.full((2, 101), 0.7))
     for integ in ("implicit-trapezoid", "explicit-rk4"):
         traj = mol_solve(prob, 0.05, OracleConfig(dt=0.005, integrator=integ))
         assert np.max(np.abs(traj.values - 0.7)) <= 1e-12
@@ -79,7 +78,9 @@ def test_refinement_ladder_shows_second_order():
     prob, _ = shipped_problem("reactive_two_layer", m=101)
     sols = [mol_solve(prob, 0.08, OracleConfig(dt=d))
             for d in (8e-3, 4e-3, 2e-3, 1e-3)]
-    gaps = [compare(a, b) for a, b in zip(sols, sols[1:])]
+    # each finer rung restricted to the coarser rung's nodes, which it holds bitwise
+    gaps = [sup_metric(a, SolutionTrajectory(b.times[::2], b.values[::2], b.grid))
+            for a, b in zip(sols, sols[1:])]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     for order in refinement_orders(gaps):
         assert 1.8 <= order <= 2.2
@@ -136,44 +137,27 @@ def test_explicit_guard_rejects_large_steps():
         mol_solve(prob, 0.1, OracleConfig(dt=0.01, integrator="explicit-rk4"))
 
 
-def test_compare_contracts():
+def test_relative_gap_contracts():
+    # the gap is sup_metric over the reference's sup norm, so both
+    # trajectories must share their grid, layers and time nodes
     prob, _ = shipped_problem("reactive_two_layer", m=101)
     grid = prob.grid
     w = np.ones((2, grid.m))
-    fine = SolutionTrajectory(0.01 * np.arange(11),
-                              np.stack([t * w for t in 0.01 * np.arange(11)]),
-                              grid)
-    coarse = SolutionTrajectory(0.02 * np.arange(6),
-                                np.stack([t * w for t in 0.02 * np.arange(6)]),
-                                grid)
-    assert compare(fine, fine) == 0.0
-    # linear-in-time fields interpolate exactly across nested lattices
-    assert compare(coarse, fine) <= 1e-13
-    from layerburn.grid import make_grid
+    times = 0.01 * np.arange(11)
+    fine = SolutionTrajectory(times, np.stack([t * w for t in times]), grid)
+    assert relative_gap(fine, fine) == 0.0
+    shifted = SolutionTrajectory(times, fine.values + 0.5, grid)
+    assert relative_gap(shifted, fine) == sup_metric(shifted, fine) / fine.sup_norm()
     other = make_grid(0.0, 1.0, grid.m)
     with pytest.raises(ValueError):
-        compare(fine, SolutionTrajectory(fine.times, fine.values, other))
-    late = SolutionTrajectory(1.0 + fine.times, fine.values, grid)
-    with pytest.raises(ValueError):
-        compare(late, fine)
-
-
-def test_blocked_compare_equals_whole_trajectory_interpolant():
-    # compare interpolates and reduces a block of coarse nodes at a time; over
-    # several blocks the gap is bitwise that of the whole-array interpolant
-    grid = make_grid(-1.0, 1.0, 401)
-    rng = np.random.default_rng(7)
-    fine_t = np.linspace(0.0, 1.0, 701)
-    coarse_t = np.linspace(0.0, 1.0, 301)
-    assert coarse_t.size > 2 * steps_per_block(2 * grid.m)
-    fine = SolutionTrajectory(fine_t, rng.standard_normal((701, 2, grid.m)), grid)
-    coarse = SolutionTrajectory(coarse_t, rng.standard_normal((301, 2, grid.m)), grid)
-    idx = np.clip(np.searchsorted(fine_t, coarse_t), 1, fine_t.size - 1)
-    w = np.clip((coarse_t - fine_t[idx - 1]) / (fine_t[idx] - fine_t[idx - 1]), 0.0, 1.0)
-    interp = (1.0 - w)[:, None, None] * fine.values[idx - 1] \
-        + w[:, None, None] * fine.values[idx]
-    whole = float(np.max(np.sqrt(grid.dx * np.sum((interp - coarse.values) ** 2, axis=-1))))
-    assert compare(fine, coarse) == compare(coarse, fine) == whole
+        relative_gap(fine, SolutionTrajectory(fine.times, fine.values, other))
+    coarse = SolutionTrajectory(times[::2], fine.values[::2], grid)
+    with pytest.raises(ValueError, match="different time nodes"):
+        relative_gap(coarse, fine)
+    bad = SolutionTrajectory(times, fine.values.copy(), grid)
+    bad.values[3, 1, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        relative_gap(bad, fine)
 
 
 def test_refinement_orders_contracts():
@@ -204,7 +188,7 @@ def _mol_solve_per_step(problem, T, cfg, chord=True):
     (chord=False) factors it at every iterate."""
     p, grid = problem.params, problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
-    n, m = problem.phi.values.shape
+    n, m = problem.phi.shape
     N = n * m
     total = int(round(T / cfg.dt))
     times = cfg.dt * np.arange(total + 1)
@@ -263,7 +247,7 @@ def _mol_solve_per_step(problem, T, cfg, chord=True):
         return lu, piv
 
     values = np.empty((total + 1, n, m))
-    values[0] = problem.phi.values
+    values[0] = problem.phi
     half_dt = 0.5 * cfg.dt
     u = flat(values[0])
     y_k = fuel.sample(0.0)
@@ -318,7 +302,7 @@ def _three_layer_problem(m, fuel):
     p.qhat1[:] = 0.3 * np.exp(-x**2)
     p.qhat2[:] = 0.2 * np.exp(-(x - 1.0) ** 2)
     phi = np.stack([1.2 * np.exp(-x**2), 0.6 * np.exp(-(x - 1.0) ** 2), -0.2 * np.exp(-x**2)])
-    return Problem(grid, p, fuel(grid), TemperatureField(phi, grid))
+    return Problem(grid, p, fuel(grid), phi)
 
 
 def test_blocked_implicit_trapezoid_equals_per_step_reference():
@@ -398,7 +382,7 @@ def test_linear_part_and_reaction_equal_generator_and_source():
             y = fuel.sample(t)
             L_tri = generator_bands(p, y, grid.dx)
             A, c = oracle._linear_part(p, L_tri, p.a + p.b * y)
-            for v in (prob.phi.values, prob.phi.values + rng.standard_normal(y.shape)):
+            for v in (prob.phi, prob.phi + rng.standard_normal(y.shape)):
                 run = (A, c, oracle._flat(y), oracle._flat(p.a + p.b * y))
                 got = oracle._rhs(run, kb, d, p.E, oracle._flat(v))
                 want = oracle._flat(-generator_apply(L_tri, v) + source_f(p, y, v))
