@@ -364,10 +364,6 @@ class GriddedFuel:
     spec: object
     grid: Grid
 
-    @property
-    def mode(self) -> str:
-        return self.spec.mode
-
     def sample(self, t) -> np.ndarray:
         return self.spec.sample(self.grid, t)
 

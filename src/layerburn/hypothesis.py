@@ -5,8 +5,8 @@ Three families of structural conditions gate every solve:
   (H1) capacity and transport coefficients: a_i, lam_i in [k1, k2] with
        k1 > 0, b_i and c_i nonnegative and bounded, sampled derivatives up to
        order 2 finite;
-  (H2) fuel: nonnegative, bounded by k3 (and by 1 for prescribed families),
-       with finite sampled derivatives y_x, y_xx, y_t, y_tx;
+  (H2) fuel: nonnegative, bounded by k3 <= 1, with finite sampled
+       derivatives y_x, y_xx, y_t, y_tx, for every fuel spec;
   (H3) exchange data: d_i, q_i, K_i (and A_i) bounded and nonnegative, and the
        ambient exchange profiles qhat_1, qhat_2 decaying inside the boundary
        guard bands (square-integrability proxy on the truncated domain).
@@ -119,7 +119,7 @@ def check_H2(fuel: GriddedFuel, T: float) -> CheckResult:
     if k3 > 1.0 + 1e-12:
         violations.append(f"fuel exceeds 1 (max {k3:.6g})")
 
-    if fuel.mode == "prescribed" and ts.size > 1:
+    if ts.size > 1:
         dt = ts[1] - ts[0]
         y_x = np.gradient(Y, grid.dx, axis=-1)
         y_xx = np.gradient(y_x, grid.dx, axis=-1)

@@ -44,6 +44,7 @@ line), is read by np.loadtxt as every snapshot was, errors included.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -106,22 +107,14 @@ def _fmt(v: float) -> str:
 # function specs
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    kind: str
-    args: tuple
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.args[0])
-        if self.kind == "bump":
-            base, amp, center, width = self.args
-            return base + amp * np.exp(-(((x - center) / width) ** 2))
-        left, right, center, width = self.args
-        return left + (right - left) * 0.5 * (1.0 + np.tanh((x - center) / width))
-
-
+# each profile takes its spec's arguments, then the grid x
+_PROFILES = {
+    "constant": lambda value, x: np.full_like(x, value),
+    "bump": lambda base, amp, center, width, x:
+        base + amp * np.exp(-(((x - center) / width) ** 2)),
+    "tanh_step": lambda left, right, center, width, x:
+        left + (right - left) * 0.5 * (1.0 + np.tanh((x - center) / width)),
+}
 _SPEC_ARITY = {"constant": 1, "bump": 4, "tanh_step": 4}
 _FUEL_ARITY = {"constant": 1, "logistic_front": 3, "gaussian_decay": 3}
 _CALL_RE = re.compile(r"^([a-z_]+)\s*\(\s*([^()]*)\s*\)$")
@@ -148,11 +141,12 @@ def _parse_call(text: str, where: str, arity: dict) -> tuple[str, tuple]:
     return kind, args
 
 
-def parse_function_spec(text: str, where: str) -> FunctionSpec:
+def parse_function_spec(text: str, where: str) -> functools.partial:
+    """The profile x -> values of a spatial function spec."""
     kind, args = _parse_call(text, where, _SPEC_ARITY)
     if kind in ("bump", "tanh_step") and args[3] <= 0:
         raise ConfigError(f"{where}: width must be positive")
-    return FunctionSpec(kind, args)
+    return functools.partial(_PROFILES[kind], *args)
 
 
 def _parse_fuel_family(text: str, where: str):
@@ -257,7 +251,7 @@ class _Section:
             )
         return value
 
-    def take_spec(self, key: str, default: str) -> FunctionSpec:
+    def take_spec(self, key: str, default: str) -> functools.partial:
         value, lineno = self.take(key, default)
         return parse_function_spec(default if value is None else value,
                                    self._where(key, lineno))
@@ -475,7 +469,7 @@ def parse_config(text: str) -> ProblemConfig:
 _RENDER_BLOCK = 4096
 
 
-def _write_snapshots(folder: Path, names: list[str], header: list[str],
+def _write_snapshots(paths: list[str], header: list[str],
                      x: np.ndarray, tables: list[np.ndarray]) -> None:
     """Write each snapshot's CSV, rendering a block of whole snapshots at a time."""
     from .g17 import padded, records  # imported here: start-up does not compile it
@@ -487,16 +481,16 @@ def _write_snapshots(folder: Path, names: list[str], header: list[str],
     seps = np.full(cols, ord(","), dtype="<u8")
     seps[-1] = ord("\n")
     seps <<= np.uint64(56)
-    for k0 in range(0, len(names), per):
-        snaps = min(per, len(names) - k0)
+    for k0 in range(0, len(paths), per):
+        snaps = min(per, len(paths) - k0)
         block = np.empty((snaps, m, cols))
         np.concatenate([t[k0 : k0 + snaps] for t in tables], axis=1,
                        out=block.transpose(0, 2, 1))
         recs = records(block.ravel()).reshape(snaps, m, cols, 4)
         recs[..., 3] |= seps
         rec = np.concatenate([np.broadcast_to(cells[:, None], (snaps, m, 1, 4)), recs], axis=2)
-        for name, snap in zip(names[k0 : k0 + per], rec):
-            with open(folder / name, "wb") as fh:
+        for path, snap in zip(paths[k0 : k0 + per], rec):
+            with open(path, "wb") as fh:
                 fh.write(head)
                 fh.write(snap.tobytes().translate(None, b"\0"))
 
@@ -504,6 +498,7 @@ def _write_snapshots(folder: Path, names: list[str], header: list[str],
 def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[str]:
     """One snapshot CSV per stored time plus an index CSV; returns paths written."""
     prefix = Path(prefix)
+    folder = os.path.dirname(prefix)
     n = traj.n if traj.times.size else 0
     header = ["x"] + [f"u_{i + 1}" for i in range(n)]
     tables = [traj.values]
@@ -514,17 +509,18 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
         header += [f"y_{i + 1}" for i in range(n)]
         tables.append(fuel_table)
     names = [f"{prefix.name}_snap_{k:05d}.csv" for k in range(traj.times.size)]
-    if names:
-        _write_snapshots(prefix.parent, names, header, traj.grid.x, tables)
+    paths = [os.path.join(folder, name) for name in names]
+    if paths:
+        _write_snapshots(paths, header, traj.grid.x, tables)
 
-    index_path = prefix.parent / f"{prefix.name}_index.csv"
+    index_path = os.path.join(folder, f"{prefix.name}_index.csv")
     norms = layer_l2(traj.values, traj.grid.dx)
     with open(index_path, "w") as fh:
         head = ["time", "filename"] + [f"norm_{i + 1}" for i in range(n)]
         fh.write(",".join(head) + "\n")
         for t, name, layer_norms in zip(traj.times.tolist(), names, norms.tolist()):
             fh.write(",".join([_fmt(t), name] + [_fmt(v) for v in layer_norms]) + "\n")
-    return [str(prefix.parent / name) for name in names] + [str(index_path)]
+    return paths + [index_path]
 
 
 # later snapshots are read a block of files, about _READ_BLOCK bytes, at a
@@ -532,7 +528,7 @@ def write_trajectory(traj: SolutionTrajectory, prefix, fuel_table=None) -> list[
 _READ_BLOCK = 1 << 19
 
 
-def _loadtxt_snapshot(path: Path, header: list[str] | None) -> tuple[list[str], np.ndarray]:
+def _loadtxt_snapshot(path: str, header: list[str] | None) -> tuple[list[str], np.ndarray]:
     """A snapshot's header and columns by np.loadtxt.  A later snapshot (header
     given) must repeat `header`, and its grid column, the first one's, is not
     parsed."""
@@ -575,7 +571,7 @@ def _parse_files(data: np.ndarray, edges: list[int], head: bytes, m: int) -> dic
                     values.reshape(shape)[clean]))
 
 
-def _later_snapshots(paths: list[Path], header: list[str], m: int):
+def _later_snapshots(paths: list[str], header: list[str], m: int):
     """Yield each later snapshot's value columns, (len(header) - 1, m), in order.
 
     Files are read about _READ_BLOCK bytes at a time into one buffer and
@@ -610,12 +606,13 @@ def _later_snapshots(paths: list[Path], header: list[str], m: int):
 def read_trajectory(prefix) -> tuple[SolutionTrajectory, np.ndarray | None]:
     """Load what write_trajectory wrote; returns (trajectory, fuel table or None)."""
     prefix = Path(prefix)
-    index_path = prefix.parent / f"{prefix.name}_index.csv"
+    folder = os.path.dirname(prefix)
+    index_path = os.path.join(folder, f"{prefix.name}_index.csv")
     with open(index_path) as fh:
         rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
     if not rows:
         raise ValueError(f"{index_path}: empty trajectory with no snapshots")
-    paths = [prefix.parent / row[1] for row in rows]
+    paths = [os.path.join(folder, row[1]) for row in rows]
     # the first snapshot fixes the grid and the layout
     header, cols = _loadtxt_snapshot(paths[0], None)
     n = sum(1 for h in header if h.startswith("u_"))
@@ -687,7 +684,7 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
             key: val for key, val in config.experiment.items() if key != "perturb"
         },
         "perturb_targets": sorted(config.experiment["perturb"]),
-        "outputs": [Path(p).name for p in outputs],
+        "outputs": [os.path.basename(p) for p in outputs],
     }
     path = prefix.parent / f"{prefix.name}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

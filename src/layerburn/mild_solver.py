@@ -17,8 +17,9 @@ which is independent of how [0, T] is split into windows.  Global solves
 chain windows of whole lattice steps, each starting at a lattice node t0 and
 sized by one of two certified rules (the continuation window epsilon(t0) or
 the fixed contraction step T'), both of which bound the Picard contraction
-factor by 1/2; a window that exhausts its sweep budget is halved and
-retried, at most MAX_HALVINGS times.  Every global solve is audited first and checked
+factor by 1/2, so a window's first Picard gap fixes its Banach sweep budget
+(_sweep_budget); a window that spends it is halved and retried, at most
+MAX_HALVINGS times.  Every global solve is audited first and checked
 against the a-priori growth bound afterwards, and a violation raises
 AprioriViolationError; runaway iterates trip the blow-up guard instead of
 overflowing silently.
@@ -54,6 +55,7 @@ after a pass solved to picard_tol itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -81,6 +83,11 @@ MAX_HALVINGS = 10
 # Forcing term of a coupled pass: it solves to FORCING times the fuel change of
 # the restep before it, and never below picard_tol.
 FORCING = 1e-3
+# An iterate whose sup norm exceeds BLOWUP_CEILING raises BlowUpError.
+BLOWUP_CEILING = 1e12
+# A coupled run settles at OUTER_TOL (solve_coupled) within MAX_PASSES passes.
+OUTER_TOL = 1e-8
+MAX_PASSES = 12
 
 
 class SolverError(RuntimeError):
@@ -124,18 +131,15 @@ class SolverConfig:
     exceeds the a-priori growth bound always raises AprioriViolationError.
     picard_tol is the Picard tolerance of a solve_global call, and of the
     last pass of a coupled run; the earlier passes solve to a looser,
-    forced tolerance (solve_coupled).
+    forced tolerance (solve_coupled).  Each window's sweep budget follows
+    from its certificate (_sweep_budget).
     """
 
     dt: float
     theta: float = 0.5
     scheme: str = "auto"
     picard_tol: float = 1e-10
-    picard_max_iters: int = 15
     window_mode: str = "continuation"
-    blowup_ceiling: float = 1e12
-    coupled_outer_tol: float = 1e-8
-    coupled_outer_max: int = 12
 
     def __post_init__(self):
         if self.window_mode not in WINDOW_MODES:
@@ -143,13 +147,8 @@ class SolverConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         check_theta(self.theta)
-        for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("picard_max_iters", "coupled_outer_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be positive and finite, got {self.picard_tol}")
 
 
 @dataclass
@@ -200,6 +199,12 @@ class CoupledResult:
 # single-window Picard iteration
 
 
+def _sweep_budget(first_gap: float, tol: float) -> int:
+    """Banach's sweep count for a window contracting by 1/2, from its first gap,
+    plus one sweep for tol = picard_tol*(1 + sup) drifting with the sup."""
+    return 1 if first_gap <= tol else 2 + math.ceil(math.log2(first_gap / tol))
+
+
 def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, u: np.ndarray,
                   cfg: SolverConfig, guess: np.ndarray | None
                   ) -> tuple[int, list[float], list[float]]:
@@ -225,7 +230,7 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, u: np.ndarray,
 
     sup0 = np.max(layer_l2(u[0], dx))
     gaps: list[float] = []
-    for it in range(1, cfg.picard_max_iters + 1):
+    for it in itertools.count(1):
         # each block of the successor replaces the old rows once they have
         # given their source and their share of the Picard gap
         sups = [sup0]
@@ -237,20 +242,24 @@ def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, u: np.ndarray,
             block_gaps.append(np.max(layer_l2(old, dx)))
             old[...] = rows
         sup_new = float(np.max(sups))
-        if not math.isfinite(sup_new) or sup_new > cfg.blowup_ceiling:
+        if not math.isfinite(sup_new) or sup_new > BLOWUP_CEILING:
             raise BlowUpError(
                 f"iterate blew up on [{times[0]:.6g}, {times[-1]:.6g}] "
                 f"(sweep {it}, sup {sup_new:.3g})"
             )
         gap = float(np.max(block_gaps))
         gaps.append(gap)
-        if gap <= cfg.picard_tol * (1.0 + sup_new):
+        tol = cfg.picard_tol * (1.0 + sup_new)
+        if gap <= tol:
             ratios = [gaps[j + 1] / gaps[j] for j in range(len(gaps) - 1) if gaps[j] > 0]
             return it, gaps, ratios
-    raise PicardDivergenceError(
-        f"no contraction to tol {cfg.picard_tol:.1e} in {cfg.picard_max_iters} sweeps "
-        f"on [{times[0]:.6g}, {times[-1]:.6g}]; last gap {gaps[-1]:.3e}"
-    )
+        if it == 1:
+            budget = _sweep_budget(gap, tol)
+        if it >= budget:
+            raise PicardDivergenceError(
+                f"no contraction to tol {cfg.picard_tol:.1e} in {budget} sweeps "
+                f"on [{times[0]:.6g}, {times[-1]:.6g}]; last gap {gap:.3e}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +431,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     pass_iterations: list[int] = []
     pass_worst_ratios: list[float] = []
     pass_picard_tols: list[float] = []
-    for outer in range(1, cfg.coupled_outer_max + 1):
+    for outer in range(1, MAX_PASSES + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice, table))
         guess = None if prev_traj is None else prev_traj.values
         pass_tol = max(cfg.picard_tol, FORCING * dy)
@@ -448,12 +457,12 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
         u_gaps.append(du)
         prev_traj = traj
 
-        tol = cfg.coupled_outer_tol
-        if pass_tol == cfg.picard_tol and (dy <= tol or du <= tol * (1.0 + traj.sup_norm())):
+        if pass_tol == cfg.picard_tol and (
+                dy <= OUTER_TOL or du <= OUTER_TOL * (1.0 + traj.sup_norm())):
             return CoupledResult(traj, TabulatedFuel(lattice, table), outer,
                                  u_gaps, y_gaps, res, pass_iterations,
                                  pass_worst_ratios, pass_picard_tols)
     raise PicardDivergenceError(
-        f"coupled outer iteration did not settle in {cfg.coupled_outer_max} passes "
+        f"coupled outer iteration did not settle in {MAX_PASSES} passes "
         f"(last du {u_gaps[-1]:.3e}, dy {y_gaps[-1]:.3e})"
     )

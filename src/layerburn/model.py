@@ -242,8 +242,6 @@ class PrescribedFuel(_Fuel):
 
     families: Sequence
 
-    mode = "prescribed"
-
     @property
     def n(self) -> int:
         return len(self.families)
@@ -278,8 +276,6 @@ class TabulatedFuel(_Fuel):
 
     times: np.ndarray
     table: np.ndarray  # (k, n, m)
-
-    mode = "coupled"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -336,10 +332,6 @@ class PerturbedFuel(_Fuel):
     base: object
     direction: np.ndarray
     scale: float
-
-    @property
-    def mode(self) -> str:
-        return self.base.mode
 
     @property
     def n(self) -> int:

@@ -59,15 +59,19 @@ class StabilityError(RuntimeError):
 
 
 INTEGRATORS = ("implicit-trapezoid", "explicit-rk4")  # OracleConfig.integrator
+# Newton iterations of one implicit step before NewtonError.
+NEWTON_MAX = 25
 
 
 @dataclass
 class OracleConfig:
+    """One oracle solve's settings; an implicit step has NEWTON_MAX iterations
+    to meet newton_tol."""
+
     integrator: str = "implicit-trapezoid"
     dt: float = 1e-3
     scheme: str = "auto"
     newton_tol: float = 1e-10
-    newton_max: int = 25
 
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
@@ -226,7 +230,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             if lu is None:
                 lu, piv = factor(v, t_next)
             last = math.inf
-            for _ in range(cfg.newton_max):
+            for _ in range(NEWTON_MAX):
                 # -G(v) = u + (dt/2)(rhs_k + rhs(v)) - v
                 neg_G = _rhs(run, kb, d, E, v)
                 neg_G *= half_dt

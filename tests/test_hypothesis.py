@@ -95,6 +95,19 @@ def test_h2_logistic_front_bounded_by_one():
     assert res.bounds["sup|y_t|"] > 0.0
 
 
+def test_h2_probes_the_derivatives_of_a_tabulated_fuel():
+    # a coupled run's fuel table is probed as a prescribed fuel is: a table
+    # linear in t reports its slope as sup|y_t|
+    g = make_grid(-5.0, 5.0, 101)
+    start = np.stack([np.full(101, 0.8), np.full(101, 0.6)])
+    slope = np.array([-0.3, -0.1])[:, None]
+    fuel = GriddedFuel(TabulatedFuel([0.0, 1.0], [start, start + slope]), g)
+    res = check_H2(fuel, 1.0)
+    assert res.ok
+    assert res.bounds["sup|y_t|"] == pytest.approx(0.3, rel=1e-12)
+    assert res.bounds["sup|y_x|"] == res.bounds["sup|y_tx|"] == 0.0
+
+
 def test_h2_flags_fuel_above_one():
     g = make_grid(-5.0, 5.0, 101)
     base = PrescribedFuel([ConstantFuel(0.9)] * 2)

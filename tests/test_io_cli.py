@@ -1,6 +1,7 @@
 """Config grammar, CSV round-trips, front tracking, and the CLI exit-code
 contract, exercised end to end through cli()."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from layerburn import io_cli
+from layerburn import io_cli, mild_solver
 from layerburn.grid import SolutionTrajectory, layer_l2, make_grid, sup_metric
 from layerburn.hypothesis import audit_problem
 from layerburn.io_cli import (
@@ -106,7 +107,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.T == 0.2
     assert cfg.solver.dt == 0.01
     assert cfg.solver.window_mode == "continuation"
-    assert cfg.solver.blowup_ceiling == 1e12
+    assert cfg.solver.picard_tol == 1e-10
+    assert "[run] picard_tol = 1e-10" in cfg.defaults_filled
     # unset fields fall back and the fallback is recorded
     assert np.all(cfg.params.a == 1.0)
     assert np.all(cfg.params.lam == 1.0)
@@ -125,14 +127,18 @@ def test_config_accepts_all_solver_knobs():
         scheme = upwind
         window_mode = contraction
         picard_tol = 1e-8
-        picard_max_iters = 30
-        blowup_ceiling = 1e6
     """)
     cfg = parse_config(text)
     s = cfg.solver
     assert (s.theta, s.scheme, s.window_mode) == (1.0, "upwind", "contraction")
-    assert s.picard_tol == 1e-8 and s.picard_max_iters == 30
-    assert s.blowup_ceiling == 1e6
+    assert s.picard_tol == 1e-8
+    assert [f.name for f in dataclasses.fields(s)] == [
+        "dt", "theta", "scheme", "picard_tol", "window_mode"]
+    # the sweep budget is derived and the other three are constants
+    for key in ("picard_max_iters", "blowup_ceiling", "coupled_outer_tol",
+                "coupled_outer_max"):
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[run\]"):
+            parse_config(text + f"{key} = 1\n")
 
 
 def test_experiment_perturbations_are_assembled():
@@ -315,11 +321,11 @@ def test_nonfinite_function_spec_argument_is_a_located_config_error(
     ("picard_tol = nan", "[run]: picard_tol must be positive and finite"),
     ("picard_tol = inf", "[run]: picard_tol must be positive and finite"),
     ("picard_tol = 0", "[run]: picard_tol must be positive and finite"),
-    ("coupled_outer_tol = nan", "[run]: coupled_outer_tol must be positive and finite"),
-    ("blowup_ceiling = nan", "[run]: blowup_ceiling must be positive and finite"),
-    ("blowup_ceiling = -1", "[run]: blowup_ceiling must be positive and finite"),
-    ("coupled_outer_max = 0", "[run]: coupled_outer_max must be at least 1"),
-    ("coupled_outer_max = -3", "[run]: coupled_outer_max must be at least 1"),
+    ("coupled_outer_tol = nan", "unknown key 'coupled_outer_tol' in [run]"),
+    ("blowup_ceiling = nan", "unknown key 'blowup_ceiling' in [run]"),
+    ("blowup_ceiling = -1", "unknown key 'blowup_ceiling' in [run]"),
+    ("coupled_outer_max = 0", "unknown key 'coupled_outer_max' in [run]"),
+    ("coupled_outer_max = -3", "unknown key 'coupled_outer_max' in [run]"),
     ("[experiment]\noracle_newton_tol = nan",
      "[experiment] oracle_newton_tol must be positive and finite"),
     ("[experiment]\noracle_newton_tol = -1e-10",
@@ -522,6 +528,29 @@ def test_write_trajectory_peak_memory_of_the_ignition_shape(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     # 1.07 MB measured: one block of 3208 values at about 340 B per value
     assert int(run.stdout) < 1.3e6
+
+
+def _interned_by_round_trip(folder, snapshots, monkeypatch):
+    """sys.intern calls of writing and reading back `snapshots` snapshots."""
+    grid = make_grid(-1.0, 1.0, 5)
+    values = np.random.default_rng(4).standard_normal((snapshots, 2, grid.m))
+    traj = SolutionTrajectory(0.01 * np.arange(snapshots), values, grid)
+    folder.mkdir()
+    calls = []
+    intern = sys.intern
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "intern", lambda text: calls.append(text) or intern(text))
+        write_trajectory(traj, folder / "run")
+        read_trajectory(folder / "run")
+    return len(calls)
+
+
+def test_trajectory_round_trip_interns_no_name_per_snapshot(tmp_path, monkeypatch):
+    # interned strings live as long as the interpreter, so a write or read
+    # must not intern each snapshot's name, as a pathlib join does
+    few = _interned_by_round_trip(tmp_path / "few", 3, monkeypatch)
+    many = _interned_by_round_trip(tmp_path / "many", 501, monkeypatch)
+    assert many == few
 
 
 def test_read_trajectory_accepts_crlf_and_trailing_blank_lines(tmp_path):
@@ -834,7 +863,7 @@ def test_cli_front_track(tmp_path):
     assert len(rows) == 22
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli([]) == 1
     assert cli(["simulate"]) == 1  # missing config argument
     assert cli(["simulate", str(tmp_path / "missing.cfg")]) == 4
@@ -846,8 +875,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         "audit.cfg")
     assert cli(["simulate", audit_fail, "--out", str(tmp_path / "a")]) == 2
 
-    blow = _write(tmp_path, BASE_CFG + "blowup_ceiling = 0.5\n", "blow.cfg")
-    assert cli(["simulate", blow, "--out", str(tmp_path / "b")]) == 3
+    blow = _write(tmp_path, BASE_CFG, "blow.cfg")
+    with monkeypatch.context() as patch:
+        patch.setattr(mild_solver, "BLOWUP_CEILING", 0.5)
+        assert cli(["simulate", blow, "--out", str(tmp_path / "b")]) == 3
 
     lattice = _write(tmp_path, BASE_CFG.replace("dt = 0.01", "dt = 0.03"),
                      "lat.cfg")

@@ -272,19 +272,45 @@ def test_apriori_growth_bound_reported_and_satisfied():
     assert ap["observed"] <= ap["bound"]
 
 
-def test_blowup_guard_trips_at_the_ceiling():
+def test_blowup_guard_trips_at_the_ceiling(monkeypatch):
     prob, T = shipped_problem("reactive_two_layer", m=201)
+    monkeypatch.setattr(mild_solver, "BLOWUP_CEILING", 1.0)
     with pytest.raises(BlowUpError):
-        solve_global(prob, T, SolverConfig(dt=0.002, blowup_ceiling=1.0))
+        solve_global(prob, T, SolverConfig(dt=0.002))
 
 
-def test_divergence_error_when_iteration_budget_exhausted():
+def test_divergence_error_when_iteration_budget_exhausted(monkeypatch):
     prob, T = shipped_problem("reactive_two_layer", m=201)
     # one sweep never meets the tolerance, so the window halves down to one
     # step and the divergence propagates
-    cfg = SolverConfig(dt=T / 4.0, picard_max_iters=1)
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 1)
+    cfg = SolverConfig(dt=T / 4.0)
     with pytest.raises(PicardDivergenceError):
         solve_global(prob, T, cfg)
+
+
+def _sweeps_to_tol(first_gap, ratio, tol):
+    """Sweeps until a gap sequence falling by `ratio` per sweep is at most tol."""
+    sweeps, gap = 1, first_gap
+    while gap > tol:
+        sweeps, gap = sweeps + 1, gap * ratio
+    return sweeps
+
+
+def test_sweep_budget_is_one_when_the_first_gap_meets_tol():
+    for gap in (0.0, 1e-12, 1e-10):
+        assert mild_solver._sweep_budget(gap, 1e-10) == 1
+
+
+@pytest.mark.parametrize("first_gap", [3e-10, 2.0 ** -20, 1e-6, 1.0, 7.5, 2.0 ** 30])
+def test_sweep_budget_covers_the_certified_ratio_only(first_gap):
+    # a window contracting by exactly the certified 1/2 meets tol within its
+    # budget; one contracting by 0.6 spends it first
+    tol = 2.0 ** -40
+    budget = mild_solver._sweep_budget(first_gap, tol)
+    assert budget == 2 + math.ceil(math.log2(first_gap / tol))
+    assert _sweeps_to_tol(first_gap, 0.5, tol) <= budget - 1
+    assert _sweeps_to_tol(first_gap, 0.6, tol) > budget
 
 
 def test_apriori_violation_raises():
@@ -378,27 +404,29 @@ def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
     assert np.array_equal(again.trajectory.values, cold.trajectory.values)
 
 
-def test_guess_follows_halved_windows():
+def test_guess_follows_halved_windows(monkeypatch):
     # a poor guess and a short sweep budget force halvings; each halved window
     # starts from its own slice of the guess, and the fixed point does not move
     prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     ref = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
-    cfg = SolverConfig(dt=0.002, picard_tol=tol, picard_max_iters=5)
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 5)
+    cfg = SolverConfig(dt=0.002, picard_tol=tol)
     rough = 1.5 * np.repeat(prob.phi[None], ref.trajectory.times.size, axis=0)
     res = solve_global(prob, T, cfg, report=ref.report, guess=rough)
     assert sum(w.halvings for w in res.windows) > 0
     assert sup_metric(res.trajectory, ref.trajectory) <= 10.0 * tol
 
 
-def test_halved_window_equals_a_window_of_that_size():
+def test_halved_window_equals_a_window_of_that_size(monkeypatch):
     # the first 250-step window exhausts its budget and retries on 125 steps
     # in its slice of the trajectory buffer, whose rows 126..250 still hold
     # the failed attempt; nothing of it reaches the result
     prob, T = shipped_problem("reactive_two_layer", m=201)
-    halved = solve_global(prob, T, SolverConfig(dt=0.002, picard_max_iters=6))
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 6)
+    halved = solve_global(prob, T, SolverConfig(dt=0.002))
     assert [w.halvings for w in halved.windows] == [1, 0]
-    cfg = SolverConfig(dt=0.002, picard_max_iters=6, window_mode="contraction")
+    cfg = SolverConfig(dt=0.002, window_mode="contraction")
     sized = solve_global(prob, T, cfg, report=replace(halved.report, T_prime=T / 2))
     assert [w.halvings for w in sized.windows] == [0, 0]
     assert ([(w.t_start, w.t_end, w.gaps) for w in sized.windows]
@@ -489,14 +517,9 @@ def test_config_validation():
             SolverConfig(dt=0.01, theta=theta)
     for theta in (0.5, 0.7, 1.0):
         assert SolverConfig(dt=0.01, theta=theta).theta == theta
-    for name in ("picard_tol", "coupled_outer_tol", "blowup_ceiling"):
-        for value in (math.nan, math.inf, 0.0, -1.0):
-            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-                SolverConfig(dt=0.01, **{name: value})
-    for name in ("picard_max_iters", "coupled_outer_max"):
-        for value in (0, -3):
-            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
-                SolverConfig(dt=0.01, **{name: value})
+    for value in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="picard_tol must be positive and finite"):
+            SolverConfig(dt=0.01, picard_tol=value)
 
 
 def test_solver_config_requires_dt():
