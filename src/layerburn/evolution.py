@@ -82,9 +82,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .grid import Grid, steps_per_block
+from .lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .model import LayerParams, coefficient_fields, source_f
 
 # the normal float range, which the scales of a symmetrized step stay in

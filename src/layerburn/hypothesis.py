@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .evolution import GriddedFuel, check_theta, generator_bands, repeats
 from .grid import GUARD_BAND_TOL, Grid, guard_band_ratio, l2_norm, layer_l2
+from .lapack import top_eigenvalue
 from .model import LayerParams, Problem, capacity, central_gradient, g_prime_sup
 
 
@@ -218,9 +218,10 @@ def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
     omega = lambda_max(-(L_h + L_h^T)/2) bounds the numerical range of
     -h*L_h by Re z <= omega*h, so by von Neumann's theorem the step has
     ||U||_2 <= max(1, r(omega*h)), r(a) = (1 + (1-theta)a)/(1 - theta*a) =
-    1 + a/(1 - theta*a), provided theta*omega*h < 1.  Bisection locates the
-    top eigenvalue of S = -(L_h + L_h^T)/2 to within tol = eps*||S||_1, and
-    omega is that estimate plus tol, so it rounds up.  Returns
+    1 + a/(1 - theta*a), provided theta*omega*h < 1.  Bisection (LAPACK's
+    dstebz, lapack.top_eigenvalue) locates the top eigenvalue of
+    S = -(L_h + L_h^T)/2 to within tol = eps*||S||_1, and omega is that
+    estimate plus tol, so it rounds up.  Returns
     (beta, omega): beta = max(0, max log r(omega*h)/h) and omega of shape
     (distinct probes, n).
     """
@@ -236,10 +237,7 @@ def growth_beta(p: LayerParams, fuel: GriddedFuel, probe_times, h: float,
     col[..., :-1] += np.abs(off)
     col[..., 1:] += np.abs(off)
     tols = np.finfo(float).eps * np.max(col, axis=-1)
-    top = (fuel.grid.m - 1,) * 2
-    omega = np.array([[eigh_tridiagonal(-d, e, eigvals_only=True, select="i",
-                                        select_range=top, tol=tol)[0] + tol
-                       for d, e, tol in zip(dk, ek, tk)]
+    omega = np.array([[top_eigenvalue(-d, e, tol) + tol for d, e, tol in zip(dk, ek, tk)]
                       for dk, ek, tk in zip(main, off, tols)])
     a = np.maximum(omega, 0.0) * h
     if np.any(theta * a >= 1.0):

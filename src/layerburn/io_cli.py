@@ -778,7 +778,7 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     prefix = _resolve_prefix(args.out, config_path, "oracle_compare")
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
-    gaps = []
+    gaps, floors = [], []
     guess = report = None
     for dt in ladder:
         mild_cfg = replace(config.solver, dt=dt)
@@ -794,12 +794,17 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
         )
         reference = mol_solve(problem, config.T, oracle_cfg)
         gaps.append(relative_gap(mild, reference))
+        # the Picard floor: the solve stops within picard_tol*(1 + S) of its
+        # fixed point, S the reference's sup norm that relative_gap divides by
+        sup = reference.sup_norm()
+        floors.append(mild_cfg.picard_tol * (1.0 + sup) / max(sup, np.finfo(float).tiny))
         # free this rung's trajectories: the finer rung's solves then hold only
         # its guess, and the peak memory stays that of a cold ladder
         del res, mild, reference
-    # a zero gap (zero data, so both solutions vanish) has no order: its cell stays empty
-    orders = ["" if ga <= 0 or gb <= 0 else _fmt(refinement_orders([ga, gb])[0])
-              for ga, gb in zip(gaps, gaps[1:])]
+    # a gap at or below its rung's floor is round-off, not discretisation error,
+    # and has no order: its cell stays empty (so does a zero gap of zero data)
+    orders = ["" if ga <= fa or gb <= fb else _fmt(refinement_orders([ga, gb])[0])
+              for ga, gb, fa, fb in zip(gaps, gaps[1:], floors, floors[1:])]
 
     csv_path = prefix.parent / f"{prefix.name}_oracle.csv"
     with open(csv_path, "w") as fh:

@@ -43,10 +43,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .evolution import GriddedFuel, generator_apply, generator_bands, repeats
 from .grid import SolutionTrajectory, steps_per_block, sup_metric, time_lattice
+from .lapack import dgbtrf, dgbtrs
 from .model import Problem, arrhenius_g, arrhenius_g_prime, capacity, reaction, source_f
 
 

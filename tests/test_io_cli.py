@@ -518,16 +518,38 @@ print(tracemalloc.get_traced_memory()[1])
 
 def test_write_trajectory_peak_memory_of_the_ignition_shape(tmp_path):
     # 501 snapshots of 401 nodes with two layers and a fuel table, as the
-    # ignition run writes them: a block is 2 snapshots, 3208 values.  pathlib
-    # interns each snapshot name, and the interpreter's table of interned
-    # strings, which every earlier test grows, can resize (1.9 MB) inside a
-    # traced write; so the write is traced in a fresh interpreter
+    # ignition run writes them: a block is 2 snapshots, 3208 values.  The
+    # write is traced in a fresh interpreter, so nothing an earlier test left
+    # behind (a growing cache or table) can land in the traced peak
     src = str(Path(io_cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", _IGNITION_SHAPE_WRITE, str(tmp_path)],
                          capture_output=True, text=True, env=env, check=True)
     # 1.07 MB measured: one block of 3208 values at about 340 B per value
     assert int(run.stdout) < 1.3e6
+
+
+_CLI_WITHOUT_SCIPY_LINALG = """
+import sys
+from layerburn.io_cli import cli
+cfg, out = sys.argv[1:]
+print("scipy.linalg" in sys.modules)
+for command in ("check-hypotheses", "simulate"):
+    assert cli([command, cfg, "--out", f"{out}/{command}"]) == 0, command
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_cli_runs_without_importing_scipy_linalg(tmp_path):
+    # scipy.linalg's import is most of a CLI call's start-up; layerburn.lapack
+    # binds the LAPACK routines from scipy's extension without it
+    cfg = _write(tmp_path, BASE_CFG)
+    src = str(Path(io_cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    lines = subprocess.run([sys.executable, "-c", _CLI_WITHOUT_SCIPY_LINALG, cfg, str(tmp_path)],
+                           capture_output=True, text=True, env=env, check=True).stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")  # after the import, after both runs
+    assert (tmp_path / "simulate_snap_00000.csv").is_file()
 
 
 def _interned_by_round_trip(folder, snapshots, monkeypatch):
@@ -781,6 +803,39 @@ def test_cli_oracle_compare_zero_data_leaves_orders_empty(tmp_path, capsys):
     rows = (tmp_path / "orc_oracle.csv").read_text().strip("\n").splitlines()
     assert rows[0] == "dt,relative_gap,observed_order"
     assert [row.split(",")[1:] for row in rows[1:]] == [["0", ""]] * 3
+    assert "orders n/a, n/a ->" in capsys.readouterr().out
+
+
+def test_cli_oracle_compare_source_free_gaps_are_round_off_without_order(tmp_path, capsys):
+    # with no source the marcher and the trapezoid oracle take the same
+    # theta = 1/2 steps, so every gap is round-off below the Picard floor
+    # picard_tol*(1 + S)/S and its log2 ratio is noise, not an order
+    cfg = _write(tmp_path, dedent("""\
+        [grid]
+        x_min = -6
+        x_max = 6
+        m = 81
+
+        [layers]
+        n = 2
+        c_1 = constant(0.5)
+        c_2 = constant(0.3)
+
+        [fuel]
+        y_1 = constant(1)
+        y_2 = constant(1)
+
+        [run]
+        T = 0.2
+        dt = 0.01
+        phi_1 = bump(0, 1, 0, 1)
+        phi_2 = bump(0.5, 0.4, 0, 1)
+        """))
+    assert cli(["oracle-compare", cfg, "--out", str(tmp_path / "orc")]) == 0
+    rows = (tmp_path / "orc_oracle.csv").read_text().strip("\n").splitlines()
+    gaps = [float(row.split(",")[1]) for row in rows[1:]]
+    assert len(gaps) == 3 and all(0 < gap < 1e-12 for gap in gaps)
+    assert [row.split(",")[2] for row in rows[1:]] == [""] * 3
     assert "orders n/a, n/a ->" in capsys.readouterr().out
 
 
