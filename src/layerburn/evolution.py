@@ -1,20 +1,21 @@
 """Discrete evolution operators for the homogeneous layer problems.
 
 Each layer carries an independent one-dimensional drift-diffusion generator
-L u = -alpha(x, t) u_xx + beta(x, t) u_x.  One step of the two-parameter
-family U(t_to, t_from) is the theta-scheme
+L u = (-lam u_xx + c u_x)/w with the heat capacity w = a + b*y.  One step of
+the two-parameter family U(t_to, t_from) is the theta-scheme
 
     (I + theta*dt*L_h) u_new = (I - (1-theta)*dt*L_h) u_old,
 
-with L_h assembled once per step from coefficients frozen at the interval
+with L_h = D_h / w: the fuel-free stencil D_h is built once per
+build_propagators call and w once per step, from the fuel at the interval
 midpoint.  Diffusion uses central second differences.  Advection is
-Peclet-switched per node: central differences where |beta|*dx/alpha <= 2,
+Peclet-switched per node: central differences where |c|*dx <= 2*lam,
 first-order upwinding elsewhere, which keeps the implicit matrix strictly
 diagonally dominant (margin exactly 1) for every dt.  The truncated boundary
 uses the conservative homogeneous-Neumann closure: one-sided diffusion rows
-whose column sums vanish for constant alpha (the explicit reconstruction then
-preserves the discrete mean) and no advection term at the two boundary nodes,
-where the Neumann condition makes beta*u_x vanish anyway.  Constants are
+whose column sums vanish for constant lam/w (the explicit reconstruction
+then preserves the discrete mean) and no advection term at the two boundary
+nodes, where the Neumann condition makes c*u_x vanish anyway.  Constants are
 exact steady states of the homogeneous flow in every mode.
 
 Only the implicit matrix A = I + theta*dt*L_h is kept.  The explicit one is
@@ -44,12 +45,12 @@ changes how the system is solved, not the step.  An operator keeps the
 general tridiagonal LU (dgttrf, dgttrs) when some pair is not negative
 (central differences at a cell Peclet number of exactly 2, or above it when
 forced, no diffusion, or a dt = 0 step) or when s leaves the normal float
-range (the integral of |beta|/(2*alpha) across a layer beyond about 700, s
+range (the integral of |c|/(2*lam) across a layer beyond about 700, s
 spanning over 300 decades); the choice is read from each operator's bands.
 
-build_propagators assembles all steps of a time lattice: fuel samples,
-coefficients, stencils and bands are computed over blocks of time steps at
-once, shape (steps, n, m), and LAPACK factors one step at a time.  A step's
+build_propagators assembles all steps of a time lattice: D_h once, then
+fuel samples, capacities and bands over blocks of time steps at once, shape
+(steps, n, m), and LAPACK factors one step at a time.  A step's
 operator depends only on its fuel sample and dt, so each step is keyed by
 its run of bitwise-equal adjacent fuel samples and its dt bit pattern, and
 the steps of a key share one Propagator, assembled once.  A
@@ -85,44 +86,44 @@ import numpy as np
 
 from .grid import Grid, steps_per_block
 from .lapack import dgttrf, dgttrs, dpttrf, dpttrs
-from .model import LayerParams, coefficient_fields, source_f
+from .model import LayerParams, capacity, source_f
 
 # the normal float range, which the scales of a symmetrized step stay in
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 SCHEMES = ("auto", "central", "upwind")  # the advection stencils of _stencil
 
 
-def _stencil(alpha: np.ndarray, beta: np.ndarray, dx: float, scheme: str):
-    """Tridiagonals (sub, main, sup) of L_h for stacked layers, shape (..., n, m)."""
-    sub = np.zeros_like(alpha)
-    main = np.zeros_like(alpha)
-    sup = np.zeros_like(alpha)
+def _stencil(lam: np.ndarray, c: np.ndarray, dx: float, scheme: str):
+    """Tridiagonals (sub, main, sup) of the fuel-free stencil D_h = w*L_h, each (n, m)."""
+    sub = np.zeros_like(lam)
+    main = np.zeros_like(lam)
+    sup = np.zeros_like(lam)
     inv2 = 1.0 / dx**2
 
-    a = alpha[..., 1:-1]
-    b = beta[..., 1:-1]
-    main[..., 1:-1] = 2.0 * a * inv2
-    sub[..., 1:-1] = -a * inv2
-    sup[..., 1:-1] = -a * inv2
+    lam_i = lam[..., 1:-1]
+    c_i = c[..., 1:-1]
+    main[..., 1:-1] = 2.0 * lam_i * inv2
+    sub[..., 1:-1] = -lam_i * inv2
+    sup[..., 1:-1] = -lam_i * inv2
 
     if scheme == "central":
-        use_central = np.ones_like(b, dtype=bool)
+        use_central = np.ones_like(c_i, dtype=bool)
     elif scheme == "upwind":
-        use_central = np.zeros_like(b, dtype=bool)
+        use_central = np.zeros_like(c_i, dtype=bool)
     elif scheme == "auto":
-        use_central = np.abs(b) * dx <= 2.0 * a
+        use_central = np.abs(c_i) * dx <= 2.0 * lam_i
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    half = b / (2.0 * dx)
-    sub[..., 1:-1] += np.where(use_central, -half, np.where(b > 0, -b / dx, 0.0))
-    main[..., 1:-1] += np.where(use_central, 0.0, np.abs(b) / dx)
-    sup[..., 1:-1] += np.where(use_central, half, np.where(b < 0, b / dx, 0.0))
+    half = c_i / (2.0 * dx)
+    sub[..., 1:-1] += np.where(use_central, -half, np.where(c_i > 0, -c_i / dx, 0.0))
+    main[..., 1:-1] += np.where(use_central, 0.0, np.abs(c_i) / dx)
+    sup[..., 1:-1] += np.where(use_central, half, np.where(c_i < 0, c_i / dx, 0.0))
 
-    main[..., 0] += alpha[..., 0] * inv2
-    sup[..., 0] -= alpha[..., 0] * inv2
-    main[..., -1] += alpha[..., -1] * inv2
-    sub[..., -1] -= alpha[..., -1] * inv2
+    main[..., 0] += lam[..., 0] * inv2
+    sup[..., 0] -= lam[..., 0] * inv2
+    main[..., -1] += lam[..., -1] * inv2
+    sub[..., -1] -= lam[..., -1] * inv2
     return sub, main, sup
 
 
@@ -230,6 +231,7 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
         raise ValueError("t_to must not precede t_from")
     grid = fuel.grid
     mids = 0.5 * (times[:-1] + times[1:])
+    stencil = _stencil(p.lam, p.c, grid.dx, scheme)
     ops: dict[tuple, Propagator] = {}
     props: list[Propagator] = []
     block = steps_per_block(p.n * grid.m)
@@ -246,8 +248,10 @@ def build_propagators(p: LayerParams, fuel, times, theta: float = 0.5,
                 new[key] = j
         if new:
             heads = list(new.values())
-            # A = I + theta*dt*L_h in place of L_h's bands
-            dl, d, du = _stencil(*coefficient_fields(p, ys[heads]), grid.dx, scheme)
+            # A = I + theta*dt*(D_h/w), divided first so that each band is
+            # bitwise generator_bands' times theta*dt
+            den = capacity(p, ys[heads])
+            dl, d, du = (band / den for band in stencil)
             w_imp = theta * dt[heads, None, None]
             dl *= w_imp
             du *= w_imp
@@ -373,9 +377,8 @@ class GriddedFuel:
 
 def generator_bands(p: LayerParams, y: np.ndarray, dx: float,
                     scheme: str = "auto") -> np.ndarray:
-    """Tridiagonals of L_h for fuel fields y of shape (..., n, m): (..., n, 3, m)."""
-    alpha, beta = coefficient_fields(p, y)
-    return np.stack(_stencil(alpha, beta, dx, scheme), axis=-2)
+    """Tridiagonals of L_h = D_h / w for fuel fields y of shape (..., n, m): (..., n, 3, m)."""
+    return np.stack(_stencil(p.lam, p.c, dx, scheme), axis=-2) / capacity(p, y)[..., None, :]
 
 
 def generator_apply(tri: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -56,12 +56,9 @@ def arrhenius_g(theta, E: float):
     # smaller E every theta > 0 is computed.
     cut = E / 745.5
     live = th > (cut if cut >= _TINY else 0.0)
-    if live.all():  # same bits as the masked path, without its gather and scatter
-        out = np.exp(np.divide(-E, th))
-    else:
-        out = np.zeros(th.shape)
-        arg = np.divide(-E, th[live])
-        out[live] = np.exp(arg, out=arg)
+    out = np.zeros(th.shape)
+    arg = np.divide(-E, th[live])
+    out[live] = np.exp(arg, out=arg)
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -364,21 +361,16 @@ def fuel_step(y0: np.ndarray, u: np.ndarray, p: LayerParams, dt: float) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# coefficients and reaction function
+# capacity and reaction function
 
 
 def capacity(p: LayerParams, y) -> np.ndarray:
-    """The heat capacity a + b*y at fuel fields y; a ValueError unless it is positive."""
+    """The heat capacity w = a + b*y, which divides the generator and the source,
+    at fuel fields y; a ValueError unless it is positive."""
     den = p.a + p.b * y
     if den.min() <= 0.0:
         raise ValueError("a + b*y must stay positive (admissibility violated)")
     return den
-
-
-def coefficient_fields(p: LayerParams, y) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion and advection coefficients alpha = lam/(a+b*y), beta = c/(a+b*y)."""
-    den = capacity(p, y)
-    return p.lam / den, p.c / den
 
 
 def reaction(kb, d, y, u, E: float) -> np.ndarray:

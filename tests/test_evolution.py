@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from conftest import constant_problem, random_field, shipped_config
+from layerburn import evolution
 from layerburn.evolution import (
     GriddedFuel,
     Propagator,
@@ -23,6 +24,7 @@ from layerburn.model import (
     LayerParams,
     PrescribedFuel,
     TabulatedFuel,
+    capacity,
 )
 
 
@@ -215,7 +217,7 @@ def test_strong_continuity_in_dt():
 
 
 def test_scheme_switch_threshold():
-    # cell Peclet |beta| dx / alpha <= 2 keeps the central stencil; beyond it
+    # cell Peclet |c| dx / lam <= 2 keeps the central stencil; beyond it
     # the auto scheme must match the upwind rows node by node in the
     # generator, and the step operator of each scheme must be bitwise the
     # per-layer step built from that scheme's generator bands
@@ -236,6 +238,26 @@ def test_scheme_switch_threshold():
     for q, scheme in ((p, "auto"), (p, "upwind"), (p_central, "central")):
         prop = build_propagator(q, fuel, 0.0, 1e-3, scheme=scheme)
         _assert_layer_steps(prop, gens[scheme], 0.5 * 1e-3, 0.5, v)
+
+
+def test_peclet_switch_does_not_depend_on_the_fuel():
+    # nodes with |c| dx within 1e-12 of 2 lam take the same branch at y = 0
+    # and y = 1: the switch reads lam and c, which w = a + b*y divides alike
+    m = 201
+    grid = make_grid(0.0, 1.0, m)
+    p = LayerParams.constants(grid, 2, a=1.0, b=0.37)
+    p.lam[:] = np.linspace(0.5, 2.0, m)
+    p.c[:] = 2.0 * p.lam / grid.dx * (1.0 + np.linspace(-1e-12, 1e-12, m))
+    p.c[1] *= -1.0
+    central = []
+    for y in (0.0, 1.0):
+        ys = np.full((2, m), y)
+        # the weighted main diagonal is 2 lam/dx^2 on a central row; an upwind
+        # row adds |c|/dx, about as much again
+        main = generator_bands(p, ys, grid.dx)[:, 1] * capacity(p, ys)
+        central.append(main[:, 1:-1] * grid.dx**2 < 3.0 * p.lam[:, 1:-1])
+    assert central[0].any() and not central[0].all()
+    assert np.array_equal(central[0], central[1])
 
 
 def test_forced_central_guards_diagonal_dominance():
@@ -637,3 +659,43 @@ def test_shared_factors_still_guard_forced_central_dominance():
         assert len({id(prop.lu) for prop in short}) == operators
         with pytest.raises(ValueError, match="diagonal dominance"):
             build_propagators(p, fuel, times, scheme="central")
+
+
+def test_weighted_generator_is_the_fuel_free_stencil():
+    # L_h = D_h / w, so w*L_h is the same stencil for every fuel sample, up to
+    # the rounding of the division and the product
+    grid = make_grid(-4.0, 4.0, 64)
+    p = _variable_params(grid, 3)  # b = 0.3
+    ys = np.random.default_rng(21).uniform(0.0, 1.0, (2, 3, grid.m))
+    w = capacity(p, ys)
+    assert np.abs(w[0] - w[1]).max() > 0.2
+    for scheme in evolution.SCHEMES:
+        weighted = generator_bands(p, ys, grid.dx, scheme) * w[..., None, :]
+        np.testing.assert_allclose(weighted[0], weighted[1], rtol=4 * np.finfo(float).eps,
+                                   atol=0.0)
+
+
+def test_one_stencil_per_build(monkeypatch):
+    # every step of this table has its own fuel sample and operator, over
+    # several blocks, yet D_h is built once per build_propagators call and
+    # once per generator_bands call
+    n, m = 2, 64
+    grid = make_grid(-4.0, 4.0, m)
+    p = _variable_params(grid, n)
+    times = np.arange(2 * steps_per_block(n * m) + 6) * 2.0**-9
+    layer = np.arange(n)[None, :, None]
+    table = 0.5 + 0.4 * np.sin(grid.x + layer + times[:, None, None])
+    fuel = GriddedFuel(TabulatedFuel(times, table), grid)
+    calls = []
+    stencil = evolution._stencil
+
+    def counted(*args):
+        calls.append(args)
+        return stencil(*args)
+
+    monkeypatch.setattr(evolution, "_stencil", counted)
+    props = build_propagators(p, fuel, times)
+    assert len({id(prop.lu) for prop in props}) == len(props) == times.size - 1
+    assert len(calls) == 1
+    generator_bands(p, table, grid.dx)
+    assert len(calls) == 2

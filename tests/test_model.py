@@ -1,4 +1,4 @@
-"""Arrhenius nonlinearity, coefficient fields, the source term, and fuel
+"""Arrhenius nonlinearity, the capacity and generator, the source term, and fuel
 models with the coupled-fuel restep."""
 
 import tracemalloc
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import shipped_config, shipped_problem, smooth_bump
-from layerburn.evolution import GriddedFuel
+from layerburn.evolution import GriddedFuel, generator_bands
 from layerburn.grid import l2_norm, layer_l2, make_grid, time_lattice
 from layerburn.hypothesis import check_H2
 from layerburn.model import (
@@ -21,8 +21,8 @@ from layerburn.model import (
     TabulatedFuel,
     arrhenius_g,
     arrhenius_g_prime,
+    capacity,
     central_gradient,
-    coefficient_fields,
     fuel_step,
     g_prime_sup,
     source_f,
@@ -171,17 +171,26 @@ def test_g_prime_near_singular_temperatures_stay_finite():
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# capacity and generator
 
 
 def _fuel_ones(n, m):
     return np.ones((n, m))
 
 
+def _coefficients(p, y, dx):
+    """lam/w and c/w from the interior rows of L_h = D_h / w where they are
+    central: the main diagonal is 2 lam/(w dx^2) and sup - sub is c/(w dx)."""
+    sub, main, sup = np.moveaxis(generator_bands(p, y, dx)[..., 1:-1], -2, 0)
+    return main * dx**2 / 2.0, (sup - sub) * dx
+
+
 def test_coefficients_without_fuel_capacity():
     g = make_grid(0.0, 1.0, 11)
     p = LayerParams.constants(g, 2, a=2.0, b=0.0, c=3.0, lam=4.0)
-    alpha, beta = coefficient_fields(p, _fuel_ones(2, 11))
+    y = _fuel_ones(2, 11)
+    np.testing.assert_allclose(capacity(p, y), 2.0)
+    alpha, beta = _coefficients(p, y, g.dx)
     np.testing.assert_allclose(alpha, 2.0)
     np.testing.assert_allclose(beta, 1.5)
 
@@ -189,7 +198,9 @@ def test_coefficients_without_fuel_capacity():
 def test_coefficients_hand_case():
     g = make_grid(0.0, 1.0, 11)
     p = LayerParams.constants(g, 2, a=1.0, b=1.0, c=3.0, lam=2.0)
-    alpha, beta = coefficient_fields(p, _fuel_ones(2, 11))
+    y = _fuel_ones(2, 11)
+    np.testing.assert_allclose(capacity(p, y), 2.0)
+    alpha, beta = _coefficients(p, y, g.dx)
     np.testing.assert_allclose(alpha, 1.0)
     np.testing.assert_allclose(beta, 1.5)
 
@@ -200,8 +211,8 @@ def test_diffusion_decreases_with_fuel():
     rng = np.random.default_rng(2)
     y1 = rng.uniform(0.0, 0.5, (2, 21))
     y2 = y1 + rng.uniform(0.0, 0.5, (2, 21))
-    a1, _ = coefficient_fields(p, y1)
-    a2, _ = coefficient_fields(p, y2)
+    a1, _ = _coefficients(p, y1, g.dx)
+    a2, _ = _coefficients(p, y2, g.dx)
     assert np.all(a2 <= a1)
 
 
@@ -218,7 +229,7 @@ def test_uniform_parabolicity_bounds():
             qhat1=np.zeros(31), qhat2=np.zeros(31), u_e=0.0, E=1.0,
         )
         y = rng.uniform(0.0, 1.0, (2, 31))
-        alpha, _ = coefficient_fields(p, y)
+        alpha, _ = _coefficients(p, y, g.dx)
         assert alpha.min() >= k1 / (k2 + k2 * 1.0) - 1e-15
         assert alpha.max() <= k2 / k1 + 1e-15
 
@@ -229,7 +240,9 @@ def test_coefficients_reject_vanishing_capacity():
     y = np.ones((2, 11))
     p.a[...] = 0.0
     with pytest.raises(ValueError):
-        coefficient_fields(p, y)
+        capacity(p, y)
+    with pytest.raises(ValueError):
+        generator_bands(p, y, g.dx)
 
 
 # ---------------------------------------------------------------------------
