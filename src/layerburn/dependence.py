@@ -30,12 +30,14 @@ those of recomputing the base parts for every level, step by step.
 The ladder runs as a natural-parameter continuation (Allgower & Georg,
 Introduction to Numerical Continuation Methods, 2003): level s starts its
 Picard iteration from the secant predictor u + (s/s_p)(u_p - u), where u is
-the base solution and (s_p, u_p) the last solved level, or from u alone
-before any level is solved.  The predictor is formed in place in u_p's
-buffer, so it costs no trajectory-sized array; a level that is skipped
-leaves its predictor there, which lies on the same secant.  The fixed point
-of each level is unique, so the start changes only how many sweeps a level
-takes (LevelResult.sweeps), not where it converges (to within picard_tol).
+the base solution and (s_p, u_p) the last solved level, or from a copy of
+u before any level is solved.  The predictor is formed in a fresh buffer and
+the level's solve runs in it (solve_global's guess), so the buffer becomes
+the level's trajectory and the next (s_p, u_p); u_p is released once the
+level is solved, and a skipped level leaves (s_p, u_p) where it was.  The
+fixed point of each level is unique, so the start changes only how many
+sweeps a level takes (LevelResult.sweeps), not where it converges (to
+within picard_tol).
 A skipped level records its reason as one line: the error type and the
 first line of its message.
 """
@@ -226,22 +228,22 @@ def dependence_study(problem: Problem, T: float, spec: PerturbationSpec,
         s = float(s)
         pert = build_perturbed(problem, spec.directions, s)
         if prev is None:
-            guess = u
-        else:  # secant predictor u + (s/s_p)(u_p - u), formed in u_p's buffer
-            s_p, guess = prev
-            guess -= u
+            guess = u.copy()
+        else:  # secant predictor u + (s/s_p)(u_p - u), in a fresh buffer
+            s_p, u_p = prev
+            guess = np.subtract(u_p, u)
             guess *= s / s_p
             guess += u
+            del u_p
         try:
             res = solve_global(pert, T, cfg, guess=guess)
         except (AuditError, BlowUpError, PicardDivergenceError, WindowBelowStepError) as err:
             first = (str(err).splitlines() or [""])[0]
             out.append(LevelResult(s, math.nan, {}, math.nan, False, False,
                                    skipped=f"{type(err).__name__}: {first}"))
-            if prev is not None:  # the predictor at s lies on the same secant
-                prev = (s, guess)
+            del guess  # a failed solve leaves no usable rows
             continue
-        prev = (s, res.trajectory.values)
+        prev = (s, res.trajectory.values)  # the predictor's buffer; the old u_p goes
         delta = sup_metric(res.trajectory, base.trajectory)
         terms = _difference_terms(problem, pert, base.trajectory, cfg, base_terms)
         bound = terms["total"] * factor

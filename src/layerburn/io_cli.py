@@ -61,7 +61,7 @@ import numpy as np
 from . import __version__
 from .dependence import PerturbationSpec, dependence_study
 from .evolution import SCHEMES
-from .grid import Grid, SolutionTrajectory, layer_l2, make_grid, time_lattice
+from .grid import Grid, SolutionTrajectory, layer_l2, make_grid, sup_metric, time_lattice
 from .hypothesis import GrowthBoundError, HypothesisReport, audit_problem
 from .mild_solver import (
     AuditError,
@@ -89,9 +89,8 @@ from .oracle import (
     NewtonError,
     OracleConfig,
     StabilityError,
-    mol_solve,
+    mol_blocks,
     refinement_orders,
-    relative_gap,
 )
 
 
@@ -673,7 +672,7 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
         "package": "layerburn",
         "version": __version__,
         "subcommand": subcommand,
-        "config_file": str(config_path),
+        "config_file": os.path.basename(config_path),
         "config_sha256": hashlib.sha256(config.text.encode()).hexdigest(),
         "config_echo": config.text,
         "defaults_filled": config.defaults_filled,
@@ -694,12 +693,15 @@ def write_manifest(prefix: Path, subcommand: str, config_path: str,
 def _summary_text(result: SolveResult, coupled: CoupledResult | None = None) -> str:
     """The run's summary; result is the (last) temperature solve, and a coupled
     run adds its pass count and the Picard sweeps, worst gap ratio and Picard
-    tolerance of every pass."""
+    tolerance of every pass.  picard_ratio_violations counts the gap ratios
+    above 1/2, over every pass of a coupled run."""
     lines = ["[run summary]"]
     lines.append(f"windows: {len(result.windows)}")
     lines.append(f"max_picard_iterations: {result.max_iterations}")
     lines.append(f"total_picard_iterations: {result.total_iterations}")
     lines.append(f"worst_gap_ratio: {_fmt(result.worst_ratio)}")
+    violations = result.ratio_violations if coupled is None else coupled.ratio_violations
+    lines.append(f"picard_ratio_violations: {violations}")
     for key in ("observed", "bound", "kappa", "mu", "beta"):
         lines.append(f"apriori_{key}: {_fmt(result.apriori[key])}")
     lines.append(f"apriori_ok: {str(result.apriori['ok']).lower()}")
@@ -761,12 +763,33 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
 
 def _refine_in_time(values: np.ndarray) -> np.ndarray:
     """A trajectory on a lattice of step dt, carried to the nested dt/2 lattice:
-    even nodes are the given rows, odd nodes the mean of their two neighbours.
+    even nodes are the given rows, odd nodes the mean of their two neighbours,
+    summed and halved in place so that no temporary is trajectory-sized.
     """
     out = np.empty((2 * values.shape[0] - 1,) + values.shape[1:])
     out[::2] = values
-    out[1::2] = 0.5 * (values[:-1] + values[1:])
+    mid = out[1::2]
+    np.add(values[:-1], values[1:], out=mid)
+    mid *= 0.5
     return out
+
+
+def _gap_to_reference(mild: SolutionTrajectory, blocks) -> tuple[float, float]:
+    """sup_metric(mild, reference) and the reference's sup norm, the two halves
+    of oracle.relative_gap, from the reference's (a, rows) blocks.
+
+    Each block is reduced against the matching mild rows as it comes, so the
+    reference is never held whole; the sups have the bits of whole-trajectory
+    calls, which reduce in blocks of the same nodes.
+    """
+    gap = sup = 0.0
+    for a, rows in blocks:
+        span = slice(a, a + len(rows))
+        reference = SolutionTrajectory(mild.times[span], rows, mild.grid)
+        here = SolutionTrajectory(mild.times[span], mild.values[span], mild.grid)
+        gap = max(gap, sup_metric(here, reference))
+        sup = max(sup, reference.sup_norm())
+    return gap, sup
 
 
 def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
@@ -782,25 +805,26 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     guess = report = None
     for dt in ladder:
         mild_cfg = replace(config.solver, dt=dt)
-        # the audit does not depend on dt, so the finer rungs reuse the first one's
+        # the audit does not depend on dt, so the finer rungs reuse the first
+        # one's; a finer rung solves in its guess
         res = solve_global(problem, config.T, mild_cfg, report=report, guess=guess)
         report, mild = res.report, res.trajectory
-        # the next, finer rung starts its Picard sweeps from this one
-        guess = None if dt == h else _refine_in_time(mild.values)
         oracle_cfg = OracleConfig(
             integrator=config.experiment["oracle_integrator"], dt=dt,
             scheme=config.solver.scheme,
             newton_tol=config.experiment["oracle_newton_tol"],
         )
-        reference = mol_solve(problem, config.T, oracle_cfg)
-        gaps.append(relative_gap(mild, reference))
+        gap, sup = _gap_to_reference(mild, mol_blocks(problem, config.T, oracle_cfg))
+        tiny = np.finfo(float).tiny
+        gaps.append(gap / max(sup, tiny))
         # the Picard floor: the solve stops within picard_tol*(1 + S) of its
-        # fixed point, S the reference's sup norm that relative_gap divides by
-        sup = reference.sup_norm()
-        floors.append(mild_cfg.picard_tol * (1.0 + sup) / max(sup, np.finfo(float).tiny))
-        # free this rung's trajectories: the finer rung's solves then hold only
-        # its guess, and the peak memory stays that of a cold ladder
-        del res, mild, reference
+        # fixed point, S the reference's sup norm that the gap is divided by
+        floors.append(mild_cfg.picard_tol * (1.0 + sup) / max(sup, tiny))
+        # the next, finer rung starts its Picard sweeps from this one; its seed
+        # is built only now, and this rung's trajectory is freed before the
+        # finer solve, which then holds its seed alone
+        guess = None if dt == h else _refine_in_time(mild.values)
+        del res, mild
     # a gap at or below its rung's floor is round-off, not discretisation error,
     # and has no order: its cell stays empty (so does a zero gap of zero data)
     orders = ["" if ga <= fa or gb <= fb else _fmt(refinement_orders([ga, gb])[0])

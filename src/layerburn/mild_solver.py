@@ -24,8 +24,9 @@ against the a-priori growth bound afterwards, and a violation raises
 AprioriViolationError; runaway iterates trip the blow-up guard instead of
 overflowing silently.
 
-A global solve allocates its (K+1, n, m) trajectory once, and every window,
-a retry after a halving included, solves in place in its slice of it.  A
+A global solve allocates its (K+1, n, m) trajectory once, or runs in the
+guess it is given, and every window, a retry after a halving included,
+solves in place in its slice of it.  A
 window's step operators come from one batched build_propagators call and its
 fuel from one sample call; a time-invariant fuel's sample is a read-only
 broadcast of one field, and its operators are factored once per distinct
@@ -37,17 +38,21 @@ rows, the block's sup norm and Picard gap are reduced, and the new rows
 replace the old ones.  No array the size of the window's source, successor
 or gap exists, and the iterates are bitwise those of a per-step loop.
 
-Each window's first Picard iterate is its seed, written into its slice: the
-homogeneous evolution U(t_k, t0) phi of a cold window, or a slice of the
-trajectory passed to solve_global as `guess` (a warm start).  The Duhamel fixed point is unique,
-so the seed only changes how many sweeps a window takes, not where it
-converges (to within picard_tol).
+Each window's first Picard iterate is its seed: the homogeneous evolution
+U(t_k, t0) phi of a cold window, written into its slice, or the rows already
+in the slice of the trajectory passed to solve_global as `guess` (a warm
+start, solved in that array).  The Duhamel fixed point is unique, so the
+seed only changes how many sweeps a window takes, not where it converges (to
+within picard_tol); a warm window that is halved therefore retries from the
+rows its failed attempt left.  A gap ratio above the certified 1/2 is
+counted as a ratio violation (SolveResult.ratio_violations).
 
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures, repeat until neither field
 moves.  The restep rewrites the table in place, one fuel_step call per block
 of steps, so a pass holds its trajectory, the previous pass's and one table.
-Each pass after the first starts from the previous pass's trajectory.  A pass
+Each pass after the first starts from a copy of the previous pass's
+trajectory, which the pass's outer gap still compares against.  A pass
 solves only as far as its frozen fuel deserves: to FORCING times the fuel
 change of the restep before it, never below picard_tol, and the run ends only
 after a pass solved to picard_tol itself.
@@ -181,6 +186,11 @@ class SolveResult:
         """Largest observed Picard gap ratio over all windows, 0 if none."""
         return max((r for w in self.windows for r in w.ratios), default=0.0)
 
+    @property
+    def ratio_violations(self) -> int:
+        """Picard gap ratios above the certified contraction factor 1/2."""
+        return sum(r > 0.5 for w in self.windows for r in w.ratios)
+
 
 @dataclass
 class CoupledResult:
@@ -193,6 +203,7 @@ class CoupledResult:
     pass_iterations: list[int]  # total Picard sweeps of each outer pass
     pass_worst_ratios: list[float]  # largest gap ratio of each pass, 0 if none
     pass_picard_tols: list[float]  # Picard tolerance each pass solved to
+    ratio_violations: int  # Picard gap ratios above 1/2, summed over the passes
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +217,20 @@ def _sweep_budget(first_gap: float, tol: float) -> int:
 
 
 def _solve_window(p, fuel: GriddedFuel, times: np.ndarray, u: np.ndarray,
-                  cfg: SolverConfig, guess: np.ndarray | None
-                  ) -> tuple[int, list[float], list[float]]:
+                  cfg: SolverConfig, warm: bool) -> tuple[int, list[float], list[float]]:
     """Fixed point on one window, solved in place in u; times are absolute lattice nodes.
 
-    u[0] holds the window state and is not written.  guess, when given, is
-    the first iterate on those nodes (its row 0 is ignored); otherwise it is
-    the homogeneous evolution.  Every row past u[0] is seeded before the
-    first sweep, so rows left by an earlier attempt on the same slice do not
-    reach the iterates.
+    u[0] holds the window state and is not written.  A warm window's first
+    iterate is the rows u already holds past u[0]; a cold window overwrites
+    them with the homogeneous evolution first, so rows left by an earlier
+    attempt on the same slice do not reach its iterates.
     """
     dx = fuel.grid.dx
     props = build_propagators(p, fuel, times, cfg.theta, cfg.scheme)
     ys = fuel.sample(times)
 
-    if guess is None:
+    if not warm:
         evolve(props, u[0], out=u)
-    else:
-        u[1:] = guess[1:]
 
     def source(lo, hi):
         return source_f(p, ys[lo:hi], u[lo:hi])
@@ -337,10 +344,14 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
                  guess: np.ndarray | None = None) -> SolveResult:
     """March [0, T] window by window; audit first, a-priori check last.
 
-    guess is an optional (K+1, n, m) trajectory on the cfg.dt lattice; each
-    window starts its Picard iteration from the guess's rows on its nodes
-    instead of the homogeneous evolution.  A guess that is not on that lattice
-    is a caller bug and raises SolverError.
+    guess is an optional (K+1, n, m) trajectory on the cfg.dt lattice, and
+    the solve runs in it: row 0 becomes phi, each window starts its Picard
+    iteration from the rows the guess holds on its nodes instead of the
+    homogeneous evolution, and the returned trajectory's values are the
+    guess itself.  A warm window that is halved retries from the rows its
+    failed attempt left.  A guess that is not on that lattice, or that the
+    solve cannot write in place (read-only, not C-contiguous or not
+    float64), is a caller bug and raises SolverError.
     """
     lattice = time_lattice(T, cfg.dt)
     if report is None:
@@ -353,12 +364,19 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     phi_norm0 = l2_norm(problem.phi, problem.grid.dx)
     K = lattice.size - 1
     shape = (K + 1,) + problem.phi.shape
-    if guess is not None and guess.shape != shape:
-        raise SolverError(f"Picard guess has shape {guess.shape}, the dt lattice needs {shape}")
+    if guess is not None:
+        if guess.shape != shape:
+            raise SolverError(
+                f"Picard guess has shape {guess.shape}, the dt lattice needs {shape}")
+        if not (guess.dtype == np.float64 and guess.flags.c_contiguous
+                and guess.flags.writeable):
+            raise SolverError("Picard guess must be a writeable C-contiguous float64 "
+                              "array: the solve runs in it")
 
-    # every window solves in place in its slice of one trajectory buffer;
-    # row k0 of a window is the last row of the window before it
-    values = np.empty(shape)
+    # every window solves in place in its slice of one trajectory buffer, the
+    # guess when there is one; row k0 of a window is the last row of the
+    # window before it
+    values = np.empty(shape) if guess is None else guess
     values[0] = problem.phi
     windows: list[WindowRecord] = []
     k0 = 0
@@ -376,9 +394,9 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
         while True:
             span = slice(k0, k0 + n_sub + 1)
             times = lattice[span]
-            seed = None if guess is None else guess[span]
             try:
-                iters, gaps, ratios = _solve_window(p, fuel, times, values[span], cfg, seed)
+                iters, gaps, ratios = _solve_window(p, fuel, times, values[span], cfg,
+                                                    warm=guess is not None)
                 break
             except PicardDivergenceError:
                 if halvings >= MAX_HALVINGS or n_sub == 1:
@@ -431,14 +449,17 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     pass_iterations: list[int] = []
     pass_worst_ratios: list[float] = []
     pass_picard_tols: list[float] = []
+    ratio_violations = 0
     for outer in range(1, MAX_PASSES + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice, table))
-        guess = None if prev_traj is None else prev_traj.values
+        # the pass runs in its guess, and du still compares against prev_traj
+        guess = None if prev_traj is None else prev_traj.values.copy()
         pass_tol = max(cfg.picard_tol, FORCING * dy)
         res = solve_global(frozen, T, replace(cfg, picard_tol=pass_tol), guess=guess)
         pass_iterations.append(res.total_iterations)
         pass_worst_ratios.append(res.worst_ratio)
         pass_picard_tols.append(pass_tol)
+        ratio_violations += res.ratio_violations
         traj = res.trajectory
 
         # restep the table in place a block of steps at a time: each block's
@@ -461,7 +482,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
                 dy <= OUTER_TOL or du <= OUTER_TOL * (1.0 + traj.sup_norm())):
             return CoupledResult(traj, TabulatedFuel(lattice, table), outer,
                                  u_gaps, y_gaps, res, pass_iterations,
-                                 pass_worst_ratios, pass_picard_tols)
+                                 pass_worst_ratios, pass_picard_tols, ratio_violations)
     raise PicardDivergenceError(
         f"coupled outer iteration did not settle in {MAX_PASSES} passes "
         f"(last du {u_gaps[-1]:.3e}, dy {y_gaps[-1]:.3e})"

@@ -34,7 +34,13 @@ iterate only when an update fails to shrink tenfold from the one before it.
 A step still ends by adding a correction below newton_tol, so the chord
 changes the trajectory only within that tolerance of the full Newton
 iteration.  The iterate stays node-major from step to step, and each
-accepted step is written straight into the trajectory.
+accepted step is written straight into its block of nodes.
+
+Both integrators run as the generator mol_blocks, which yields the states a
+block of lattice nodes at a time; mol_solve collects the blocks into a
+trajectory.  A caller that only reduces the reference, as oracle-compare
+does with sup_metric and the sup norm block by block, never holds the whole
+MOL trajectory.
 """
 
 from __future__ import annotations
@@ -145,7 +151,23 @@ def _rhs(run: tuple, kb: np.ndarray, d: np.ndarray, E: float, v: np.ndarray) -> 
 
 def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
               ) -> SolutionTrajectory:
-    """Integrate the semi-discrete system on the dt lattice over [0, T]."""
+    """Integrate the semi-discrete system on the dt lattice over [0, T]: the
+    blocks of mol_blocks, collected into one trajectory."""
+    cfg = cfg or OracleConfig()
+    times = time_lattice(T, cfg.dt)
+    values = np.empty((times.size,) + problem.phi.shape)
+    for a, rows in mol_blocks(problem, T, cfg):
+        values[a : a + len(rows)] = rows
+    return SolutionTrajectory(times, values, problem.grid)
+
+
+def mol_blocks(problem: Problem, T: float, cfg: OracleConfig | None = None):
+    """The states mol_solve returns, as (a, rows): rows is a fresh (b, n, m)
+    array of the states at lattice nodes a .. a + b - 1, in order from a = 0.
+
+    A block is steps_per_block(n*m) nodes, so a caller that reduces each
+    block as it comes holds no trajectory-sized array.
+    """
     cfg = cfg or OracleConfig()
     times = time_lattice(T, cfg.dt)
     total = times.size - 1
@@ -154,9 +176,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
     grid = problem.grid
     fuel = GriddedFuel(problem.fuel, grid)
     n, m = problem.phi.shape
-
-    values = np.empty((total + 1, n, m))
-    values[0] = problem.phi
+    block = steps_per_block(n * m)
 
     if cfg.integrator == "explicit-rk4":
         _check_explicit_stability(p, fuel, T, cfg.dt)
@@ -164,22 +184,31 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
         def rhs(v: np.ndarray, L_tri: np.ndarray, y: np.ndarray) -> np.ndarray:
             return -generator_apply(L_tri, v) + source_f(p, y, v)
 
-        for k in range(total):
-            t = float(times[k])
-            dt = cfg.dt
-            u = values[k]
-            tm = t + 0.5 * dt
-            te = float(times[k + 1])
-            ys = fuel.sample(np.array([t, tm, te]))
-            L0, Lm, Le = generator_bands(p, ys, grid.dx, cfg.scheme)
-            k1 = rhs(u, L0, ys[0])
-            k2 = rhs(u + 0.5 * dt * k1, Lm, ys[1])
-            k3 = rhs(u + 0.5 * dt * k2, Lm, ys[1])
-            k4 = rhs(u + dt * k3, Le, ys[2])
-            values[k + 1] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(values[k + 1])):
-                raise StabilityError(f"explicit step produced non-finite values at t={te:.6g}")
-        return SolutionTrajectory(times, values, grid)
+        u = problem.phi
+        for a in range(0, total + 1, block):
+            rows = np.empty((min(block, total + 1 - a), n, m))
+            for j in range(len(rows)):
+                if a + j == 0:
+                    rows[0] = u
+                    continue
+                k = a + j - 1
+                t = float(times[k])
+                dt = cfg.dt
+                tm = t + 0.5 * dt
+                te = float(times[k + 1])
+                ys = fuel.sample(np.array([t, tm, te]))
+                L0, Lm, Le = generator_bands(p, ys, grid.dx, cfg.scheme)
+                k1 = rhs(u, L0, ys[0])
+                k2 = rhs(u + 0.5 * dt * k1, Lm, ys[1])
+                k3 = rhs(u + 0.5 * dt * k2, Lm, ys[1])
+                k4 = rhs(u + dt * k3, Le, ys[2])
+                rows[j] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                u = rows[j]
+                if not np.all(np.isfinite(u)):
+                    raise StabilityError(
+                        f"explicit step produced non-finite values at t={te:.6g}")
+            yield a, rows
+        return
 
     # implicit trapezoid with a chord Newton iteration per step, node-major
     half_dt = 0.5 * cfg.dt
@@ -198,13 +227,13 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             raise NewtonError(f"singular Newton matrix at t={t:.6g} (dgbtrf info {info})")
         return lu, piv
 
-    block = steps_per_block(n * m)
-    u = _flat(values[0])
+    u = _flat(problem.phi)
     sample = None  # fuel sample at the last node of the previous block
     for a in range(0, total + 1, block):
         # fuel and generator for a block of lattice nodes, as build_propagators does
         ys = fuel.sample(times[a : a + block])
         same = repeats(ys, sample)
+        rows = np.empty((ys.shape[0], n, m))
         # L_h only at the nodes that start a run of equal samples
         if not same.all():
             Ls = iter(generator_bands(p, ys[~same], grid.dx, cfg.scheme))
@@ -220,6 +249,7 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
                 main = 1.0 - half_dt * A[n]
                 lu = None  # the run's first step factors at its predictor
             if a + j == 0:
+                rows[0] = problem.phi
                 run_k = run
                 continue
             k = a + j - 1
@@ -247,9 +277,9 @@ def mol_solve(problem: Problem, T: float, cfg: OracleConfig | None = None
             else:
                 raise NewtonError(
                     f"Newton stalled at t={t_next:.6g} (last update {size:.3e})")
-            values[k + 1].T[...] = v.reshape(m, n)
+            rows[j].T[...] = v.reshape(m, n)
             u, run_k = v, run
-    return SolutionTrajectory(times, values, grid)
+        yield a, rows
 
 
 def _check_explicit_stability(p, fuel: GriddedFuel, T: float, dt: float) -> None:

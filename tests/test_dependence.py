@@ -282,3 +282,14 @@ def test_a_skipped_level_keeps_the_secant(monkeypatch):
     for values, ref in cold:
         gap = sup_metric(SolutionTrajectory(ref.times, values, ref.grid), ref)
         assert gap <= cfg.picard_tol * (1.0 + ref.sup_norm())
+
+
+def test_the_study_leaves_its_base_solve_untouched():
+    # the first level solves in a copy of the base trajectory and each later
+    # level in a fresh predictor buffer, so the base stays a cold solve's bits
+    config = shipped_config("dependence_study", m=201)
+    prob, T, spec = config.problem(), config.T, config.perturbation_spec()
+    study = dependence_study(prob, T, spec, config.solver)
+    assert sum(lv.skipped is None for lv in study.levels) >= 2
+    cold = solve_global(prob, T, config.solver).trajectory.values
+    assert study.base.trajectory.values.tobytes() == cold.tobytes()

@@ -772,6 +772,37 @@ def test_cli_coupled_summary_lists_every_pass(tmp_path):
     assert "outer_passes" not in (tmp_path / "plain_summary.txt").read_text()
 
 
+def _summary(path) -> dict:
+    return dict(line.split(": ", 1) for line in Path(path).read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("name", ["drift_benchmark", "reactive_two_layer",
+                                  "ignition_coupled", "dependence_study"])
+def test_cli_shipped_configs_report_no_ratio_violation(tmp_path, name):
+    assert cli(["simulate", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "run")]) == 0
+    assert _summary(tmp_path / "run_summary.txt")["picard_ratio_violations"] == "0"
+
+
+@pytest.mark.parametrize("mode", ["prescribed", "coupled"])
+def test_cli_summary_counts_ratios_above_one_half(tmp_path, monkeypatch, mode):
+    # with K = 20, one window over the whole run and a budget of 200 sweeps
+    # forced, the first sweeps contract by 0.66 > 1/2: the summary counts them
+    text = (CONFIGS / "reactive_two_layer.cfg").read_text()
+    text = re.sub(r"(?m)^m = .*$", "m = 201", text)
+    text = re.sub(r"(?m)^(K_[12]) = .*$", r"\1 = constant(20)", text)
+    text = re.sub(r"(?m)^dt = .*$", "dt = 0.01", text)
+    text = re.sub(r"(?m)^mode = .*$", f"mode = {mode}", text)
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 200)
+    monkeypatch.setattr(mild_solver, "_continuation_eps",
+                        lambda p, fuel, t0, phi_norm, beta, T: T)
+    assert cli(["simulate", _write(tmp_path, text), "--out", str(tmp_path / "run")]) == 0
+    summary = _summary(tmp_path / "run_summary.txt")
+    # a coupled run's worst_gap_ratio is its last pass's; the first pass's is 0.66
+    ratios = summary.get("pass_worst_gap_ratio", summary["worst_gap_ratio"])
+    assert max(float(r) for r in ratios.split(",")) > 0.5
+    assert int(summary["picard_ratio_violations"]) >= 1
+
+
 def test_cli_check_hypotheses_pass_and_fail(tmp_path, capsys):
     good = _write(tmp_path, BASE_CFG, "good.cfg")
     assert cli(["check-hypotheses", good, "--out", str(tmp_path / "ok")]) == 0
@@ -853,8 +884,9 @@ def test_cli_oracle_compare_seeds_each_finer_rung(tmp_path, monkeypatch):
     calls = []
 
     def recording(problem, T, cfg, *, report=None, guess=None):
+        seed = None if guess is None else guess.copy()  # the solve runs in guess
         res = solve_global(problem, T, cfg, report=report, guess=guess)
-        calls.append((problem, T, cfg, guess, res, report))
+        calls.append((problem, T, cfg, seed, res, report))
         return res
 
     monkeypatch.setattr(io_cli, "solve_global", recording)
@@ -869,6 +901,25 @@ def test_cli_oracle_compare_seeds_each_finer_rung(tmp_path, monkeypatch):
         assert warm.total_iterations < cold.total_iterations
         assert sup_metric(warm.trajectory, cold.trajectory) \
             <= 1e-9 * cold.trajectory.sup_norm()
+
+
+def test_oracle_compare_peak_stays_under_1_7_finest_trajectories(tmp_path):
+    # each rung solves in its seed, the MOL reference is reduced a block of
+    # nodes at a time, and the next seed is refined only after the
+    # comparison, so the ladder holds one rung and the next rung's seed at
+    # most: the peak is the 2h trajectory beside the h seed, 1.54 finest
+    # trajectories measured (2.52 while the whole MOL reference was held)
+    config = parse_config((CONFIGS / "reactive_two_layer.cfg").read_text())
+    h = config.experiment["oracle_dt"]
+    finest = (round(config.T / h) + 1) * config.n * config.grid.m * 8
+    tracemalloc.start()
+    try:
+        assert cli(["oracle-compare", str(CONFIGS / "reactive_two_layer.cfg"),
+                    "--out", str(tmp_path / "orc")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * finest
 
 
 def test_cli_dependence_study(tmp_path, capsys):
@@ -1012,6 +1063,37 @@ def test_cli_guess_off_the_lattice_exits_3(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, BASE_CFG)
     assert cli(["simulate", cfg, "--out", str(tmp_path / "g")]) == 3
     assert "solver failure: Picard guess has shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda shape: np.zeros(shape, order="F"),
+    lambda shape: np.zeros(shape, dtype=np.float32),
+    lambda shape: np.broadcast_to(np.zeros(shape[1:]), shape),  # read-only
+], ids=["fortran-order", "float32", "read-only"])
+def test_cli_guess_the_solve_cannot_run_in_exits_3(tmp_path, monkeypatch, capsys, make):
+    # the solve runs in its guess; one it cannot write in place is a solver
+    # bug too, not a numpy ValueError reported as a config error
+    def unwritable(problem, T, cfg, *, guess=None):
+        shape = (int(round(T / cfg.dt)) + 1,) + problem.phi.shape
+        return solve_global(problem, T, cfg, guess=make(shape))
+
+    monkeypatch.setattr(io_cli, "solve_global", unwritable)
+    cfg = _write(tmp_path, BASE_CFG)
+    assert cli(["simulate", cfg, "--out", str(tmp_path / "g")]) == 3
+    assert "solver failure: Picard guess must be a writeable" in capsys.readouterr().err
+
+
+def test_cli_manifest_does_not_depend_on_the_config_folder(tmp_path):
+    # the manifest names the config by its file name, as it names its outputs;
+    # config_sha256 and config_echo identify the content
+    manifests = []
+    for folder in (tmp_path / "a", tmp_path / "a_much_longer_folder" / "b"):
+        folder.mkdir(parents=True)
+        cfg = _write(folder, BASE_CFG)
+        assert cli(["simulate", cfg, "--out", str(folder / "run")]) == 0
+        manifests.append((folder / "run_manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["config_file"] == "case.cfg"
 
 
 def test_cli_outdir_redirects_relative_prefixes(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from layerburn.hypothesis import (
     continuation_radius,
     lipschitz_kappa,
 )
+from layerburn.io_cli import parse_config
 from layerburn.mild_solver import (
     AprioriViolationError,
     AuditError,
@@ -404,9 +405,24 @@ def test_warm_window_makes_one_apply_per_step_and_sweep(monkeypatch):
     assert np.array_equal(again.trajectory.values, cold.trajectory.values)
 
 
+def test_warm_solve_runs_in_its_guess():
+    # the solve writes phi into row 0 and each window's iterates into the
+    # guess's rows, and returns the guess itself as its trajectory
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    cfg = SolverConfig(dt=0.01)
+    cold = solve_global(prob, T, cfg)
+    guess = np.repeat(prob.phi[None], cold.trajectory.times.size, axis=0) + 1e-3
+    warm = solve_global(prob, T, cfg, report=cold.report, guess=guess)
+    assert warm.trajectory.values is guess
+    assert np.array_equal(guess[0], prob.phi)
+    assert sup_metric(warm.trajectory, cold.trajectory) \
+        <= 10.0 * cfg.picard_tol * (1.0 + cold.trajectory.sup_norm())
+
+
 def test_guess_follows_halved_windows(monkeypatch):
     # a poor guess and a short sweep budget force halvings; each halved window
-    # starts from its own slice of the guess, and the fixed point does not move
+    # retries from the rows its failed attempt left, and the fixed point does
+    # not move
     prob, T = shipped_problem("reactive_two_layer", m=201)
     tol = 1e-10
     ref = solve_global(prob, T, SolverConfig(dt=0.002, picard_tol=tol))
@@ -457,11 +473,11 @@ def test_drift_solve_peak_stays_under_2_1_trajectories():
 
 
 def test_coupled_ignition_peak_stays_under_4_6_trajectories():
-    # a coupled pass holds its trajectory, the previous pass's (its guess)
-    # and the fuel table, which the restep rewrites in place; on top of those
-    # three the largest window (77 steps) holds its step factors (d, e and
-    # the scale s per node), 0.46 trajectories, and its block temporaries; it
-    # measures 4.17
+    # a coupled pass holds its trajectory (solved in a copy of the previous
+    # pass's, its guess), the previous pass's and the fuel table, which the
+    # restep rewrites in place; on top of those three the largest window
+    # (77 steps) holds its step factors (d, e and the scale s per node), 0.46
+    # trajectories, and its block temporaries; it measures 4.17
     res, peak = _traced_peak(solve_coupled, "ignition_coupled")
     assert res.trajectory.values.shape == (501, 2, 401)
     assert res.outer_iterations >= 2
@@ -476,6 +492,52 @@ def test_guess_off_the_lattice_is_a_solver_error():
     for bad in (on_lattice[:-1], on_lattice[:, :, :-1], on_lattice[0]):
         with pytest.raises(SolverError, match="Picard guess has shape"):
             solve_global(prob, T, cfg, report=report, guess=bad)
+
+
+def _forced_budget(monkeypatch):
+    """Every window spans the whole run and may take 200 sweeps: the Picard
+    ratios are no longer certified to stay below 1/2, and none is halved."""
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 200)
+    monkeypatch.setattr(mild_solver, "_continuation_eps",
+                        lambda p, fuel, t0, phi_norm, beta, T: T)
+
+
+def _strong_reaction(coupled=False):
+    """reactive_two_layer at m = 201 and dt = 0.01 with K = 20: one window
+    over the whole run contracts with a worst ratio of 0.66."""
+    text = (shipped_config("reactive_two_layer", m=201).text
+            .replace("K_1 = constant(0.2)", "K_1 = constant(20)")
+            .replace("K_2 = constant(0.2)", "K_2 = constant(20)")
+            .replace("dt = 0.001", "dt = 0.01"))
+    if coupled:
+        text = text.replace("mode = prescribed", "mode = coupled")
+    return parse_config(text)
+
+
+def test_ratios_above_one_half_are_counted(monkeypatch):
+    config = _strong_reaction()
+    prob, T, cfg = config.problem(), config.T, config.solver
+    assert solve_global(prob, T, cfg).ratio_violations == 0
+    _forced_budget(monkeypatch)
+    res = solve_global(prob, T, cfg)
+    assert len(res.windows) == 1 and res.worst_ratio > 0.5
+    assert res.ratio_violations == sum(r > 0.5 for r in res.windows[0].ratios) >= 1
+
+
+def test_coupled_ratio_violations_sum_over_the_passes(monkeypatch):
+    config = _strong_reaction(coupled=True)
+    _forced_budget(monkeypatch)
+    per_pass = []
+
+    def recording(problem, T, cfg, *, guess=None):
+        res = solve_global(problem, T, cfg, guess=guess)
+        per_pass.append(res.ratio_violations)
+        return res
+
+    monkeypatch.setattr(mild_solver, "solve_global", recording)
+    res = solve_coupled(config.problem(), config.T, config.solver)
+    assert len(per_pass) == res.outer_iterations >= 2
+    assert res.ratio_violations == sum(per_pass) >= 1
 
 
 def test_audit_failure_aborts_with_report():

@@ -29,6 +29,7 @@ from layerburn.oracle import (
     NewtonError,
     OracleConfig,
     StabilityError,
+    mol_blocks,
     mol_solve,
     refinement_orders,
     relative_gap,
@@ -72,6 +73,25 @@ def test_integrators_agree_on_reactive_fixture():
     rk4 = mol_solve(prob, 0.08, OracleConfig(dt=0.004, integrator="explicit-rk4"))
     imp = mol_solve(prob, 0.08, OracleConfig(dt=0.004))
     assert relative_gap(rk4, imp) <= 1e-5
+
+
+def test_mol_blocks_stream_the_trajectory_mol_solve_collects():
+    # fresh arrays of consecutive lattice nodes, steps_per_block(n*m) at most,
+    # whose rows are mol_solve's bit for bit, for both integrators
+    prob, _ = shipped_problem("reactive_two_layer", m=101)
+    cfg = OracleConfig(dt=0.001)
+    block = steps_per_block(prob.phi.size)
+    for integ in ("implicit-trapezoid", "explicit-rk4"):
+        cfg = replace(cfg, integrator=integ)
+        whole = mol_solve(prob, 0.5, cfg).values
+        starts, seen = [], []
+        for a, rows in mol_blocks(prob, 0.5, cfg):
+            assert rows.shape[1:] == prob.phi.shape and len(rows) <= block
+            assert all(not np.shares_memory(rows, other) for other in seen)
+            starts.append(a)
+            seen.append(rows)
+        assert starts == list(range(0, whole.shape[0], block)) and len(starts) > 2
+        assert np.concatenate(seen).tobytes() == whole.tobytes()
 
 
 def test_refinement_ladder_shows_second_order():
