@@ -761,17 +761,21 @@ def _cmd_check_hypotheses(args, config: ProblemConfig, config_path: str) -> int:
     return 0 if report.ok else 2
 
 
-def _refine_in_time(values: np.ndarray) -> np.ndarray:
-    """A trajectory on a lattice of step dt, carried to the nested dt/2 lattice:
-    even nodes are the given rows, odd nodes the mean of their two neighbours,
-    summed and halved in place so that no temporary is trajectory-sized.
+def _refine_in_time(buf: np.ndarray, rows: int) -> np.ndarray:
+    """Carry the trajectory in buf[:rows], on a lattice of step dt, to the
+    nested dt/2 lattice in place, and return that view, buf[:2*rows - 1].
+
+    Even nodes are the given rows, moved from the last down so that no row
+    is overwritten before it is read; odd nodes are the mean of their two
+    neighbours, summed and halved in place, so no temporary is trajectory-sized.
     """
-    out = np.empty((2 * values.shape[0] - 1,) + values.shape[1:])
-    out[::2] = values
-    mid = out[1::2]
-    np.add(values[:-1], values[1:], out=mid)
+    for i in range(rows - 1, 0, -1):
+        buf[2 * i] = buf[i]
+    fine = buf[: 2 * rows - 1]
+    mid = fine[1::2]
+    np.add(fine[:-1:2], fine[2::2], out=mid)
     mid *= 0.5
-    return out
+    return fine
 
 
 def _gap_to_reference(mild: SolutionTrajectory, blocks) -> tuple[float, float]:
@@ -802,11 +806,11 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
     problem = config.problem()
     ladder = [4.0 * h, 2.0 * h, h]
     gaps, floors = [], []
-    guess = report = None
+    buf = guess = report = None
     for dt in ladder:
         mild_cfg = replace(config.solver, dt=dt)
         # the audit does not depend on dt, so the finer rungs reuse the first
-        # one's; a finer rung solves in its guess
+        # one's; a finer rung solves in its guess, the head of buf
         res = solve_global(problem, config.T, mild_cfg, report=report, guess=guess)
         report, mild = res.report, res.trajectory
         oracle_cfg = OracleConfig(
@@ -820,10 +824,16 @@ def _cmd_oracle_compare(args, config: ProblemConfig, config_path: str) -> int:
         # the Picard floor: the solve stops within picard_tol*(1 + S) of its
         # fixed point, S the reference's sup norm that the gap is divided by
         floors.append(mild_cfg.picard_tol * (1.0 + sup) / max(sup, tiny))
-        # the next, finer rung starts its Picard sweeps from this one; its seed
-        # is built only now, and this rung's trajectory is freed before the
-        # finer solve, which then holds its seed alone
-        guess = None if dt == h else _refine_in_time(mild.values)
+        # the next, finer rung starts its Picard sweeps from this one, refined
+        # in place only after the comparison; the 2h and h rungs share one
+        # buffer of the h lattice, into whose head the cold 4h rung is copied
+        # and freed before the 2h solve
+        if dt != h:
+            rows = len(mild.values)
+            if buf is None:
+                buf = np.empty((4 * rows - 3,) + mild.values.shape[1:])
+                buf[:rows] = mild.values
+            guess = _refine_in_time(buf, rows)
         del res, mild
     # a gap at or below its rung's floor is round-off, not discretisation error,
     # and has no order: its cell stays empty (so does a zero gap of zero data)

@@ -50,9 +50,10 @@ counted as a ratio violation (SolveResult.ratio_violations).
 Coupled fuel runs alternate: freeze the fuel table, solve for temperature,
 restep the fuel ODE through the new temperatures, repeat until neither field
 moves.  The restep rewrites the table in place, one fuel_step call per block
-of steps, so a pass holds its trajectory, the previous pass's and one table.
-Each pass after the first starts from a copy of the previous pass's
-trajectory, which the pass's outer gap still compares against.  A pass
+of steps.  Each pass after the first runs in the previous pass's trajectory,
+so a run holds one trajectory and one table; the pass's outer gap is the
+sup distance its solve moved that trajectory, which solve_global reduces
+window by window against a copy of the window's rows (track_move).  A pass
 solves only as far as its frozen fuel deserves: to FORCING times the fuel
 change of the restep before it, never below picard_tol, and the run ends only
 after a pass solved to picard_tol itself.
@@ -172,6 +173,7 @@ class SolveResult:
     windows: list[WindowRecord]
     report: HypothesisReport
     apriori: dict
+    moved: float | None = None  # sup distance from the guess, if tracked (solve_global)
 
     @property
     def total_iterations(self) -> int:
@@ -341,7 +343,8 @@ def window_steps(w: float, t0: float, dt: float) -> int:
 
 def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
                  report: HypothesisReport | None = None,
-                 guess: np.ndarray | None = None) -> SolveResult:
+                 guess: np.ndarray | None = None,
+                 track_move: bool = False) -> SolveResult:
     """March [0, T] window by window; audit first, a-priori check last.
 
     guess is an optional (K+1, n, m) trajectory on the cfg.dt lattice, and
@@ -352,6 +355,13 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     failed attempt left.  A guess that is not on that lattice, or that the
     solve cannot write in place (read-only, not C-contiguous or not
     float64), is a caller bug and raises SolverError.
+
+    With track_move, a warm solve also returns SolveResult.moved, the
+    sup_metric distance between its result and the guess as it was given,
+    bit for bit.  Each window copies its guess rows before it solves and
+    reduces its converged rows against that copy; a halved window puts the
+    copy back on the rows past its final span, so the next window starts
+    from, and is measured against, the guess's own rows.
     """
     lattice = time_lattice(T, cfg.dt)
     if report is None:
@@ -377,6 +387,8 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
     # guess when there is one; row k0 of a window is the last row of the
     # window before it
     values = np.empty(shape) if guess is None else guess
+    track = track_move and guess is not None
+    moved = float(np.max(layer_l2(values[0] - problem.phi, problem.grid.dx))) if track else None
     values[0] = problem.phi
     windows: list[WindowRecord] = []
     k0 = 0
@@ -389,6 +401,8 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
             w = report.T_prime
         # every window advances at least one step, so at most K windows
         n_sub = min(K - k0, window_steps(w, t0, cfg.dt))
+        if track:
+            saved = values[k0 + 1 : k0 + 1 + n_sub].copy()
 
         halvings = 0
         while True:
@@ -406,6 +420,14 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
 
         windows.append(WindowRecord(float(times[0]), float(times[-1]), iters,
                                     gaps, ratios, halvings))
+        if track:
+            # the rows a halving gave up return to the guess, and the solved
+            # rows are measured against their copy
+            values[k0 + 1 + n_sub : k0 + 1 + len(saved)] = saved[n_sub:]
+            span = slice(k0 + 1, k0 + 1 + n_sub)
+            moved = max(moved, sup_metric(
+                SolutionTrajectory(lattice[span], values[span], problem.grid),
+                SolutionTrajectory(lattice[span], saved[:n_sub], problem.grid)))
         k0 += n_sub
 
     trajectory = SolutionTrajectory(lattice, values, problem.grid)
@@ -414,7 +436,7 @@ def solve_global(problem: Problem, T: float, cfg: SolverConfig, *,
         raise AprioriViolationError(
             f"sup norm {apriori['observed']:.6g} exceeds the growth bound "
             f"{apriori['bound']:.6g}")
-    return SolveResult(trajectory, windows, report, apriori)
+    return SolveResult(trajectory, windows, report, apriori, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +449,9 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     The fuel table lives on the temperature solves' dt lattice; each step of
     the restep uses the midpoint temperature (u_k + u_{k+1})/2, so the fuel is
     nonincreasing in time and stays in [0, y0] by construction.  Pass k >= 2
-    seeds its solve with pass k-1's trajectory, which already lies within the
-    outer gap of its fixed point.
+    runs in pass k-1's trajectory, which already lies within the outer gap of
+    its fixed point; that gap du is the distance the solve moved it,
+    SolveResult.moved of a track_move solve.
 
     A pass's frozen fuel is only as good as the restep before it, so the pass
     solves to an inexact Picard tolerance (Eisenstat & Walker, SIAM J. Sci.
@@ -442,7 +465,7 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     table = np.repeat(y0[None], lattice.size, axis=0)
     block = steps_per_block(y0.size)
 
-    prev_traj = None
+    guess = None
     dy = float(np.max(y0))
     u_gaps: list[float] = []
     y_gaps: list[float] = []
@@ -452,10 +475,11 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
     ratio_violations = 0
     for outer in range(1, MAX_PASSES + 1):
         frozen = replace(problem, fuel=TabulatedFuel(lattice, table))
-        # the pass runs in its guess, and du still compares against prev_traj
-        guess = None if prev_traj is None else prev_traj.values.copy()
+        # the pass runs in the previous pass's trajectory and measures how far
+        # it moved it
         pass_tol = max(cfg.picard_tol, FORCING * dy)
-        res = solve_global(frozen, T, replace(cfg, picard_tol=pass_tol), guess=guess)
+        res = solve_global(frozen, T, replace(cfg, picard_tol=pass_tol), guess=guess,
+                           track_move=True)
         pass_iterations.append(res.total_iterations)
         pass_worst_ratios.append(res.worst_ratio)
         pass_picard_tols.append(pass_tol)
@@ -474,9 +498,9 @@ def solve_coupled(problem: Problem, T: float, cfg: SolverConfig) -> CoupledResul
         dy = float(np.max(block_gaps))
         y_gaps.append(dy)
 
-        du = math.inf if prev_traj is None else sup_metric(traj, prev_traj)
+        du = math.inf if guess is None else res.moved
         u_gaps.append(du)
-        prev_traj = traj
+        guess = traj.values
 
         if pass_tol == cfg.picard_tol and (
                 dy <= OUTER_TOL or du <= OUTER_TOL * (1.0 + traj.sup_norm())):

@@ -450,6 +450,64 @@ def test_halved_window_equals_a_window_of_that_size(monkeypatch):
     assert np.array_equal(sized.trajectory.values, halved.trajectory.values)
 
 
+def test_tracked_warm_solve_moves_its_guess_by_sup_metric():
+    # five contraction windows (T'/4 holds 62 of the 250 steps), each
+    # reduced against a copy of its guess rows: the move is sup_metric
+    # against the guess as given, bit for bit; an untracked solve reports none
+    prob, T = shipped_problem("reactive_two_layer", m=201)
+    cfg = SolverConfig(dt=0.002, window_mode="contraction")
+    cold = solve_global(prob, T, cfg, report=_audit_with_T_prime(prob, T, T / 4.0))
+    assert cold.moved is None
+    guess = 1.5 * cold.trajectory.values
+    given = replace(cold.trajectory, values=guess.copy())
+    warm = solve_global(prob, T, cfg, report=cold.report, guess=guess, track_move=True)
+    assert warm.trajectory.values is guess
+    assert len(warm.windows) == 5
+    assert warm.moved == sup_metric(warm.trajectory, given) > 0.0
+
+
+def _recorded_passes(monkeypatch):
+    """Copies of each coupled pass's trajectory, which the next pass overwrites."""
+    passes = []
+
+    def recording(problem, T, cfg, *, guess=None, track_move=False):
+        res = solve_global(problem, T, cfg, guess=guess, track_move=track_move)
+        passes.append((res, res.trajectory.values.copy()))
+        return res
+
+    monkeypatch.setattr(mild_solver, "solve_global", recording)
+    return passes
+
+
+def _gaps_between(passes):
+    return [sup_metric(replace(res.trajectory, values=b), replace(res.trajectory, values=a))
+            for (_, a), (res, b) in zip(passes, passes[1:])]
+
+
+def test_coupled_u_gaps_are_sup_metric_between_passes(monkeypatch):
+    # each pass runs in the one before it, and its outer gap, reduced window
+    # by window, is sup_metric between the two passes bit for bit
+    passes = _recorded_passes(monkeypatch)
+    config = shipped_config("ignition_coupled")
+    res = solve_coupled(config.problem(), config.T, config.solver)
+    assert len(passes) == res.outer_iterations >= 3
+    assert res.u_gaps[0] == math.inf
+    assert res.u_gaps[1:] == _gaps_between(passes)
+
+
+def test_coupled_u_gaps_survive_halved_windows(monkeypatch):
+    # whole-run windows with a 4-sweep budget are halved in the warm passes
+    # too; each puts the previous pass's rows back past its final span, so
+    # the next window starts from and is measured against that pass, and the
+    # outer gaps stay sup_metric between the passes bit for bit
+    config = _strong_reaction(coupled=True)
+    _forced_budget(monkeypatch, sweeps=4)
+    passes = _recorded_passes(monkeypatch)
+    res = solve_coupled(config.problem(), config.T, config.solver)
+    assert any(w.halvings for r, _ in passes[1:] for w in r.windows)
+    assert res.u_gaps[1:] == _gaps_between(passes)
+
+
 def _traced_peak(solve, name):
     """The result and the tracemalloc peak of solving configs/<name>.cfg."""
     config = shipped_config(name)
@@ -472,16 +530,17 @@ def test_drift_solve_peak_stays_under_2_1_trajectories():
     assert peak < 2.1 * res.trajectory.values.nbytes
 
 
-def test_coupled_ignition_peak_stays_under_4_6_trajectories():
-    # a coupled pass holds its trajectory (solved in a copy of the previous
-    # pass's, its guess), the previous pass's and the fuel table, which the
-    # restep rewrites in place; on top of those three the largest window
-    # (77 steps) holds its step factors (d, e and the scale s per node), 0.46
-    # trajectories, and its block temporaries; it measures 4.17
+def test_coupled_ignition_peak_stays_under_3_5_trajectories():
+    # every pass runs in the one trajectory the first pass allocated, beside
+    # the fuel table, which the restep rewrites in place; on top of those two
+    # the largest window (77 steps) holds its step factors (d, e and the
+    # scale s per node), 0.46 trajectories, the copy of its guess rows that
+    # its outer gap is reduced against, 0.15, and its block temporaries; it
+    # measures 3.28
     res, peak = _traced_peak(solve_coupled, "ignition_coupled")
     assert res.trajectory.values.shape == (501, 2, 401)
     assert res.outer_iterations >= 2
-    assert peak < 4.6 * res.trajectory.values.nbytes
+    assert peak < 3.5 * res.trajectory.values.nbytes
 
 
 def test_guess_off_the_lattice_is_a_solver_error():
@@ -494,10 +553,11 @@ def test_guess_off_the_lattice_is_a_solver_error():
             solve_global(prob, T, cfg, report=report, guess=bad)
 
 
-def _forced_budget(monkeypatch):
-    """Every window spans the whole run and may take 200 sweeps: the Picard
-    ratios are no longer certified to stay below 1/2, and none is halved."""
-    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: 200)
+def _forced_budget(monkeypatch, sweeps=200):
+    """Every window starts over the whole run and may take the given sweeps:
+    the Picard ratios are no longer certified to stay below 1/2, and at 200
+    sweeps none is halved."""
+    monkeypatch.setattr(mild_solver, "_sweep_budget", lambda first_gap, tol: sweeps)
     monkeypatch.setattr(mild_solver, "_continuation_eps",
                         lambda p, fuel, t0, phi_norm, beta, T: T)
 
@@ -529,8 +589,8 @@ def test_coupled_ratio_violations_sum_over_the_passes(monkeypatch):
     _forced_budget(monkeypatch)
     per_pass = []
 
-    def recording(problem, T, cfg, *, guess=None):
-        res = solve_global(problem, T, cfg, guess=guess)
+    def recording(problem, T, cfg, *, guess=None, track_move=False):
+        res = solve_global(problem, T, cfg, guess=guess, track_move=track_move)
         per_pass.append(res.ratio_violations)
         return res
 
@@ -637,8 +697,15 @@ def test_coupled_warm_start_matches_cold_passes(monkeypatch):
     cfg = SolverConfig(dt=0.004)
     warm = solve_coupled(prob, T, cfg)
 
-    def cold_solve(problem, T, cfg, *, guess=None):
-        return solve_global(problem, T, cfg)
+    def cold_solve(problem, T, cfg, *, guess=None, track_move=False):
+        res = solve_global(problem, T, cfg)
+        if guess is None:
+            return res
+        # the cold result lands in the guess, as a warm solve's does, and
+        # reports how far it moved it
+        moved = sup_metric(res.trajectory, replace(res.trajectory, values=guess))
+        guess[...] = res.trajectory.values
+        return replace(res, trajectory=replace(res.trajectory, values=guess), moved=moved)
 
     monkeypatch.setattr(mild_solver, "solve_global", cold_solve)
     cold = solve_coupled(prob, T, cfg)
